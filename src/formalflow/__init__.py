@@ -4,19 +4,15 @@ Euler-Maruyama triangular solver for stochastic flow coefficients."""
 __version__ = "0.1.0"
 
 from .algebra import (
-    CompositionIndex,
     FormalMapping,
     MultilinearMap,
     NonFiniteError,
     ShapeError,
-    add,
     apply_to_tuple,
     compose,
     enumerate_compositions,
     evaluate,
     identity,
-    scale,
-    symmetrize,
 )
 from .chain import (
     BlowupError,
@@ -37,6 +33,7 @@ from .chain import (
 from .explicit import FundamentalSolution, UnsupportedCaseError, fundamental, variation_of_constants
 from .verification import (
     ConvergenceReport,
+    ExcessiveBlowupError,
     ScalingReport,
     bernoulli_closed_form,
     estimate_order,

@@ -9,10 +9,9 @@ compositions of the target degree.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -78,7 +77,7 @@ class MultilinearMap:
             v = np.asarray(v, dtype=np.float64)
             if v.shape != (self.dy,):
                 raise ShapeError(f"argument vector has shape {v.shape}, expected ({self.dy},)")
-            out = np.tensordot(out, v, axes=([1], [0]))
+            out = _contract(out, v)
         return out
 
     def to_dict(self) -> dict:
@@ -125,10 +124,6 @@ class FormalMapping:
         return self.components[k - 1]
 
     @classmethod
-    def zero(cls, order: int, dy: int, dz: int) -> "FormalMapping":
-        return cls(order, dy, dz, tuple(MultilinearMap.zero(k, dy, dz) for k in range(1, order + 1)))
-
-    @classmethod
     def from_scalar_coeffs(cls, coeffs: Sequence[float]) -> "FormalMapping":
         """Scalar (dy = dz = 1) mapping with the given degree-1.. coefficients."""
         comps = tuple(
@@ -153,33 +148,77 @@ class FormalMapping:
         return cls(d["order"], comps[0].dy, comps[0].dz, comps)
 
 
-@dataclass(frozen=True)
-class CompositionIndex:
-    """One term of the composition double sum: n split into k ordered parts."""
+def _contract(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The slot-contraction kernel: plug a into the leading argument slot of t.
 
-    n: int
-    k: int
-    parts: tuple[int, ...]
+    a's input axes are appended last, so repeated calls fill t's slots in order.
+    """
+    m = t.shape[1]
+    out = np.moveaxis(t, 1, -1).reshape(-1, m) @ a.reshape(m, -1)
+    return out.reshape(t.shape[:1] + t.shape[2:] + a.shape[1:])
 
 
-def enumerate_compositions(n: int, k: int) -> list[CompositionIndex]:
+def enumerate_compositions(n: int, k: int) -> list[tuple[int, ...]]:
     """All ordered tuples of k positive integers summing to n, lexicographic.
 
-    There are exactly C(n-1, k-1) of them.
+    There are exactly C(n-1, k-1) of them, one per choice of k-1 cut points
+    in 1..n-1.
     """
     if n < 1 or k < 1 or k > n:
         raise ShapeError(f"need 1 <= k <= n, got n={n}, k={k}")
-    out: list[tuple[int, ...]] = []
+    return [
+        tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (n,)))
+        for cuts in combinations(range(1, n), k - 1)
+    ]
 
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for j in range(1, remaining - slots + 2):
-            rec(prefix + (j,), remaining - j, slots - 1)
 
-    rec((), n, k)
-    return [CompositionIndex(n, k, p) for p in out]
+@lru_cache
+def _plan(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The composition plan of component n: its terms (k, parts) in summation order."""
+    return tuple((k, parts) for k in range(1, n + 1) for parts in enumerate_compositions(n, k))
+
+
+def _compose_component(n: int, b: list, a: list, shape: tuple, memo: dict) -> np.ndarray:
+    """Component n of b after a, its plan terms summed in order.
+
+    b and a list entries by degree, None where zero; a term with a zero operand
+    is skipped, b_k tested first.  memo holds each b_k contracted with leading
+    parts, shared by all components of one composition.  Axes of b_k after its
+    slots ride along behind the output axis.
+    """
+    acc = np.zeros(shape)
+    for k, parts in _plan(n):
+        if b[k - 1] is None or any(a[j - 1] is None for j in parts):
+            continue
+        t = b[k - 1]
+        for i in range(1, len(parts) + 1):
+            key = (k, parts[:i])
+            if key not in memo:
+                memo[key] = _contract(t, a[parts[i - 1] - 1])
+            t = memo[key]
+        acc += t
+    return acc
+
+
+def _nonzero_entries(mapping) -> list[np.ndarray | None]:
+    """Entries of each component of a mapping or family, None where zero."""
+    return [None if c.is_zero else c.entries for c in mapping.components]
+
+
+def _plug(b_k, args: Sequence[MultilinearMap]) -> np.ndarray:
+    """Entries of b_k with args plugged into its k slots, in order; axes of
+    b_k after its slots ride along behind the output axis."""
+    if len(args) != b_k.degree:
+        raise ShapeError(f"b_k has {b_k.degree} slots, got {len(args)} argument maps")
+    for a in args:
+        if a.dz != b_k.dy:
+            raise ShapeError(f"argument codomain {a.dz} != b_k domain {b_k.dy}")
+        if a.dy != args[0].dy:
+            raise ShapeError("argument maps must share a common domain dimension")
+    t = b_k.entries
+    for a in args:
+        t = _contract(t, a.entries)
+    return t
 
 
 def apply_to_tuple(b_k: MultilinearMap, args: Sequence[MultilinearMap]) -> MultilinearMap:
@@ -188,26 +227,8 @@ def apply_to_tuple(b_k: MultilinearMap, args: Sequence[MultilinearMap]) -> Multi
     The result is an n-linear map (n = sum of argument degrees) whose inputs
     are distributed to the argument maps in order.
     """
-    if len(args) != b_k.degree:
-        raise ShapeError(f"b_k has {b_k.degree} slots, got {len(args)} argument maps")
-    dy = args[0].dy
-    for a in args:
-        if a.dz != b_k.dy:
-            raise ShapeError(f"argument codomain {a.dz} != b_k domain {b_k.dy}")
-        if a.dy != dy:
-            raise ShapeError("argument maps must share a common domain dimension")
-    t = _contract(b_k.entries, [a.entries for a in args])
-    n = sum(a.degree for a in args)
-    return MultilinearMap(n, dy, b_k.dz, t)
-
-
-def _contract(b_entries: np.ndarray, arg_entries: list[np.ndarray]) -> np.ndarray:
-    # Each tensordot consumes the leading remaining slot of b and appends the
-    # argument's input axes at the end, so inputs land in argument order.
-    t = b_entries
-    for a in arg_entries:
-        t = np.tensordot(t, a, axes=([1], [0]))
-    return t
+    t = _plug(b_k, args)
+    return MultilinearMap(sum(a.degree for a in args), args[0].dy, b_k.dz, t)
 
 
 def compose(b: FormalMapping, a: FormalMapping) -> FormalMapping:
@@ -221,34 +242,11 @@ def compose(b: FormalMapping, a: FormalMapping) -> FormalMapping:
     if a.dz != b.dy:
         raise ShapeError(f"a codomain {a.dz} != b domain {b.dy}")
     order = min(a.order, b.order)
-    # Prefix contractions are shared between compositions with a common
-    # leading part sequence; memoize them per (k, prefix).
-    cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-
-    def term(bk: MultilinearMap, parts: tuple[int, ...]) -> np.ndarray:
-        t = bk.entries
-        start = 0
-        for i in range(len(parts) - 1, 0, -1):
-            key = (bk.degree, parts[:i])
-            if key in cache:
-                t, start = cache[key], i
-                break
-        for i in range(start, len(parts)):
-            t = np.tensordot(t, a.components[parts[i] - 1].entries, axes=([1], [0]))
-            cache[(bk.degree, parts[: i + 1])] = t
-        return t
-
+    b_entries, a_entries = _nonzero_entries(b), _nonzero_entries(a)
+    memo: dict = {}
     comps = []
     for n in range(1, order + 1):
-        acc = np.zeros((b.dz,) + (a.dy,) * n)
-        for k in range(1, n + 1):
-            bk = b.components[k - 1]
-            if bk.is_zero:
-                continue
-            for ci in enumerate_compositions(n, k):
-                if any(a.components[j - 1].is_zero for j in ci.parts):
-                    continue
-                acc += term(bk, ci.parts)
+        acc = _compose_component(n, b_entries, a_entries, (b.dz,) + (a.dy,) * n, memo)
         comps.append(MultilinearMap(n, a.dy, b.dz, acc))
     return FormalMapping(order, a.dy, b.dz, tuple(comps))
 
@@ -273,37 +271,6 @@ def evaluate(a: FormalMapping, y: np.ndarray) -> np.ndarray:
             continue
         t = comp.entries
         for _ in range(comp.degree):
-            t = np.tensordot(t, y, axes=([1], [0]))
+            t = _contract(t, y)
         out += t
     return out
-
-
-def add(a: FormalMapping, b: FormalMapping) -> FormalMapping:
-    if (a.order, a.dy, a.dz) != (b.order, b.dy, b.dz):
-        raise ShapeError("add requires identical orders and dimensions")
-    comps = tuple(
-        MultilinearMap(ca.degree, ca.dy, ca.dz, ca.entries + cb.entries)
-        for ca, cb in zip(a.components, b.components)
-    )
-    return FormalMapping(a.order, a.dy, a.dz, comps)
-
-
-def scale(a: FormalMapping, c: float) -> FormalMapping:
-    comps = tuple(
-        MultilinearMap(ca.degree, ca.dy, ca.dz, c * ca.entries) for ca in a.components
-    )
-    return FormalMapping(a.order, a.dy, a.dz, comps)
-
-
-def symmetrize(a_k: MultilinearMap) -> MultilinearMap:
-    """Average over all permutations of the argument slots.
-
-    Idempotent, and evaluation on equal arguments is unchanged.
-    """
-    if a_k.degree == 1:
-        return a_k
-    acc = np.zeros_like(a_k.entries)
-    for perm in itertools.permutations(range(a_k.degree)):
-        acc += np.transpose(a_k.entries, (0,) + tuple(p + 1 for p in perm))
-    acc /= float(math.factorial(a_k.degree))
-    return MultilinearMap(a_k.degree, a_k.dy, a_k.dz, acc)

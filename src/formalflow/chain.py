@@ -20,9 +20,11 @@ from .algebra import (
     MultilinearMap,
     NonFiniteError,
     ShapeError,
-    apply_to_tuple,
+    _compose_component,
+    _contract,
+    _nonzero_entries,
+    _plug,
     compose,
-    enumerate_compositions,
     evaluate,
     identity,
 )
@@ -190,23 +192,9 @@ class DiffusionMap:
 
     def apply_to_tuple(self, args: Sequence[MultilinearMap]) -> "DiffusionMap":
         """Plug maps into the k state slots, keeping the noise slot open."""
-        if len(args) != self.degree:
-            raise ShapeError(f"{self.degree} slots, got {len(args)} argument maps")
-        dy = args[0].dy
-        for a in args:
-            if a.dz != self.dy:
-                raise ShapeError(f"argument codomain {a.dz} != diffusion domain {self.dy}")
-            if a.dy != dy:
-                raise ShapeError("argument maps must share a common domain dimension")
-        # Contract state slots in order; the noise axis rides along and is
-        # moved back to the last position at the end.
-        t = self.entries
-        for a in args:
-            t = np.tensordot(t, a.entries, axes=([1], [0]))
-        # axes now: (z, noise, y-blocks...) -> move noise last
-        t = np.moveaxis(t, 1, -1)
-        n = sum(a.degree for a in args)
-        return DiffusionMap(n, dy, self.dz, self.noise_dim, t)
+        # the noise axis comes out next to the output axis; move it back last
+        t = np.moveaxis(_plug(self, args), 1, -1)
+        return DiffusionMap(sum(a.degree for a in args), args[0].dy, self.dz, self.noise_dim, t)
 
     def to_dict(self) -> dict:
         return {
@@ -256,14 +244,6 @@ class DiffusionFamily:
             for k, c in enumerate(coeffs, start=1)
         )
         return cls(len(comps), 1, 1, comps)
-
-    def to_dict(self) -> dict:
-        return {"order": self.order, "components": [c.to_dict() for c in self.components]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiffusionFamily":
-        comps = tuple(DiffusionMap.from_dict(c) for c in d["components"])
-        return cls(d["order"], comps[0].dy, comps[0].noise_dim, comps)
 
 
 @dataclass(frozen=True)
@@ -318,10 +298,6 @@ class ChainSolution:
     states: tuple[FormalMapping, ...]
     seed: int
     path_index: int
-    config_hash: str = ""
-
-    def state_at_knot(self, i: int) -> FormalMapping:
-        return self.states[i]
 
 
 def one_step_map(
@@ -352,11 +328,12 @@ def one_step_map(
     return FormalMapping(a_t.order, d, d, tuple(comps))
 
 
+# Overflow surfaces as the typed BlowupError, not as numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_chain(
     coeffs: CoefficientFamily,
     initial: FormalMapping,
     path: BrownianPath,
-    config_hash: str = "",
 ) -> ChainSolution:
     """Integrate the triangular chain along one Brownian path.
 
@@ -380,9 +357,10 @@ def solve_chain(
         except NonFiniteError as exc:
             raise BlowupError(step=i, component=exc.degree) from exc
         states.append(s)
-    return ChainSolution(grid, initial, tuple(states), path.seed, path.path_index, config_hash)
+    return ChainSolution(grid, initial, tuple(states), path.seed, path.path_index)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_direct(
     coeffs: CoefficientFamily, y0: np.ndarray, path: BrownianPath
 ) -> np.ndarray:
@@ -408,7 +386,7 @@ def simulate_direct(
                 continue
             t = bk.entries @ dw
             for _ in range(bk.degree):
-                t = np.tensordot(t, y, axes=([1], [0]))
+                t = _contract(t, y)
             dy = dy + t
         y = y + dy
         if not np.all(np.isfinite(y)):
@@ -422,29 +400,19 @@ def forcing_terms(
 ) -> tuple[MultilinearMap, DiffusionMap]:
     """Inhomogeneous terms of the degree-n equation.
 
-    Sums run over k = 2..n only, so the result involves state components of
-    degree <= n - 1.
+    f_n and g_n are component n of a after S and of b after S, each with its
+    degree-1 coefficient zeroed; b's noise axis rides behind the output axis.
+    So they involve state components of degree <= n - 1 only.
     """
     if n < 2:
         raise ShapeError(f"forcing terms are defined for n >= 2, got {n}")
-    if states_at_t.order < n - 1:
-        raise ShapeError(f"need state components up to degree {n - 1}")
-    dy = states_at_t.dy
-    f = np.zeros((a_t.dy,) + (dy,) * n)
-    g = np.zeros((b_t.dy,) + (dy,) * n + (b_t.noise_dim,))
-    for k in range(2, n + 1):
-        ak = a_t.component(k)
-        bk = b_t.component(k)
-        for ci in enumerate_compositions(n, k):
-            args = [states_at_t.component(j) for j in ci.parts]
-            if not ak.is_zero and not any(s.is_zero for s in args):
-                f = f + apply_to_tuple(ak, args).entries
-            if not bk.is_zero and not any(s.is_zero for s in args):
-                g = g + bk.apply_to_tuple(args).entries
-    return (
-        MultilinearMap(n, dy, a_t.dy, f),
-        DiffusionMap(n, dy, b_t.dy, b_t.noise_dim, g),
-    )
+    if states_at_t.order < n - 1 or min(a_t.order, b_t.order) < n:
+        raise ShapeError(f"need state components up to degree {n - 1}, coefficients up to {n}")
+    dy, dz, m = states_at_t.dy, b_t.dy, b_t.noise_dim
+    s = _nonzero_entries(states_at_t)
+    f = _compose_component(n, [None] + _nonzero_entries(a_t)[1:n], s, (a_t.dz,) + (dy,) * n, {})
+    g = _compose_component(n, [None] + _nonzero_entries(b_t)[1:n], s, (dz, m) + (dy,) * n, {})
+    return MultilinearMap(n, dy, a_t.dz, f), DiffusionMap(n, dy, dz, m, np.moveaxis(g, 1, -1))
 
 
 @dataclass(frozen=True)

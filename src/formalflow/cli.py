@@ -41,7 +41,7 @@ from .chain import (
     sample_path,
     solve_chain,
 )
-from .explicit import UnsupportedCaseError, variation_of_constants
+from .explicit import variation_of_constants
 from .verification import (
     bernoulli_closed_form,
     estimate_order,
@@ -180,7 +180,7 @@ def _frobenius_norms(mapping: FormalMapping) -> list[float]:
 def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     coeffs = cfg.coefficients()
     path = sample_path(cfg.grid(), cfg.noise_dim, cfg.seed, int(cfg.options.get("path_index", 0)))
-    sol = solve_chain(coeffs, cfg.initial_mapping(), path, cfg.config_hash())
+    sol = solve_chain(coeffs, cfg.initial_mapping(), path)
     knots = cfg.grid().knots()
     results = {
         "knots": knots.tolist(),
@@ -384,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except BlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except (ShapeError, UnsupportedCaseError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
         print(f"error: invalid config or shapes: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

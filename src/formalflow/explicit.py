@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FormalMapping, MultilinearMap, ShapeError
+from .algebra import FormalMapping, MultilinearMap, ShapeError, _contract
 from .chain import BrownianPath, CoefficientFamily, forcing_terms
 
 
@@ -28,7 +28,6 @@ class FundamentalSolution:
     knot i is the ordered product of factors j..i-1.
     """
 
-    grid_knots: np.ndarray
     factors: tuple[np.ndarray, ...]
 
     def matrix(self, i: int, j: int) -> np.ndarray:
@@ -56,7 +55,7 @@ def fundamental(coeffs: CoefficientFamily, path: BrownianPath) -> FundamentalSol
         if not b1.is_zero:
             f = f + b1.entries @ path.increments[i]
         factors.append(f)
-    return FundamentalSolution(grid.knots(), tuple(factors))
+    return FundamentalSolution(tuple(factors))
 
 
 def variation_of_constants(
@@ -103,7 +102,7 @@ def variation_of_constants(
         terms = []
         p = np.eye(d)
         for j in range(i - 1, -1, -1):
-            terms.append(np.tensordot(p, loads[j], axes=([1], [0])))
+            terms.append(_contract(p, loads[j]))
             p = p @ fund.factors[j]
         acc = np.zeros(shape)
         for t in reversed(terms):

@@ -22,6 +22,16 @@ from .chain import (
 )
 
 
+class ExcessiveBlowupError(BlowupError):
+    """More than 1% of the Monte Carlo paths blew up."""
+
+    def __init__(self, n_excluded: int, n_paths: int):
+        self.step = self.component = None  # no single step or component to name
+        self.n_excluded = n_excluded
+        self.n_paths = n_paths
+        RuntimeError.__init__(self, f"{n_excluded} of {n_paths} paths blew up (limit 1%)")
+
+
 def _poly_mul_trunc(p: list[Fraction], q: list[Fraction], order: int) -> list[Fraction]:
     # coefficient lists index degrees 1..order
     out = [Fraction(0)] * order
@@ -139,9 +149,7 @@ def estimate_order(
         factors.append(round(f))
 
     fine_grid = TimeGrid(0.0, t_end, fine_steps)
-    sums = np.zeros(len(dts))
-    sq_sums = np.zeros(len(dts))
-    n_used = 0
+    rows = []
     n_excluded = 0
     for p in range(n_paths):
         fine = sample_path(fine_grid, noise_dim, seed, p)
@@ -154,17 +162,17 @@ def estimate_order(
         except BlowupError:
             n_excluded += 1
             continue
-        sums += errs
-        sq_sums += np.square(errs)
-        n_used += 1
+        rows.append(errs)
     if n_excluded > 0.01 * n_paths:
-        raise BlowupError(step=-1)
-    if n_used == 0:
+        raise ExcessiveBlowupError(n_excluded, n_paths)
+    if not rows:
         raise ShapeError("no paths survived")
-    means = sums / n_used
+    # per-path errors, shape (n_used, levels); two passes keep the variance stable
+    errors = np.array(rows)
+    n_used = len(rows)
+    means = errors.mean(axis=0)
     if n_used > 1:
-        var = np.maximum(sq_sums / n_used - means**2, 0.0) * n_used / (n_used - 1)
-        sems = np.sqrt(var / n_used)
+        sems = np.sqrt(errors.var(axis=0, ddof=1) / n_used)
     else:
         sems = np.zeros(len(dts))
     if np.any(means == 0.0):

@@ -313,6 +313,32 @@ class TestConvergence:
         assert rc == 2
 
 
+    def test_non_numeric_slope_tol_is_validation_error(self, tmp_path):
+        cfg = {
+            "n_paths": 1,
+            "problem": {"kind": "quadratic"},
+            "dt_values": [0.5, 0.25, 0.125],
+            "expected_slope": 1.0,
+            "slope_tol": "abc",
+        }
+        rc = main(
+            ["convergence", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+
+    def test_too_many_blowups_exit_code_and_message(self, tmp_path, capsys):
+        cfg = {
+            "n_paths": 1,
+            "problem": {"kind": "quadratic", "alpha": 1.0, "gamma": 1e300, "y0": 1.0},
+            "dt_values": [0.5, 0.25, 0.125],
+        }
+        rc = main(
+            ["convergence", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+        )
+        assert rc == 3
+        assert "1 of 1 paths blew up (limit 1%)" in capsys.readouterr().err
+
+
 class TestErrorHandling:
     def test_unreadable_config(self, tmp_path):
         rc = main(["solve", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
@@ -331,6 +357,13 @@ class TestErrorHandling:
             "drift": [{"degree": 1, "dy": 2, "dz": 2, "entries": [1.0, 2.0, 3.0]}],
             "diffusion": [],
         }
+        rc = main(
+            ["solve", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+
+    def test_non_integer_path_index(self, tmp_path):
+        cfg = {"dy": 1, "order": 1, "n_steps": 4, "path_index": "x"}
         rc = main(
             ["solve", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
         )

@@ -7,6 +7,7 @@ import pytest
 from formalflow import (
     BlowupError,
     CoefficientFamily,
+    ExcessiveBlowupError,
     ShapeError,
     TimeGrid,
     bernoulli_closed_form,
@@ -153,6 +154,39 @@ class TestEstimateOrder:
                 n_paths=10,
                 seed=0,
             )
+
+    def test_exclusion_error_reports_counts(self):
+        def simulate(path):
+            if path.path_index < 7:
+                raise BlowupError(step=0)
+            return np.array([1.0])
+
+        with pytest.raises(ExcessiveBlowupError) as info:
+            estimate_order(
+                simulate,
+                lambda path: np.array([1.0]),
+                t_end=1.0,
+                noise_dim=1,
+                dt_values=[0.5, 0.25, 0.125],
+                n_paths=10,
+                seed=0,
+            )
+        assert (info.value.n_excluded, info.value.n_paths) == (7, 10)
+        assert str(info.value) == "7 of 10 paths blew up (limit 1%)"
+
+    def test_constant_error_has_zero_sem(self):
+        # a sum-of-squares variance cancels catastrophically here
+        err = 123456789.123
+        report = estimate_order(
+            lambda path: np.array([err]),
+            lambda path: np.array([0.0]),
+            t_end=1.0,
+            noise_dim=1,
+            dt_values=[0.5, 0.25, 0.125],
+            n_paths=3,
+            seed=0,
+        )
+        assert all(sem <= 1e-15 * err for sem in report.error_sems)
 
     def test_requires_three_step_sizes(self):
         with pytest.raises(ShapeError):
