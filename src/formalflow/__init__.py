@@ -22,13 +22,16 @@ from .chain import (
     DiffusionFamily,
     DiffusionMap,
     EvolutionReport,
+    PathBatch,
     TimeGrid,
     evolution_check,
     forcing_terms,
     one_step_map,
     sample_path,
+    sample_paths,
     simulate_direct,
     solve_chain,
+    solve_chain_batch,
 )
 from .explicit import FundamentalSolution, UnsupportedCaseError, fundamental, variation_of_constants
 from .verification import (

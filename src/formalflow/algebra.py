@@ -148,14 +148,20 @@ class FormalMapping:
         return cls(d["order"], comps[0].dy, comps[0].dz, comps)
 
 
-def _contract(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _contract(t: np.ndarray, a: np.ndarray, batch: int = 0) -> np.ndarray:
     """The slot-contraction kernel: plug a into the leading argument slot of t.
 
     a's input axes are appended last, so repeated calls fill t's slots in order.
+    The first `batch` axes of t and a are path axes, broadcast against each
+    other.  Each path is one matrix product with the shape and layout of the
+    unbatched call, so it gives the same bits.
     """
-    m = t.shape[1]
-    out = np.moveaxis(t, 1, -1).reshape(-1, m) @ a.reshape(m, -1)
-    return out.reshape(t.shape[:1] + t.shape[2:] + a.shape[1:])
+    m = t.shape[batch + 1]
+    if t.ndim > batch + 2:
+        # move the slot axis last (np.moveaxis costs more than the product here)
+        t = t.transpose(tuple(range(batch + 1)) + tuple(range(batch + 2, t.ndim)) + (batch + 1,))
+    out = t.reshape(t.shape[:batch] + (-1, m)) @ a.reshape(a.shape[:batch] + (m, -1))
+    return out.reshape(out.shape[:batch] + t.shape[batch:-1] + a.shape[batch + 1 :])
 
 
 def enumerate_compositions(n: int, k: int) -> list[tuple[int, ...]]:
@@ -178,13 +184,16 @@ def _plan(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((k, parts) for k in range(1, n + 1) for parts in enumerate_compositions(n, k))
 
 
-def _compose_component(n: int, b: list, a: list, shape: tuple, memo: dict) -> np.ndarray:
+def _compose_component(
+    n: int, b: list, a: list, shape: tuple, memo: dict, batch: int = 0
+) -> np.ndarray:
     """Component n of b after a, its plan terms summed in order.
 
     b and a list entries by degree, None where zero; a term with a zero operand
     is skipped, b_k tested first.  memo holds each b_k contracted with leading
     parts, shared by all components of one composition.  Axes of b_k after its
-    slots ride along behind the output axis.
+    slots ride along behind the output axis.  The first `batch` axes of every
+    entry are path axes (see `_contract`); shape includes them.
     """
     acc = np.zeros(shape)
     for k, parts in _plan(n):
@@ -194,7 +203,7 @@ def _compose_component(n: int, b: list, a: list, shape: tuple, memo: dict) -> np
         for i in range(1, len(parts) + 1):
             key = (k, parts[:i])
             if key not in memo:
-                memo[key] = _contract(t, a[parts[i - 1] - 1])
+                memo[key] = _contract(t, a[parts[i - 1] - 1], batch)
             t = memo[key]
         acc += t
     return acc
@@ -261,16 +270,20 @@ def identity(order: int, d: int) -> FormalMapping:
 
 
 def evaluate(a: FormalMapping, y: np.ndarray) -> np.ndarray:
-    """Truncated power-series value: sum over k of a_k(y, ..., y)."""
+    """Truncated power-series value: sum over k of a_k(y, ..., y).
+
+    y has shape (dy,), or (P, dy) for the values at P points, shape (P, dz).
+    """
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (a.dy,):
-        raise ShapeError(f"y has shape {y.shape}, expected ({a.dy},)")
-    out = np.zeros(a.dz)
+    if y.ndim not in (1, 2) or y.shape[-1] != a.dy:
+        raise ShapeError(f"y has shape {y.shape}, expected ({a.dy},) or (P, {a.dy})")
+    batch = y.ndim - 1
+    out = np.zeros(y.shape[:-1] + (a.dz,))
     for comp in a.components:
         if comp.is_zero:
             continue
-        t = comp.entries
+        t = comp.entries[(None,) * batch]
         for _ in range(comp.degree):
-            t = _contract(t, y)
+            t = _contract(t, y, batch)
         out += t
     return out

@@ -9,7 +9,7 @@ property exact up to floating-point reordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -44,21 +44,28 @@ class BlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [t_start, t_end] with n_steps steps."""
+    """Uniform grid on [t_start, t_end] with n_steps steps of size dt.
+
+    dt defaults to (t_end - t_start) / n_steps.  Sub-grids and coarsened grids
+    pass their parent's step (times the coarsening factor) instead, so that
+    they take exactly the parent's steps, not steps an ulp apart.
+    """
 
     t_start: float
     t_end: float
     n_steps: int
+    dt: float | None = None
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ShapeError(f"n_steps must be >= 1, got {self.n_steps}")
         if not self.t_end > self.t_start:
             raise ShapeError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
-
-    @property
-    def dt(self) -> float:
-        return (self.t_end - self.t_start) / self.n_steps
+        span = self.t_end - self.t_start
+        if self.dt is None:
+            object.__setattr__(self, "dt", span / self.n_steps)
+        elif not math.isclose(self.dt * self.n_steps, span, rel_tol=1e-9):
+            raise ShapeError(f"{self.n_steps} steps of {self.dt} do not span {span}")
 
     def knots(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_steps + 1)
@@ -110,9 +117,7 @@ class BrownianPath:
 
     def cumulative(self) -> np.ndarray:
         """w at every knot (w(t_start) = 0), shape (n_steps + 1, m)."""
-        out = np.zeros((self.grid.n_steps + 1, self.noise_dim))
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out
+        return _cumulative(self.increments)
 
     def restrict(self, i_start: int, i_stop: int) -> "BrownianPath":
         """Sub-path over knots [i_start, i_stop], same step size."""
@@ -123,16 +128,67 @@ class BrownianPath:
             self.grid.t_start + i_start * dt,
             self.grid.t_start + i_stop * dt,
             i_stop - i_start,
+            dt,
         )
         return BrownianPath(sub, self.noise_dim, self.increments[i_start:i_stop], self.seed, self.path_index)
 
     def coarsen(self, factor: int) -> "BrownianPath":
         """Sum groups of `factor` increments: the same path on a coarser grid."""
-        if factor < 1 or self.grid.n_steps % factor != 0:
-            raise ShapeError(f"factor {factor} does not divide {self.grid.n_steps} steps")
-        coarse = self.increments.reshape(self.grid.n_steps // factor, factor, self.noise_dim).sum(axis=1)
-        grid = TimeGrid(self.grid.t_start, self.grid.t_end, self.grid.n_steps // factor)
+        grid, coarse = _coarsen(self.grid, self.increments, factor)
         return BrownianPath(grid, self.noise_dim, coarse, self.seed, self.path_index)
+
+
+@dataclass(frozen=True)
+class PathBatch:
+    """P Brownian paths on one grid: the leading path axis of a batched solve.
+
+    increments has shape (P, n_steps, m); row p holds the increments of path
+    (seed, p), bitwise equal to sample_path(grid, m, seed, p).increments.
+    """
+
+    grid: TimeGrid
+    noise_dim: int
+    increments: np.ndarray
+    seed: int
+
+    def __post_init__(self):
+        arr = np.asarray(self.increments, dtype=np.float64)
+        if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1:] != (self.grid.n_steps, self.noise_dim):
+            raise ShapeError(
+                f"increments shape {arr.shape} != (P, {self.grid.n_steps}, {self.noise_dim})"
+            )
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "increments", arr)
+
+    @property
+    def n_paths(self) -> int:
+        return self.increments.shape[0]
+
+    def cumulative(self) -> np.ndarray:
+        """w of every path at every knot, shape (P, n_steps + 1, m)."""
+        return _cumulative(self.increments)
+
+    def coarsen(self, factor: int) -> "PathBatch":
+        """Every path coarsened as by BrownianPath.coarsen."""
+        grid, coarse = _coarsen(self.grid, self.increments, factor)
+        return PathBatch(grid, self.noise_dim, coarse, self.seed)
+
+
+def _cumulative(increments: np.ndarray) -> np.ndarray:
+    """Running sums of increments (..., n_steps, m) from 0, shape (..., n_steps + 1, m)."""
+    out = np.zeros(increments.shape[:-2] + (increments.shape[-2] + 1, increments.shape[-1]))
+    np.cumsum(increments, axis=-2, out=out[..., 1:, :])
+    return out
+
+
+def _coarsen(grid: TimeGrid, increments: np.ndarray, factor: int) -> tuple[TimeGrid, np.ndarray]:
+    """The coarser grid and the sums of `factor` consecutive increments (..., n_steps, m)."""
+    if factor < 1 or grid.n_steps % factor != 0:
+        raise ShapeError(f"factor {factor} does not divide {grid.n_steps} steps")
+    n = grid.n_steps // factor
+    coarse = increments.reshape(increments.shape[:-2] + (n, factor, increments.shape[-1])).sum(axis=-2)
+    return TimeGrid(grid.t_start, grid.t_end, n, factor * grid.dt), coarse
 
 
 def sample_path(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> BrownianPath:
@@ -146,6 +202,14 @@ def sample_path(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> Brown
     rng = np.random.Generator(np.random.Philox(key=key))
     increments = rng.standard_normal((grid.n_steps, m)) * math.sqrt(grid.dt)
     return BrownianPath(grid, m, increments, seed, path_index)
+
+
+def sample_paths(grid: TimeGrid, m: int, seed: int, n_paths: int) -> PathBatch:
+    """Draw paths 0..n_paths-1 of seed, one Philox key (seed, p) at a time."""
+    if n_paths < 1:
+        raise ShapeError(f"n_paths must be >= 1, got {n_paths}")
+    increments = np.stack([sample_path(grid, m, seed, p).increments for p in range(n_paths)])
+    return PathBatch(grid, m, increments, seed)
 
 
 @dataclass(frozen=True)
@@ -300,6 +364,40 @@ class ChainSolution:
     path_index: int
 
 
+def _noise(b_k: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """b_k with its noise slot fixed to each row of dw (P, m): shape (P,) + b_k's other axes.
+
+    One stacked matrix-vector product per path, bitwise equal to b_k @ dw[p].
+    """
+    p, m = dw.shape
+    return (b_k.reshape(1, -1, m) @ dw.reshape(p, m, 1)).reshape((p,) + b_k.shape[:-1])
+
+
+def _step_entries(
+    a_t: FormalMapping, b_t: DiffusionFamily, dt: float, dw: np.ndarray
+) -> list[np.ndarray | None]:
+    """Entries of the one-step mapping Psi by degree, for each row of dw (P, m).
+
+    Psi_1 = id + a_1*dt + b_1(., dw); Psi_k = a_k*dt + b_k(..., dw) for k >= 2,
+    and None where a_k and b_k are both zero.  Each entry has a leading path
+    axis: P where it has noise, else 1, shared by all paths.
+    """
+    d = a_t.dy
+    out = []
+    for k, (ak, bk) in enumerate(zip(a_t.components, b_t.components), start=1):
+        if k > 1 and ak.is_zero and bk.is_zero:
+            out.append(None)
+            continue
+        entries = np.eye(d) if k == 1 else np.zeros((d,) + (d,) * k)
+        if not ak.is_zero:
+            entries = entries + dt * ak.entries
+        entries = entries[None]
+        if not bk.is_zero:
+            entries = entries + _noise(bk.entries, dw)
+        out.append(entries)
+    return out
+
+
 def one_step_map(
     a_t: FormalMapping, b_t: DiffusionFamily, dt: float, dw: np.ndarray
 ) -> FormalMapping:
@@ -315,20 +413,43 @@ def one_step_map(
     if dw.shape != (b_t.noise_dim,):
         raise ShapeError(f"dw has shape {dw.shape}, expected ({b_t.noise_dim},)")
     d = a_t.dy
-    comps = []
-    for k in range(1, a_t.order + 1):
-        entries = np.eye(d) if k == 1 else np.zeros((d,) + (d,) * k)
-        ak = a_t.component(k)
-        if not ak.is_zero:
-            entries = entries + dt * ak.entries
-        bk = b_t.component(k)
-        if not bk.is_zero:
-            entries = entries + bk.entries @ dw
-        comps.append(MultilinearMap(k, d, d, entries))
-    return FormalMapping(a_t.order, d, d, tuple(comps))
+    comps = tuple(
+        MultilinearMap(k, d, d, np.zeros((d,) + (d,) * k) if e is None else e[0])
+        for k, e in enumerate(_step_entries(a_t, b_t, dt, dw[None]), start=1)
+    )
+    return FormalMapping(a_t.order, d, d, comps)
 
 
-# Overflow surfaces as the typed BlowupError, not as numpy warnings.
+def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np.ndarray):
+    """The Euler loop: yield the chain state after each step of grid.
+
+    A state lists its entries by degree, each with a leading path axis;
+    the initial one may have a single row shared by all paths.  dw holds
+    the increments, shape (P, n_steps, m).  Each step composes the one-step
+    mapping with the previous state, path by path; a term is skipped when
+    its coefficient is zero or its state component is zero on every path.
+    """
+    n_paths, dt, d = dw.shape[0], grid.dt, coeffs.dy
+    for i in range(grid.n_steps):
+        t_i = grid.t_start + i * dt
+        psi = _step_entries(coeffs.drift_at(t_i), coeffs.diffusion_at(t_i), dt, dw[:, i])
+        prev = [e if e.any() else None for e in state]
+        memo: dict = {}
+        state = [
+            _compose_component(n, psi, prev, (n_paths, d) + (d,) * n, memo, batch=1)
+            for n in range(1, coeffs.order + 1)
+        ]
+        yield state
+
+
+def _check_chain_shapes(coeffs: CoefficientFamily, initial: FormalMapping, noise_dim: int) -> None:
+    if initial.order != coeffs.order or initial.dy != coeffs.dy or initial.dz != coeffs.dy:
+        raise ShapeError("initial condition shape does not match coefficients")
+    if noise_dim != coeffs.noise_dim:
+        raise ShapeError(f"path noise_dim {noise_dim} != coefficients {coeffs.noise_dim}")
+
+
+# Overflow surfaces as the typed BlowupError or finite mask, not as numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def solve_chain(
     coeffs: CoefficientFamily,
@@ -339,59 +460,86 @@ def solve_chain(
 
     Each state is obtained by composing the one-step mapping with the
     previous state; component n therefore depends only on coefficients and
-    initial components of degree <= n.
+    initial components of degree <= n.  A non-finite component raises
+    BlowupError naming the step and the degree.
     """
-    if initial.order != coeffs.order or initial.dy != coeffs.dy or initial.dz != coeffs.dy:
-        raise ShapeError("initial condition shape does not match coefficients")
-    if path.noise_dim != coeffs.noise_dim:
-        raise ShapeError(f"path noise_dim {path.noise_dim} != coefficients {coeffs.noise_dim}")
-    grid = path.grid
-    dt = grid.dt
+    _check_chain_shapes(coeffs, initial, path.noise_dim)
+    d = coeffs.dy
     states = [initial]
-    s = initial
-    for i in range(grid.n_steps):
-        t_i = grid.t_start + i * dt
-        psi = one_step_map(coeffs.drift_at(t_i), coeffs.diffusion_at(t_i), dt, path.increments[i])
+    start = [c.entries[None] for c in initial.components]
+    for i, state in enumerate(_euler_states(coeffs, path.grid, start, path.increments[None])):
         try:
-            s = compose(psi, s)
+            comps = tuple(MultilinearMap(n, d, d, e[0]) for n, e in enumerate(state, start=1))
         except NonFiniteError as exc:
             raise BlowupError(step=i, component=exc.degree) from exc
-        states.append(s)
-    return ChainSolution(grid, initial, tuple(states), path.seed, path.path_index)
+        states.append(FormalMapping(coeffs.order, d, d, comps))
+    return ChainSolution(path.grid, initial, tuple(states), path.seed, path.path_index)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def solve_chain_batch(
+    coeffs: CoefficientFamily, initial: FormalMapping, paths: PathBatch
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Integrate the chain along every path of a batch in one loop over steps.
+
+    Returns the terminal entries by degree k, each of shape (P, d) + (d,)*k,
+    and a mask of shape (P,) that is False for a path whose state was not
+    finite after some step.  Row p of a finite path is bitwise equal to the final
+    state of solve_chain on path p.
+    """
+    _check_chain_shapes(coeffs, initial, paths.noise_dim)
+    finite = np.ones(paths.n_paths, dtype=bool)
+    start = [c.entries[None] for c in initial.components]
+    for state in _euler_states(coeffs, paths.grid, start, paths.increments):
+        for e in state:
+            finite &= np.isfinite(e).reshape(paths.n_paths, -1).all(axis=1)
+    return tuple(state), finite
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_direct(
-    coeffs: CoefficientFamily, y0: np.ndarray, path: BrownianPath
+    coeffs: CoefficientFamily, y0: np.ndarray, path: BrownianPath | PathBatch
 ) -> np.ndarray:
     """Euler-Maruyama on the underlying nonlinear SDE, same grid and noise.
 
-    Returns the trajectory at every knot, shape (n_steps + 1, dy).
+    On a BrownianPath, y0 has shape (dy,) and the trajectory at every knot
+    has shape (n_steps + 1, dy); a non-finite value raises BlowupError naming
+    the step.  On a PathBatch of P paths, y0 has shape (P, dy), the
+    trajectory has shape (n_steps + 1, P, dy), and a path that blows up is
+    left non-finite.  Each path is bitwise the same either way.
     """
+    batched = isinstance(path, PathBatch)
+    dw = path.increments if batched else path.increments[None]
+    n_paths = dw.shape[0]
     y = np.asarray(y0, dtype=np.float64)
-    if y.shape != (coeffs.dy,):
-        raise ShapeError(f"y0 has shape {y.shape}, expected ({coeffs.dy},)")
+    expected = (n_paths, coeffs.dy) if batched else (coeffs.dy,)
+    if y.shape != expected:
+        raise ShapeError(f"y0 has shape {y.shape}, expected {expected}")
+    y = y.reshape(n_paths, coeffs.dy)
     grid = path.grid
     dt = grid.dt
-    out = np.empty((grid.n_steps + 1, coeffs.dy))
+    out = np.empty((grid.n_steps + 1, n_paths, coeffs.dy))
     out[0] = y
     for i in range(grid.n_steps):
         t_i = grid.t_start + i * dt
         a_t = coeffs.drift_at(t_i)
         b_t = coeffs.diffusion_at(t_i)
         dy = dt * evaluate(a_t, y)
-        dw = path.increments[i]
         for bk in b_t.components:
             if bk.is_zero:
                 continue
-            t = bk.entries @ dw
+            t = _noise(bk.entries, dw[:, i])
             for _ in range(bk.degree):
-                t = _contract(t, y)
+                t = _contract(t, y, batch=1)
             dy = dy + t
         y = y + dy
-        if not np.all(np.isfinite(y)):
-            raise BlowupError(step=i)
         out[i + 1] = y
+    if batched:
+        return out
+    out = out[:, 0]
+    blown = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if blown.size:
+        raise BlowupError(step=int(blown[0]) - 1)
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,20 +27,23 @@ from . import __version__
 from .algebra import (
     FormalMapping,
     MultilinearMap,
+    NonFiniteError,
     ShapeError,
     compose,
     identity,
 )
 from .chain import (
     BlowupError,
-    BrownianPath,
     CoefficientFamily,
     DiffusionFamily,
     DiffusionMap,
+    PathBatch,
     TimeGrid,
     evolution_check,
     sample_path,
+    simulate_direct,
     solve_chain,
+    solve_chain_batch,
 )
 from .explicit import variation_of_constants
 from .verification import (
@@ -114,8 +118,7 @@ class ExperimentConfig:
         return TimeGrid(0.0, float(self.t_end), int(self.n_steps))
 
     def drift_mapping(self) -> FormalMapping:
-        comps = [MultilinearMap.from_dict(c) for c in self.drift]
-        by_degree = {c.degree: c for c in comps}
+        by_degree = self._by_degree("drift", MultilinearMap.from_dict)
         full = tuple(
             by_degree.get(k, MultilinearMap.zero(k, self.dy, self.dy))
             for k in range(1, self.order + 1)
@@ -123,13 +126,23 @@ class ExperimentConfig:
         return FormalMapping(self.order, self.dy, self.dy, full)
 
     def diffusion_family(self) -> DiffusionFamily:
-        comps = [DiffusionMap.from_dict(c) for c in self.diffusion]
-        by_degree = {c.degree: c for c in comps}
+        by_degree = self._by_degree("diffusion", DiffusionMap.from_dict)
         full = tuple(
             by_degree.get(k, DiffusionMap.zero(k, self.dy, self.dy, self.noise_dim))
             for k in range(1, self.order + 1)
         )
         return DiffusionFamily(self.order, self.dy, self.noise_dim, full)
+
+    def _by_degree(self, key: str, from_dict) -> dict:
+        """The components listed under key, by degree; each degree at most once, <= order."""
+        by_degree = {}
+        for c in map(from_dict, getattr(self, key)):
+            if c.degree > self.order:
+                raise ShapeError(f"{key} component of degree {c.degree} exceeds order {self.order}")
+            if c.degree in by_degree:
+                raise ShapeError(f"duplicate {key} component of degree {c.degree}")
+            by_degree[c.degree] = c
+        return by_degree
 
     def coefficients(self) -> CoefficientFamily:
         return CoefficientFamily.constant(self.drift_mapping(), self.diffusion_family())
@@ -287,34 +300,33 @@ def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     if not dt_values:
         raise ShapeError("convergence needs a 'dt_values' list")
     kind = problem["kind"]
+    if kind not in _PROBLEM_KEYS:
+        raise ShapeError(f"unknown convergence problem kind '{kind}'")
+    _reject_unknown(problem, _PROBLEM_KEYS[kind], f"problem kind '{kind}'")
     if kind == "gbm":
         alpha = float(problem.get("alpha", 1.0))
         beta = float(problem.get("beta", 0.5))
         coeffs = CoefficientFamily.constant_scalar([alpha], [beta])
 
-        def simulate(path: BrownianPath) -> np.ndarray:
-            sol = solve_chain(coeffs, identity(1, 1), path)
-            return sol.states[-1].component(1).entries.ravel()
+        def simulate(paths: PathBatch) -> np.ndarray:
+            entries, finite = solve_chain_batch(coeffs, identity(1, 1), paths)
+            return np.where(finite[:, None], entries[0].reshape(paths.n_paths, 1), np.nan)
 
-        def exact(path: BrownianPath) -> np.ndarray:
-            w_t = float(path.cumulative()[-1, 0])
-            return np.array([gbm_closed_form(alpha, beta, cfg.t_end, w_t)])
+        def exact(paths: PathBatch) -> np.ndarray:
+            w_t = paths.cumulative()[:, -1, 0]
+            return np.array([[gbm_closed_form(alpha, beta, cfg.t_end, float(w))] for w in w_t])
 
-    elif kind == "quadratic":
+    else:
         alpha = float(problem.get("alpha", 1.0))
         gamma = float(problem.get("gamma", 0.5))
         y0 = float(problem.get("y0", 0.1))
         coeffs = CoefficientFamily.constant_scalar([alpha, gamma])
-        from .chain import simulate_direct
 
-        def simulate(path: BrownianPath) -> np.ndarray:
-            return simulate_direct(coeffs, np.array([y0]), path)[-1]
+        def simulate(paths: PathBatch) -> np.ndarray:
+            return simulate_direct(coeffs, np.full((paths.n_paths, 1), y0), paths)[-1]
 
-        def exact(path: BrownianPath) -> np.ndarray:
-            return np.array([bernoulli_closed_form(alpha, gamma, cfg.t_end, y0)])
-
-    else:
-        raise ShapeError(f"unknown convergence problem kind '{kind}'")
+        def exact(paths: PathBatch) -> np.ndarray:
+            return np.full((paths.n_paths, 1), bernoulli_closed_form(alpha, gamma, cfg.t_end, y0))
 
     report = estimate_order(
         simulate,
@@ -338,14 +350,35 @@ def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+# subcommand -> (runner, the config keys it reads besides ExperimentConfig's fields)
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "compose-check": _cmd_compose_check,
-    "evolution-check": _cmd_evolution_check,
-    "taylor-check": _cmd_taylor_check,
-    "formula-check": _cmd_formula_check,
-    "convergence": _cmd_convergence,
+    "solve": (_cmd_solve, {"path_index"}),
+    "compose-check": (_cmd_compose_check, {"a", "b", "tolerance"}),
+    "evolution-check": (_cmd_evolution_check, {"split_knot", "path_index", "tolerance"}),
+    "taylor-check": (_cmd_taylor_check, {"y0", "halvings"}),
+    "formula-check": (_cmd_formula_check, {"path_index", "degrees", "tolerance"}),
+    "convergence": (_cmd_convergence, {"problem", "dt_values", "expected_slope", "slope_tol"}),
 }
+
+# convergence problem kind -> the keys its 'problem' object may hold
+_PROBLEM_KEYS = {
+    "gbm": {"kind", "alpha", "beta"},
+    "quadratic": {"kind", "alpha", "gamma", "y0"},
+}
+
+
+def _reject_unknown(d: dict, allowed: set, where: str) -> None:
+    unknown = sorted(set(d) - allowed)
+    if unknown:
+        raise ShapeError(f"unknown key(s) for {where}: {', '.join(unknown)}")
+
+
+def _finite_float(text: str) -> float:
+    """JSON number and NaN/Infinity hook: config numbers must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,21 +401,28 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read config '{args.config}': {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    run, options = _COMMANDS[args.subcommand]
     try:
         cfg = ExperimentConfig.from_dict(raw)
+        _reject_unknown(cfg.options, options, args.subcommand)
         if args.seed is not None:
             cfg.seed = args.seed
         if args.paths is not None:
             cfg.n_paths = args.paths
         if args.steps is not None:
             cfg.n_steps = args.steps
-        return _COMMANDS[args.subcommand](cfg, Path(args.out))
+        # config numbers are finite, so a non-finite value is numerical overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(cfg, Path(args.out))
     except BlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
+    except NonFiniteError as exc:
+        print(f"error: numerical blowup: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except (ValueError, TypeError, KeyError, IndexError) as exc:
         print(f"error: invalid config or shapes: {exc}", file=sys.stderr)

@@ -15,8 +15,9 @@ from .chain import (
     BlowupError,
     BrownianPath,
     CoefficientFamily,
+    PathBatch,
     TimeGrid,
-    sample_path,
+    sample_paths,
     simulate_direct,
     solve_chain,
 )
@@ -116,8 +117,8 @@ class ConvergenceReport:
 
 
 def estimate_order(
-    simulate: Callable[[BrownianPath], np.ndarray],
-    exact: Callable[[BrownianPath], np.ndarray],
+    simulate: Callable[[PathBatch], np.ndarray],
+    exact: Callable[[PathBatch], np.ndarray],
     *,
     t_end: float,
     noise_dim: int,
@@ -125,12 +126,13 @@ def estimate_order(
     n_paths: int,
     seed: int,
 ) -> ConvergenceReport:
-    """Strong error E|X_dt(T) - X(T)| on nested grids sharing one fine path.
+    """Strong error E|X_dt(T) - X(T)| on nested grids sharing one batch of fine paths.
 
     Coarse increments are sums of fine ones, so every level sees the same
-    Brownian path.  `simulate` integrates on the given (coarse) path;
-    `exact` evaluates the reference terminal value from the finest path.
-    Blown-up paths are excluded; more than 1% exclusions is an error.
+    Brownian paths.  `simulate` integrates every path of the given (coarse)
+    batch; `exact` evaluates the reference terminal values from the fine
+    batch.  Both return shape (P, d), row p for path p.  A path with a
+    non-finite row in either is excluded; more than 1% exclusions is an error.
     """
     if len(dt_values) < 3:
         raise ShapeError("need at least 3 step sizes")
@@ -148,28 +150,25 @@ def estimate_order(
             raise ShapeError(f"dt={dt} does not divide the horizon {t_end}")
         factors.append(round(f))
 
-    fine_grid = TimeGrid(0.0, t_end, fine_steps)
-    rows = []
-    n_excluded = 0
-    for p in range(n_paths):
-        fine = sample_path(fine_grid, noise_dim, seed, p)
-        try:
-            ref = np.atleast_1d(np.asarray(exact(fine), dtype=np.float64))
-            errs = []
-            for factor in factors:
-                x = np.atleast_1d(np.asarray(simulate(fine.coarsen(factor)), dtype=np.float64))
-                errs.append(float(np.linalg.norm(x - ref)))
-        except BlowupError:
-            n_excluded += 1
-            continue
-        rows.append(errs)
+    fine = sample_paths(TimeGrid(0.0, t_end, fine_steps), noise_dim, seed, n_paths)
+    ref = _rows(exact(fine), n_paths, "exact")
+    levels = [_rows(simulate(fine.coarsen(f)), n_paths, "simulate") for f in factors]
+    used = np.isfinite(ref).all(axis=1)
+    for x in levels:
+        if x.shape != ref.shape:
+            raise ShapeError(f"simulate returned shape {x.shape}, exact {ref.shape}")
+        used &= np.isfinite(x).all(axis=1)
+    n_used = int(used.sum())
+    n_excluded = n_paths - n_used
     if n_excluded > 0.01 * n_paths:
         raise ExcessiveBlowupError(n_excluded, n_paths)
-    if not rows:
+    if not n_used:
         raise ShapeError("no paths survived")
-    # per-path errors, shape (n_used, levels); two passes keep the variance stable
-    errors = np.array(rows)
-    n_used = len(rows)
+    # per-path errors, shape (n_used, levels); each norm is sqrt of the row's
+    # dot product with itself, the same bits as np.linalg.norm of that row
+    diffs = np.stack([x[used] - ref[used] for x in levels], axis=1)
+    errors = np.sqrt((diffs[..., None, :] @ diffs[..., :, None])[..., 0, 0])
+    # two passes keep the variance stable
     means = errors.mean(axis=0)
     if n_used > 1:
         sems = np.sqrt(errors.var(axis=0, ddof=1) / n_used)
@@ -183,6 +182,14 @@ def estimate_order(
     return ConvergenceReport(
         tuple(dts), tuple(means), tuple(sems), float(slope), float(intercept), n_paths, n_excluded
     )
+
+
+def _rows(values, n_paths: int, name: str) -> np.ndarray:
+    """A callback's result as a float array of shape (P, d)."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != n_paths:
+        raise ShapeError(f"{name} returned shape {values.shape}, expected ({n_paths}, d)")
+    return values
 
 
 @dataclass(frozen=True)

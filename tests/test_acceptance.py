@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from formalflow import (
     sample_path,
     simulate_direct,
     solve_chain,
+    solve_chain_batch,
     truncation_scaling,
     variation_of_constants,
 )
@@ -39,13 +41,21 @@ from conftest import (
 )
 
 
-def report(name, passed, detail=""):
-    status = "PASS" if passed else "FAIL"
-    print(f"ACCEPTANCE {name}: {status}" + (f" ({detail})" if detail else ""))
-    assert passed, f"{name} failed: {detail}"
+@pytest.fixture
+def report():
+    """Print the criterion's PASS/FAIL line with its wall time, then assert it."""
+    start = time.perf_counter()
+
+    def report(name, passed, detail=""):
+        status = "PASS" if passed else "FAIL"
+        elapsed = time.perf_counter() - start
+        print(f"ACCEPTANCE {name}: {status}" + (f" ({detail})" if detail else "") + f" [{elapsed:.2f} s]")
+        assert passed, f"{name} failed: {detail}"
+
+    return report
 
 
-def test_criterion_1_composition_algebra():
+def test_criterion_1_composition_algebra(report):
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(100):
@@ -81,7 +91,7 @@ def test_criterion_1_composition_algebra():
     )
 
 
-def test_criterion_2_discrete_evolution_property():
+def test_criterion_2_discrete_evolution_property(report):
     rng = np.random.default_rng(202)
     grid = TimeGrid(0.0, 1.0, 128)
     worst = 0.0
@@ -98,7 +108,7 @@ def test_criterion_2_discrete_evolution_property():
     )
 
 
-def test_criterion_3_triangularity():
+def test_criterion_3_triangularity(report):
     rng = np.random.default_rng(303)
     order, dy, m = 4, 2, 2
     base = random_coefficients(rng, order, dy, m)
@@ -124,7 +134,7 @@ def test_criterion_3_triangularity():
     report("3 triangularity", True, "components 1..n bitwise unchanged for n = 1..3")
 
 
-def test_criterion_4_uniqueness_and_adaptedness():
+def test_criterion_4_uniqueness_and_adaptedness(report):
     rng = np.random.default_rng(404)
     co = random_coefficients(rng, 3, 2, 2)
     grid = TimeGrid(0.0, 1.0, 32)
@@ -142,16 +152,17 @@ def test_criterion_4_uniqueness_and_adaptedness():
     report("4 uniqueness and adaptedness", True, "repeat runs bitwise identical; past states untouched")
 
 
-def test_criterion_5_linear_case_strong_orders():
+def test_criterion_5_linear_case_strong_orders(report):
     alpha, beta = 1.0, 0.5
     co_gbm = CoefficientFamily.constant_scalar([alpha], [beta])
 
-    def simulate_gbm(path):
-        sol = solve_chain(co_gbm, identity(1, 1), path)
-        return sol.states[-1].component(1).entries.ravel()
+    def simulate_gbm(paths):
+        entries, finite = solve_chain_batch(co_gbm, identity(1, 1), paths)
+        return np.where(finite[:, None], entries[0].reshape(paths.n_paths, 1), np.nan)
 
-    def exact_gbm(path):
-        return np.array([gbm_closed_form(alpha, beta, 1.0, float(path.cumulative()[-1, 0]))])
+    def exact_gbm(paths):
+        w_t = paths.cumulative()[:, -1, 0]
+        return np.array([[gbm_closed_form(alpha, beta, 1.0, float(w))] for w in w_t])
 
     gbm = estimate_order(
         simulate_gbm,
@@ -167,11 +178,11 @@ def test_criterion_5_linear_case_strong_orders():
     gamma, y0 = 0.5, 0.1
     co_quad = CoefficientFamily.constant_scalar([alpha, gamma])
 
-    def simulate_quad(path):
-        return simulate_direct(co_quad, np.array([y0]), path)[-1]
+    def simulate_quad(paths):
+        return simulate_direct(co_quad, np.full((paths.n_paths, 1), y0), paths)[-1]
 
-    def exact_quad(path):
-        return np.array([bernoulli_closed_form(alpha, gamma, 1.0, y0)])
+    def exact_quad(paths):
+        return np.full((paths.n_paths, 1), bernoulli_closed_form(alpha, gamma, 1.0, y0))
 
     quad = estimate_order(
         simulate_quad,
@@ -190,7 +201,7 @@ def test_criterion_5_linear_case_strong_orders():
     )
 
 
-def test_criterion_6_taylor_consistency():
+def test_criterion_6_taylor_consistency(report):
     co = CoefficientFamily.constant_scalar([1.0, 0.5, 0.0])
     scaling = truncation_scaling(co, TimeGrid(0.0, 1.0, 128), np.array([0.1]), 5)
     checked = [r for r, ok in zip(scaling.ratios, scaling.reliable) if ok]
@@ -206,7 +217,7 @@ def test_criterion_6_taylor_consistency():
     report("6 taylor consistency", ratios_ok and linear_ok, detail)
 
 
-def test_criterion_7_explicit_formula():
+def test_criterion_7_explicit_formula(report):
     worst = 0.0
 
     def max_rel_err(co, path, degrees):
@@ -239,7 +250,7 @@ def test_criterion_7_explicit_formula():
     report("7 explicit formula", worst <= 1e-9, f"max relative error {worst:.2e} <= 1e-9")
 
 
-def test_criterion_8_closed_form_component():
+def test_criterion_8_closed_form_component(report):
     alpha, gamma = 1.0, 0.5
     co = CoefficientFamily.constant_scalar([alpha, gamma])
     target = quadratic_chain_s2_closed_form(alpha, gamma, 1.0)

@@ -42,6 +42,20 @@ class TestTimeGrid:
             TimeGrid(1.0, 0.0, 4)
         with pytest.raises(ShapeError):
             TimeGrid(0.0, 1.0, 0)
+        with pytest.raises(ShapeError):
+            TimeGrid(0.0, 1.0, 4, dt=0.3)
+
+    def test_sub_grids_take_the_parent_step(self):
+        # rebuilt from their end points, a third of these sub-grids got a step an ulp off
+        for n in range(3, 200):
+            grid = TimeGrid(0.0, 1.0, n)
+            path = BrownianPath.from_increments(grid, np.zeros((n, 1)))
+            for i in range(1, n):
+                assert path.restrict(0, i).grid.dt == grid.dt
+                assert path.restrict(i, n).grid.dt == grid.dt
+            for factor in range(2, n + 1):
+                if n % factor == 0:
+                    assert path.coarsen(factor).grid.dt == factor * grid.dt
 
 
 class TestSamplePath:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,3 +369,64 @@ class TestErrorHandling:
             ["solve", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
         )
         assert rc == 2
+
+
+class TestStrictConfig:
+    def run(self, tmp_path, subcommand, cfg):
+        path = write_config(tmp_path, "c.json", cfg)
+        return main([subcommand, "--config", path, "--out", str(tmp_path / "o")])
+
+    def test_misspelled_key_is_rejected(self, tmp_path, capsys):
+        # "n_step" used to run the default 64 steps and exit 0
+        cfg = {"dy": 1, "order": 1, "n_step": 8, "drift": [scalar_tensor(1, 1.0)]}
+        assert self.run(tmp_path, "solve", cfg) == 2
+        assert "n_step" in capsys.readouterr().err
+
+    def test_key_of_another_subcommand_is_rejected(self, tmp_path, capsys):
+        cfg = {"dy": 1, "order": 1, "n_steps": 8, "split_knot": 0.5}
+        assert self.run(tmp_path, "solve", cfg) == 2
+        assert "split_knot" in capsys.readouterr().err
+
+    def test_degree_above_order_is_rejected(self, tmp_path, capsys):
+        cfg = {"dy": 1, "order": 1, "n_steps": 8, "drift": [scalar_tensor(1, 1.0), scalar_tensor(2, 0.5)]}
+        assert self.run(tmp_path, "solve", cfg) == 2
+        assert "degree 2 exceeds order 1" in capsys.readouterr().err
+
+    def test_duplicate_degree_is_rejected(self, tmp_path, capsys):
+        cfg = {
+            "dy": 1,
+            "order": 2,
+            "n_steps": 8,
+            "diffusion": [scalar_diffusion(2, 0.5), scalar_diffusion(2, 0.25)],
+        }
+        assert self.run(tmp_path, "solve", cfg) == 2
+        assert "duplicate diffusion component of degree 2" in capsys.readouterr().err
+
+    def test_unknown_problem_key_is_rejected(self, tmp_path, capsys):
+        cfg = {"n_paths": 1, "problem": {"kind": "gbm", "gamma": 0.5}, "dt_values": [0.5, 0.25, 0.125]}
+        assert self.run(tmp_path, "convergence", cfg) == 2
+        assert "gamma" in capsys.readouterr().err
+
+    def test_non_finite_numbers_are_rejected(self, tmp_path):
+        for entry in ("1e400", "NaN", "-Infinity"):
+            path = tmp_path / "c.json"
+            path.write_text('{"dy": 1, "order": 1, "drift": [{"degree": 1, "dy": 1, "dz": 1, "entries": [%s]}]}' % entry)
+            assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("name", ["convergence_gbm.json", "convergence_quadratic.json"])
+    def test_shipped_configs_pass(self, tmp_path, name):
+        config = Path(__file__).resolve().parent.parent / "scripts" / name
+        assert main(["convergence", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+
+class TestOverflow:
+    def test_overflow_in_composition_is_blowup(self, tmp_path, capsys):
+        # b_2(a_1, a_1) = 1e400 overflows; this used to exit 2 after a RuntimeWarning
+        cfg = {
+            "a": {"order": 2, "components": [scalar_tensor(1, 1e200), scalar_tensor(2, 0.0)]},
+            "b": {"order": 2, "components": [scalar_tensor(1, 0.0), scalar_tensor(2, 1.0)]},
+        }
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["compose-check", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        assert "blowup" in capsys.readouterr().err
+

@@ -16,7 +16,7 @@ from formalflow import (
     identity,
     polynomial_oracle_compose,
     simulate_direct,
-    solve_chain,
+    solve_chain_batch,
     truncation_scaling,
 )
 
@@ -63,11 +63,11 @@ class TestEstimateOrder:
         alpha, gamma, y0 = 1.0, 0.5, 0.1
         co = CoefficientFamily.constant_scalar([alpha, gamma])
 
-        def simulate(path):
-            return simulate_direct(co, np.array([y0]), path)[-1]
+        def simulate(paths):
+            return simulate_direct(co, np.full((paths.n_paths, 1), y0), paths)[-1]
 
-        def exact(path):
-            return np.array([bernoulli_closed_form(alpha, gamma, 1.0, y0)])
+        def exact(paths):
+            return np.full((paths.n_paths, 1), bernoulli_closed_form(alpha, gamma, 1.0, y0))
 
         return simulate, exact
 
@@ -87,12 +87,12 @@ class TestEstimateOrder:
     def test_zero_coefficients_give_zero_error(self):
         co = CoefficientFamily.constant_scalar([0.0])
 
-        def simulate(path):
-            sol = solve_chain(co, identity(1, 1), path)
-            return sol.states[-1].component(1).entries.ravel()
+        def simulate(paths):
+            entries = solve_chain_batch(co, identity(1, 1), paths)[0]
+            return entries[0].reshape(paths.n_paths, 1)
 
-        def exact(path):
-            return np.array([1.0])
+        def exact(paths):
+            return np.ones((paths.n_paths, 1))
 
         report = estimate_order(
             simulate,
@@ -110,12 +110,13 @@ class TestEstimateOrder:
         alpha, beta = 1.0, 0.5
         co = CoefficientFamily.constant_scalar([alpha], [beta])
 
-        def simulate(path):
-            sol = solve_chain(co, identity(1, 1), path)
-            return sol.states[-1].component(1).entries.ravel()
+        def simulate(paths):
+            entries = solve_chain_batch(co, identity(1, 1), paths)[0]
+            return entries[0].reshape(paths.n_paths, 1)
 
-        def exact(path):
-            return np.array([gbm_closed_form(alpha, beta, 1.0, float(path.cumulative()[-1, 0]))])
+        def exact(paths):
+            w_t = paths.cumulative()[:, -1, 0]
+            return np.array([[gbm_closed_form(alpha, beta, 1.0, float(w))] for w in w_t])
 
         report = estimate_order(
             simulate,
@@ -138,11 +139,11 @@ class TestEstimateOrder:
         assert r1 == r2
 
     def test_excessive_exclusions_raise(self):
-        def simulate(path):
-            raise BlowupError(step=0)
+        def simulate(paths):
+            return np.full((paths.n_paths, 1), np.nan)
 
-        def exact(path):
-            return np.array([1.0])
+        def exact(paths):
+            return np.ones((paths.n_paths, 1))
 
         with pytest.raises(BlowupError):
             estimate_order(
@@ -156,15 +157,15 @@ class TestEstimateOrder:
             )
 
     def test_exclusion_error_reports_counts(self):
-        def simulate(path):
-            if path.path_index < 7:
-                raise BlowupError(step=0)
-            return np.array([1.0])
+        def simulate(paths):
+            rows = np.ones((paths.n_paths, 1))
+            rows[:7] = np.nan
+            return rows
 
         with pytest.raises(ExcessiveBlowupError) as info:
             estimate_order(
                 simulate,
-                lambda path: np.array([1.0]),
+                lambda paths: np.ones((paths.n_paths, 1)),
                 t_end=1.0,
                 noise_dim=1,
                 dt_values=[0.5, 0.25, 0.125],
@@ -178,8 +179,8 @@ class TestEstimateOrder:
         # a sum-of-squares variance cancels catastrophically here
         err = 123456789.123
         report = estimate_order(
-            lambda path: np.array([err]),
-            lambda path: np.array([0.0]),
+            lambda paths: np.full((paths.n_paths, 1), err),
+            lambda paths: np.zeros((paths.n_paths, 1)),
             t_end=1.0,
             noise_dim=1,
             dt_values=[0.5, 0.25, 0.125],
