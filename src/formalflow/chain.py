@@ -364,13 +364,17 @@ class ChainSolution:
     path_index: int
 
 
-def _noise(b_k: np.ndarray, dw: np.ndarray) -> np.ndarray:
+def _noise(b_k: np.ndarray, dw: np.ndarray, batch: int = 0) -> np.ndarray:
     """b_k with its noise slot fixed to each row of dw (P, m): shape (P,) + b_k's other axes.
 
-    One stacked matrix-vector product per path, bitwise equal to b_k @ dw[p].
+    With batch = 1, b_k has a leading path axis too (P or 1), broadcast
+    against dw's.  One stacked matrix-vector product per path, bitwise equal
+    to b_k @ dw[p] (b_k[p] @ dw[p] when batched).
     """
     p, m = dw.shape
-    return (b_k.reshape(1, -1, m) @ dw.reshape(p, m, 1)).reshape((p,) + b_k.shape[:-1])
+    lead = b_k.shape[0] if batch else 1
+    out = b_k.reshape(lead, -1, m) @ dw.reshape(p, m, 1)
+    return out.reshape((p,) + b_k.shape[batch:-1])
 
 
 def _step_entries(
@@ -543,24 +547,48 @@ def simulate_direct(
     return out
 
 
+def _forcing(
+    n: int, state: list, a: list, b: list, shape: tuple
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Entries of f_n and g_n at each of J steps, along a leading step axis.
+
+    f_n and g_n are component n of a after S and of b after S, each with its
+    degree-1 coefficient zeroed.  state, a and b list entries by degree, each
+    with the leading step axis, None where zero at every step.  f has shape
+    shape = (J, dz) + (dy,)*n; g keeps b's noise axis behind the output
+    axis, shape (J, dz, m) + (dy,)*n, and is None when b_2..b_n are None.
+    """
+    f = _compose_component(n, [None] + a[1:n], state, shape, {}, batch=1)
+    b = [None] + b[1:n]
+    if all(e is None for e in b):
+        return f, None
+    m = next(e for e in b if e is not None).shape[-1]
+    g = _compose_component(n, b, state, shape[:2] + (m,) + shape[2:], {}, batch=1)
+    return f, g
+
+
 def forcing_terms(
     n: int, states_at_t: FormalMapping, a_t: FormalMapping, b_t: DiffusionFamily
 ) -> tuple[MultilinearMap, DiffusionMap]:
     """Inhomogeneous terms of the degree-n equation.
 
     f_n and g_n are component n of a after S and of b after S, each with its
-    degree-1 coefficient zeroed; b's noise axis rides behind the output axis.
-    So they involve state components of degree <= n - 1 only.
+    degree-1 coefficient zeroed; so they involve state components of degree
+    <= n - 1 only.  This is the one-step caller of the batched `_forcing`.
     """
     if n < 2:
         raise ShapeError(f"forcing terms are defined for n >= 2, got {n}")
     if states_at_t.order < n - 1 or min(a_t.order, b_t.order) < n:
         raise ShapeError(f"need state components up to degree {n - 1}, coefficients up to {n}")
     dy, dz, m = states_at_t.dy, b_t.dy, b_t.noise_dim
-    s = _nonzero_entries(states_at_t)
-    f = _compose_component(n, [None] + _nonzero_entries(a_t)[1:n], s, (a_t.dz,) + (dy,) * n, {})
-    g = _compose_component(n, [None] + _nonzero_entries(b_t)[1:n], s, (dz, m) + (dy,) * n, {})
-    return MultilinearMap(n, dy, a_t.dz, f), DiffusionMap(n, dy, dz, m, np.moveaxis(g, 1, -1))
+    s, a, b = (
+        [None if e is None else e[None] for e in _nonzero_entries(x)]
+        for x in (states_at_t, a_t, b_t)
+    )
+    f, g = _forcing(n, s, a, b, (1, a_t.dz) + (dy,) * n)
+    if g is None:
+        return MultilinearMap(n, dy, a_t.dz, f[0]), DiffusionMap.zero(n, dy, dz, m)
+    return MultilinearMap(n, dy, a_t.dz, f[0]), DiffusionMap(n, dy, dz, m, np.moveaxis(g[0], 1, -1))
 
 
 @dataclass(frozen=True)

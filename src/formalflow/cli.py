@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default="./out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--paths", type=int, default=None, help="override config n_paths")
+        p.add_argument("--paths", type=int, default=None, help="override config n_paths (convergence only)")
         p.add_argument("--steps", type=int, default=None, help="override config n_steps")
     return parser
 
@@ -415,13 +415,18 @@ def main(argv: list[str] | None = None) -> int:
             cfg.n_paths = args.paths
         if args.steps is not None:
             cfg.n_steps = args.steps
+        if cfg.n_paths != 1 and args.subcommand != "convergence":
+            raise ShapeError(
+                f"{args.subcommand} integrates one path, got n_paths = {cfg.n_paths}; "
+                "only convergence runs several"
+            )
         # config numbers are finite, so a non-finite value is numerical overflow
         with np.errstate(over="ignore", invalid="ignore"):
             return run(cfg, Path(args.out))
     except BlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except NonFiniteError as exc:
+    except (NonFiniteError, OverflowError) as exc:
         print(f"error: numerical blowup: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except (ValueError, TypeError, KeyError, IndexError) as exc:

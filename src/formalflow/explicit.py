@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FormalMapping, MultilinearMap, ShapeError, _contract
-from .chain import BrownianPath, CoefficientFamily, forcing_terms
+from .chain import BrownianPath, CoefficientFamily, _forcing, _noise
 
 
 class UnsupportedCaseError(ValueError):
@@ -58,6 +58,43 @@ def fundamental(coeffs: CoefficientFamily, path: BrownianPath) -> FundamentalSol
     return FundamentalSolution(tuple(factors))
 
 
+def _stacked(components_by_step, top: int) -> list[np.ndarray | None]:
+    """Entries of degrees 1..top stacked along a leading step axis.
+
+    A degree is None only when it is zero at every step.
+    """
+    out = []
+    for k in range(top):
+        comps = [c[k] for c in components_by_step]
+        out.append(None if all(c.is_zero for c in comps) else np.stack([c.entries for c in comps]))
+    return out
+
+
+def _loads(n: int, coeffs: CoefficientFamily, chain_states, path: BrownianPath) -> np.ndarray:
+    """The load f_n(t_j)*dt + g_n(t_j)(..., dw_j) of every step j, shape (N, d) + (d,)*n.
+
+    One batched composition over all steps; row j is bitwise the load built
+    from forcing_terms at step j with g_n.contract_noise(dw_j).  Raises
+    UnsupportedCaseError if b_1 is nonzero at some step.
+    """
+    grid = path.grid
+    times = [grid.t_start + j * grid.dt for j in range(grid.n_steps)]
+    drifts = [coeffs.drift_at(t).components for t in times]
+    diffusions = [coeffs.diffusion_at(t).components for t in times]
+    if any(not b[0].is_zero for b in diffusions):
+        raise UnsupportedCaseError("degree-1 diffusion must vanish for the explicit formula")
+    state = _stacked([s.components for s in chain_states[:-1]], n - 1)
+    d = coeffs.dy
+    f, g = _forcing(
+        n, state, _stacked(drifts, n), _stacked(diffusions, n), (grid.n_steps, d) + (d,) * n
+    )
+    loads = grid.dt * f
+    if g is not None:
+        # the noise slot goes last, as in DiffusionMap
+        loads = loads + _noise(np.moveaxis(g, 2, -1), path.increments, batch=1)
+    return loads
+
+
 def variation_of_constants(
     n: int,
     coeffs: CoefficientFamily,
@@ -70,42 +107,26 @@ def variation_of_constants(
     f_n(t_j)*dt + g_n(t_j)(..., dw_j), with Phi the deterministic
     fundamental solution.  Requires zero degree-1 diffusion; otherwise the
     integral would be anticipative.
+
+    The loads of all steps come from one batched composition.  At knot i,
+    Phi(t_i, t_{j+1}) for every j < i is one (i, d, d) stack, advanced from
+    knot i-1 by one product with the factor of step i-1; all i terms are one
+    batched contraction, summed in ascending j.
     """
     if n < 2 or n > coeffs.order:
         raise ShapeError(f"degree must satisfy 2 <= n <= {coeffs.order}, got {n}")
     grid = path.grid
     if len(chain_states) != grid.n_steps + 1:
         raise ShapeError("need one chain state per grid knot")
-    dt = grid.dt
-    for i in range(grid.n_steps):
-        if not coeffs.diffusion_at(grid.t_start + i * dt).component(1).is_zero:
-            raise UnsupportedCaseError(
-                "degree-1 diffusion must vanish for the explicit formula"
-            )
-
-    # forcing per step, already multiplied through by dt / dw
-    loads = []
-    for j in range(grid.n_steps):
-        t_j = grid.t_start + j * dt
-        f_n, g_n = forcing_terms(n, chain_states[j], coeffs.drift_at(t_j), coeffs.diffusion_at(t_j))
-        q = dt * f_n.entries
-        if not g_n.is_zero:
-            q = q + g_n.contract_noise(path.increments[j]).entries
-        loads.append(q)
-
-    fund = fundamental(coeffs, path)
+    loads = _loads(n, coeffs, chain_states, path)
+    factors = fundamental(coeffs, path).factors
     d = coeffs.dy
-    shape = (d,) + (d,) * n
-    trajectory = [MultilinearMap(n, d, d, np.zeros(shape))]
+    eye = np.eye(d)[None]
+    phi = np.empty((0, d, d))
+    trajectory = [MultilinearMap(n, d, d, np.zeros((d,) + (d,) * n))]
     for i in range(1, grid.n_steps + 1):
-        # Phi(t_i, t_{j+1}) accumulated backward from j = i-1
-        terms = []
-        p = np.eye(d)
-        for j in range(i - 1, -1, -1):
-            terms.append(_contract(p, loads[j]))
-            p = p @ fund.factors[j]
-        acc = np.zeros(shape)
-        for t in reversed(terms):
-            acc += t
-        trajectory.append(MultilinearMap(n, d, d, acc))
+        phi = np.concatenate((factors[i - 1] @ phi, eye))
+        terms = _contract(phi, loads[:i], batch=1)
+        # cumsum adds in order; sum() would add pairwise
+        trajectory.append(MultilinearMap(n, d, d, np.cumsum(terms, axis=0)[-1]))
     return trajectory

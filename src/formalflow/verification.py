@@ -74,16 +74,25 @@ def gbm_closed_form(alpha: float, beta: float, t: float, w_t: float) -> float:
     return math.exp((alpha - beta**2 / 2.0) * t + beta * w_t)
 
 
+def _growth(alpha: float, t: float) -> float:
+    """(exp(alpha*t) - 1) / alpha, computed with expm1; its limit t at alpha = 0."""
+    return math.expm1(alpha * t) / alpha if alpha else t
+
+
 def bernoulli_closed_form(alpha: float, gamma: float, t: float, y0: float) -> float:
-    """Solution of y' = alpha*y + gamma*y^2 at time t."""
-    e = math.exp(alpha * t)
-    return alpha * y0 * e / (alpha - gamma * y0 * (e - 1.0))
+    """Solution of y' = alpha*y + gamma*y^2 at time t; y0 / (1 - gamma*y0*t) at alpha = 0.
+
+    A solution that blows up at or before t gives infinity of the sign of y0.
+    """
+    denominator = 1.0 - gamma * y0 * _growth(alpha, t)
+    if denominator <= 0.0:
+        return math.copysign(math.inf, y0)
+    return y0 * math.exp(alpha * t) / denominator
 
 
 def quadratic_chain_s2_closed_form(alpha: float, gamma: float, t: float) -> float:
-    """Degree-2 chain component for scalar drift (alpha, gamma), no noise."""
-    e = math.exp(alpha * t)
-    return gamma * e * (e - 1.0) / alpha
+    """Degree-2 chain component for scalar drift (alpha, gamma), no noise; gamma*t at alpha = 0."""
+    return gamma * math.exp(alpha * t) * _growth(alpha, t)
 
 
 @dataclass(frozen=True)

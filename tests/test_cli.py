@@ -340,6 +340,30 @@ class TestConvergence:
         assert "1 of 1 paths blew up (limit 1%)" in capsys.readouterr().err
 
 
+    def test_closed_form_overflow_is_blowup(self, tmp_path, capsys):
+        # exp(800) overflows a float; this used to end in an OverflowError traceback
+        cfg = {"n_paths": 1, "problem": {"kind": "gbm", "alpha": 800.0}, "dt_values": [0.5, 0.25, 0.125]}
+        rc = main(
+            ["convergence", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+        )
+        assert rc == 3
+        assert "numerical blowup" in capsys.readouterr().err
+
+    def test_quadratic_problem_without_linear_drift(self, tmp_path):
+        # alpha = 0 used to divide by zero in the closed form
+        cfg = {
+            "n_paths": 1,
+            "problem": {"kind": "quadratic", "alpha": 0.0, "gamma": 0.5, "y0": 0.1},
+            "dt_values": [2**-k for k in range(4, 9)],
+            "expected_slope": 1.0,
+            "slope_tol": 0.1,
+        }
+        out = tmp_path / "o"
+        rc = main(["convergence", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert rc == 0
+        assert np.isfinite(read_report(out)["results"]["errors"]).all()
+
+
 class TestErrorHandling:
     def test_unreadable_config(self, tmp_path):
         rc = main(["solve", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
@@ -413,10 +437,26 @@ class TestStrictConfig:
             path.write_text('{"dy": 1, "order": 1, "drift": [{"degree": 1, "dy": 1, "dz": 1, "entries": [%s]}]}' % entry)
             assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("subcommand", ["solve", "evolution-check", "formula-check"])
+    def test_several_paths_rejected_on_single_path_subcommands(self, tmp_path, capsys, subcommand):
+        # solve --paths 100 used to integrate one path and record n_paths = 100
+        cfg = {"dy": 1, "order": 2, "n_steps": 4, "drift": [scalar_tensor(1, 1.0)]}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main([subcommand, "--config", path, "--out", str(tmp_path / "o"), "--paths", "100"]) == 2
+        assert "n_paths = 100" in capsys.readouterr().err
+        path = write_config(tmp_path, "c.json", dict(cfg, n_paths=3))
+        assert main([subcommand, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "n_paths = 3" in capsys.readouterr().err
+        assert main([subcommand, "--config", path, "--out", str(tmp_path / "o"), "--paths", "1"]) == 0
+
     @pytest.mark.parametrize("name", ["convergence_gbm.json", "convergence_quadratic.json"])
     def test_shipped_configs_pass(self, tmp_path, name):
         config = Path(__file__).resolve().parent.parent / "scripts" / name
         assert main(["convergence", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+    def test_shipped_formula_check_passes(self, tmp_path):
+        config = Path(__file__).resolve().parent.parent / "scripts" / "formula_check.json"
+        assert main(["formula-check", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestOverflow:

@@ -2,20 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formalflow import (
     BrownianPath,
     CoefficientFamily,
+    DiffusionFamily,
+    DiffusionMap,
+    FormalMapping,
+    MultilinearMap,
     ShapeError,
     TimeGrid,
     UnsupportedCaseError,
+    forcing_terms,
     fundamental,
     identity,
     sample_path,
     solve_chain,
     variation_of_constants,
 )
-from conftest import random_coefficients
+from formalflow.explicit import _loads
+from conftest import random_coefficients, random_diffusion, random_mapping
 
 
 def deterministic_path(grid, m=1):
@@ -143,3 +151,112 @@ class TestVariationOfConstants:
         sol = solve_chain(co, identity(2, 1), path)
         with pytest.raises(ShapeError):
             variation_of_constants(1, co, sol.states, path)
+
+
+def time_dependent_coefficients(rng, order, d, m, drift_on, diffusion_on, flat):
+    """a(t) = a0 + cos(3t)*a1 and b(t) = b0 + sin(2t)*b1, with b_1 = 0.
+
+    Degree k of a is zero before t = drift_on[k-1], of b before
+    diffusion_on[k-1] (never, for a time past the horizon); a_1 is zero
+    throughout when flat, so that every fundamental factor is I.
+    """
+    a0, a1 = random_mapping(rng, order, d, d, 0.3), random_mapping(rng, order, d, d, 0.3)
+    b0, b1 = random_diffusion(rng, order, d, m, 0.3), random_diffusion(rng, order, d, m, 0.3)
+
+    if flat:
+        drift_on = [math.inf] + drift_on[1:]
+
+    def drift(t):
+        wave = math.cos(3 * t)
+        comps = tuple(
+            MultilinearMap(k, d, d, (c0.entries + wave * c1.entries) * (t >= on))
+            for k, (c0, c1, on) in enumerate(zip(a0.components, a1.components, drift_on), start=1)
+        )
+        return FormalMapping(order, d, d, comps)
+
+    def diffusion(t):
+        wave = math.sin(2 * t)
+        comps = tuple(
+            DiffusionMap(k, d, d, m, (c0.entries + wave * c1.entries) * (k > 1 and t >= on))
+            for k, (c0, c1, on) in enumerate(zip(b0.components, b1.components, diffusion_on), start=1)
+        )
+        return DiffusionFamily(order, d, m, comps)
+
+    return CoefficientFamily(order, d, m, drift, diffusion)
+
+
+def loop_quadrature(n, co, states, path):
+    """The quadrature as an O(N^2) loop, step by step: loads from forcing_terms,
+    and Phi(t_i, t_{j+1}) accumulated backward from j = i-1 as p @ F_j.
+
+    Returns the trajectory, the loads and, at each knot, the sum of the
+    norms of its terms.
+    """
+    grid, d = path.grid, co.dy
+    loads = []
+    for j in range(grid.n_steps):
+        t_j = grid.t_start + j * grid.dt
+        f_n, g_n = forcing_terms(n, states[j], co.drift_at(t_j), co.diffusion_at(t_j))
+        q = grid.dt * f_n.entries
+        if not g_n.is_zero:
+            q = q + g_n.contract_noise(path.increments[j]).entries
+        loads.append(q)
+    factors = fundamental(co, path).factors
+    trajectory, scales = [np.zeros_like(loads[0])], [0.0]
+    for i in range(1, grid.n_steps + 1):
+        terms = []
+        p = np.eye(d)
+        for j in range(i - 1, -1, -1):
+            terms.append((p @ loads[j].reshape(d, -1)).reshape(loads[j].shape))
+            p = p @ factors[j]
+        acc = np.zeros_like(loads[0])
+        for t in reversed(terms):
+            acc += t
+        trajectory.append(acc)
+        scales.append(sum(float(np.linalg.norm(t)) for t in terms))
+    return trajectory, loads, scales
+
+
+switch_times = st.lists(st.sampled_from([0.0, 0.0, 0.3, 0.7, 2.0]), min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.integers(2, 4),
+    d=st.integers(1, 3),
+    m=st.integers(1, 2),
+    n_steps=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    drift_on=switch_times,
+    diffusion_on=switch_times,
+    flat=st.booleans(),
+)
+def test_quadrature_matches_the_step_by_step_loop(
+    order, d, m, n_steps, seed, drift_on, diffusion_on, flat
+):
+    rng = np.random.default_rng(seed)
+    co = time_dependent_coefficients(rng, order, d, m, drift_on, diffusion_on, flat)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    path = sample_path(grid, m, seed)
+    sol = solve_chain(co, identity(order, d), path)
+    for n in range(2, order + 1):
+        traj = variation_of_constants(n, co, sol.states, path)
+        ref, loads, scales = loop_quadrature(n, co, sol.states, path)
+        # one batched composition gives every step's load, bit for bit
+        batched = _loads(n, co, sol.states, path)
+        for j, q in enumerate(loads):
+            assert batched[j].shape == q.shape and batched[j].tobytes() == q.tobytes()
+        # Phi is F_{i-1} @ (F_{i-2} @ ...) here but (... @ F_{i-2}) @ F_{i-1} in
+        # the loop: the products associate in a different order, so the
+        # trajectories agree to rounding, relative to the size of the terms
+        for v, r, scale in zip(traj, ref, scales):
+            assert np.linalg.norm(v.entries - r) <= 1e-13 * scale
+        if flat:
+            # with every factor I, each knot is the running sum of the loads
+            running = np.cumsum(loads, axis=0)
+            for i in range(1, n_steps + 1):
+                assert np.array_equal(traj[i].entries, running[i - 1])
+            if n == 2:
+                # one forcing term, so the chain adds the same load in the same order
+                for v, s in zip(traj, sol.states):
+                    assert np.array_equal(v.entries, s.component(2).entries)

@@ -15,6 +15,7 @@ from formalflow import (
     gbm_closed_form,
     identity,
     polynomial_oracle_compose,
+    quadratic_chain_s2_closed_form,
     simulate_direct,
     solve_chain_batch,
     truncation_scaling,
@@ -56,6 +57,24 @@ class TestClosedForms:
 
     def test_bernoulli_reduces_to_exponential(self):
         assert bernoulli_closed_form(1.0, 0.0, 1.0, 0.1) == pytest.approx(0.1 * math.e)
+
+    def test_limits_at_zero_alpha(self):
+        # y' = gamma*y^2 gives y0 / (1 - gamma*y0*t); S_2' = gamma gives gamma*t
+        assert bernoulli_closed_form(0.0, 0.5, 2.0, 0.1) == 0.1 / (1.0 - 0.5 * 0.1 * 2.0)
+        assert quadratic_chain_s2_closed_form(0.0, 0.5, 2.0) == 0.5 * 2.0
+
+    def test_continuous_at_zero_alpha(self):
+        for alpha in (1e-6, -1e-6, 1e-12):
+            assert bernoulli_closed_form(alpha, 0.5, 1.0, 0.1) == pytest.approx(
+                0.1 / (1.0 - 0.05), rel=2e-6
+            )
+            assert quadratic_chain_s2_closed_form(alpha, 0.5, 1.0) == pytest.approx(0.5, rel=2e-6)
+
+    def test_bernoulli_blowup_before_t_is_infinite(self):
+        # y0 = 1, gamma = 2 blows up at t = 0.5; the formula past it is finite nonsense
+        assert bernoulli_closed_form(0.0, 2.0, 1.0, 1.0) == math.inf
+        assert bernoulli_closed_form(0.0, 2.0, 0.5, 1.0) == math.inf
+        assert bernoulli_closed_form(1.0, -2.0, 1.0, -1.0) == -math.inf
 
 
 class TestEstimateOrder:
