@@ -3,9 +3,12 @@
 
 Solves the chain on [0, 1], splits at a random interior knot, and prints
 the per-component relative discrepancy of S(t, tau) o S(tau, s) vs S(t, s).
+Exits 1 if the largest discrepancy exceeds 1e-10, the default tolerance of
+`formalflow evolution-check`.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -51,7 +54,8 @@ def main():
     for k, d in enumerate(rep.component_discrepancies, start=1):
         print(f"  component {k}: relative discrepancy {d:.3e}")
     print(f"max = {rep.max_discrepancy:.3e}")
+    return 0 if rep.max_discrepancy <= 1e-10 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

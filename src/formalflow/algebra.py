@@ -9,10 +9,11 @@ compositions of the target degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -35,7 +36,9 @@ class MultilinearMap:
 
     entries has shape (dz, dy, ..., dy) with k trailing dy-axes; flattening is
     row-major, so the output index varies slowest and the last argument index
-    fastest.
+    fastest.  A subclass may add trailing axes behind the k argument axes
+    (`_tail`), such as the noise axis of a diffusion coefficient; they are
+    not argument slots, and every operation keeps them open and last.
     """
 
     degree: int
@@ -43,19 +46,24 @@ class MultilinearMap:
     dz: int
     entries: np.ndarray
 
+    # dict keys of the trailing axes' lengths, in the order of _tail()
+    _TAIL_KEYS: ClassVar[tuple[str, ...]] = ()
+
+    def _tail(self) -> tuple[int, ...]:
+        """Lengths of the trailing axes behind the argument axes."""
+        return ()
+
     def __post_init__(self):
-        if self.degree < 1:
-            raise ShapeError(f"degree must be >= 1, got {self.degree}")
-        if self.dy < 1 or self.dz < 1:
-            raise ShapeError(f"dimensions must be >= 1, got dy={self.dy}, dz={self.dz}")
-        arr = np.asarray(self.entries, dtype=np.float64)
-        expected = (self.dz,) + (self.dy,) * self.degree
-        if arr.size != self.dz * self.dy**self.degree:
+        shape = (self.dz,) + (self.dy,) * self.degree + self._tail()
+        if self.degree < 1 or min(shape) < 1:
             raise ShapeError(
-                f"entry count {arr.size} != dz*dy^k = {self.dz * self.dy**self.degree}"
+                f"need degree >= 1 and dimensions >= 1, got degree {self.degree}, shape {shape}"
             )
-        arr = arr.reshape(expected).copy()
-        if not np.all(np.isfinite(arr)):
+        arr = np.asarray(self.entries, dtype=np.float64)
+        if arr.size != math.prod(shape):
+            raise ShapeError(f"{arr.size} entries of shape {arr.shape} do not fill shape {shape}")
+        arr = arr.reshape(shape).copy()
+        if not np.isfinite(arr).all():
             raise NonFiniteError(self.degree)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -65,8 +73,9 @@ class MultilinearMap:
         return not self.entries.any()
 
     @classmethod
-    def zero(cls, degree: int, dy: int, dz: int) -> "MultilinearMap":
-        return cls(degree, dy, dz, np.zeros((dz,) + (dy,) * degree))
+    def zero(cls, degree: int, dy: int, dz: int, *tail: int) -> "MultilinearMap":
+        """The zero map; tail gives the trailing axes' lengths, if the type has any."""
+        return cls(degree, dy, dz, *tail, np.zeros((dz,) + (dy,) * degree + tail))
 
     def apply(self, *vectors: np.ndarray) -> np.ndarray:
         """Value on k vectors, contracting argument slots in order."""
@@ -81,26 +90,32 @@ class MultilinearMap:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "dy": self.dy,
-            "dz": self.dz,
-            "entries": self.entries.ravel().tolist(),
-        }
+        out = {"degree": self.degree, "dy": self.dy, "dz": self.dz}
+        out.update(zip(self._TAIL_KEYS, self._tail()))
+        out["entries"] = self.entries.ravel().tolist()
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "MultilinearMap":
-        return cls(d["degree"], d["dy"], d["dz"], np.asarray(d["entries"], dtype=np.float64))
+        entries = np.asarray(d["entries"], dtype=np.float64)
+        return cls(d["degree"], d["dy"], d["dz"], *(d[key] for key in cls._TAIL_KEYS), entries)
 
 
 @dataclass(frozen=True)
 class FormalMapping:
-    """A truncated formal mapping: components of degrees 1..order."""
+    """A truncated formal mapping: components of degrees 1..order, each a
+    `_COMPONENT`, with the trailing axes `_tail` (none here)."""
 
     order: int
     dy: int
     dz: int
     components: tuple[MultilinearMap, ...]
+
+    _COMPONENT: ClassVar[type] = MultilinearMap
+
+    def _tail(self) -> tuple[int, ...]:
+        """Lengths of the trailing axes every component carries."""
+        return ()
 
     def __post_init__(self):
         if self.order < 1:
@@ -108,14 +123,27 @@ class FormalMapping:
         comps = tuple(self.components)
         if len(comps) != self.order:
             raise ShapeError(f"expected {self.order} components, got {len(comps)}")
+        tail = self._tail()
         for k, c in enumerate(comps, start=1):
-            if c.degree != k:
-                raise ShapeError(f"component {k} has degree {c.degree}")
-            if c.dy != self.dy or c.dz != self.dz:
+            expected = (self.dz,) + (self.dy,) * k + tail
+            if c.degree != k or c.entries.shape != expected:
                 raise ShapeError(
-                    f"component {k} dims ({c.dy},{c.dz}) != mapping dims ({self.dy},{self.dz})"
+                    f"component {k} has degree {c.degree} and shape {c.entries.shape}, "
+                    f"expected degree {k} and shape {expected}"
                 )
         object.__setattr__(self, "components", comps)
+
+    @staticmethod
+    def _dims(c: MultilinearMap) -> tuple[int, int]:
+        """The constructor's dimension arguments for a mapping with components like c."""
+        return c.dy, c.dz
+
+    @classmethod
+    def _of(cls, order: int, comps: Sequence[MultilinearMap]) -> "FormalMapping":
+        """The mapping of this type holding comps, its dimensions read off comps[0]."""
+        if not comps:
+            raise ShapeError("a formal mapping needs at least one component")
+        return cls(order, *cls._dims(comps[0]), tuple(comps))
 
     def component(self, k: int) -> MultilinearMap:
         """1-based access to the degree-k component."""
@@ -125,16 +153,14 @@ class FormalMapping:
 
     @classmethod
     def from_scalar_coeffs(cls, coeffs: Sequence[float]) -> "FormalMapping":
-        """Scalar (dy = dz = 1) mapping with the given degree-1.. coefficients."""
-        comps = tuple(
-            MultilinearMap(k, 1, 1, np.array(float(c)).reshape((1,) * (k + 1)))
-            for k, c in enumerate(coeffs, start=1)
-        )
-        return cls(len(comps), 1, 1, comps)
+        """Mapping with every dimension 1 and the given degree-1.. coefficients."""
+        ones = (1,) * len(cls._COMPONENT._TAIL_KEYS)
+        comps = [cls._COMPONENT(k, 1, 1, *ones, float(c)) for k, c in enumerate(coeffs, start=1)]
+        return cls._of(len(comps), comps)
 
     def scalar_coeffs(self) -> np.ndarray:
-        if self.dy != 1 or self.dz != 1:
-            raise ShapeError("scalar_coeffs requires dy = dz = 1")
+        if max((self.dy, self.dz) + self._tail()) != 1:
+            raise ShapeError("scalar_coeffs requires every dimension to be 1")
         return np.array([c.entries.ravel()[0] for c in self.components])
 
     def to_dict(self) -> dict:
@@ -142,10 +168,7 @@ class FormalMapping:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FormalMapping":
-        comps = tuple(MultilinearMap.from_dict(c) for c in d["components"])
-        if not comps:
-            raise ShapeError("a formal mapping needs at least one component")
-        return cls(d["order"], comps[0].dy, comps[0].dz, comps)
+        return cls._of(d["order"], [cls._COMPONENT.from_dict(c) for c in d["components"]])
 
 
 def _contract(t: np.ndarray, a: np.ndarray, batch: int = 0) -> np.ndarray:
@@ -185,15 +208,16 @@ def _plan(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 
 def _compose_component(
-    n: int, b: list, a: list, shape: tuple, memo: dict, batch: int = 0
+    n: int, b: list, a: list, shape: tuple, memo: dict, batch: int = 0, tail: int = 0
 ) -> np.ndarray:
     """Component n of b after a, its plan terms summed in order.
 
     b and a list entries by degree, None where zero; a term with a zero operand
     is skipped, b_k tested first.  memo holds each b_k contracted with leading
-    parts, shared by all components of one composition.  Axes of b_k after its
-    slots ride along behind the output axis.  The first `batch` axes of every
-    entry are path axes (see `_contract`); shape includes them.
+    parts, shared by all components of one composition.  The last `tail` axes
+    of b's entries are not slots; they stay last in the result, whose shape is
+    shape.  The first `batch` axes of every entry are path axes (see
+    `_contract`); shape includes them.
     """
     acc = np.zeros(shape)
     for k, parts in _plan(n):
@@ -205,39 +229,45 @@ def _compose_component(
             if key not in memo:
                 memo[key] = _contract(t, a[parts[i - 1] - 1], batch)
             t = memo[key]
-        acc += t
+        acc += _tail_last(t, batch, tail)
     return acc
 
 
+def _tail_last(t: np.ndarray, batch: int, tail: int) -> np.ndarray:
+    """Contraction leaves the `tail` trailing axes of b_k behind its output
+    axis, ahead of the plugged-in input axes; move them back last."""
+    if not tail:
+        return t
+    lead = range(batch + 1, batch + 1 + tail)
+    return np.moveaxis(t, lead, range(t.ndim - tail, t.ndim))
+
+
 def _nonzero_entries(mapping) -> list[np.ndarray | None]:
-    """Entries of each component of a mapping or family, None where zero."""
+    """Entries of each component of a mapping, None where zero."""
     return [None if c.is_zero else c.entries for c in mapping.components]
-
-
-def _plug(b_k, args: Sequence[MultilinearMap]) -> np.ndarray:
-    """Entries of b_k with args plugged into its k slots, in order; axes of
-    b_k after its slots ride along behind the output axis."""
-    if len(args) != b_k.degree:
-        raise ShapeError(f"b_k has {b_k.degree} slots, got {len(args)} argument maps")
-    for a in args:
-        if a.dz != b_k.dy:
-            raise ShapeError(f"argument codomain {a.dz} != b_k domain {b_k.dy}")
-        if a.dy != args[0].dy:
-            raise ShapeError("argument maps must share a common domain dimension")
-    t = b_k.entries
-    for a in args:
-        t = _contract(t, a.entries)
-    return t
 
 
 def apply_to_tuple(b_k: MultilinearMap, args: Sequence[MultilinearMap]) -> MultilinearMap:
     """Plug the maps a_{j_1}..a_{j_k} into the k slots of b_k.
 
-    The result is an n-linear map (n = sum of argument degrees) whose inputs
-    are distributed to the argument maps in order.
+    The result is an n-linear map of b_k's type (n = sum of argument degrees)
+    whose inputs are distributed to the argument maps in order; trailing axes
+    of b_k, such as a noise axis, stay open and last.
     """
-    t = _plug(b_k, args)
-    return MultilinearMap(sum(a.degree for a in args), args[0].dy, b_k.dz, t)
+    if len(args) != b_k.degree:
+        raise ShapeError(f"b_k has {b_k.degree} slots, got {len(args)} argument maps")
+    for a in args:
+        if (a.dy, a.dz) != (args[0].dy, b_k.dy) or a._tail():
+            raise ShapeError(
+                f"argument maps must map R^{args[0].dy} to R^{b_k.dy} with no trailing axes, "
+                f"got shape {a.entries.shape}"
+            )
+    t = b_k.entries
+    for a in args:
+        t = _contract(t, a.entries)
+    tail = b_k._tail()
+    n = sum(a.degree for a in args)
+    return type(b_k)(n, args[0].dy, b_k.dz, *tail, _tail_last(t, 0, len(tail)))
 
 
 def compose(b: FormalMapping, a: FormalMapping) -> FormalMapping:
@@ -246,18 +276,24 @@ def compose(b: FormalMapping, a: FormalMapping) -> FormalMapping:
     Component n is the double sum over k = 1..n and over ordered compositions
     (j_1..j_k) of n, of b_k plugged with a_{j_1}..a_{j_k}.  Terms with an
     all-zero operand are skipped, so component n depends only on nonzero
-    components of degree <= n of both operands.
+    components of degree <= n of both operands.  The result has b's type:
+    trailing axes of b's components, such as a noise axis, stay open and last.
     """
-    if a.dz != b.dy:
-        raise ShapeError(f"a codomain {a.dz} != b domain {b.dy}")
+    if a.dz != b.dy or a._tail():
+        raise ShapeError(
+            f"a must map into b's domain R^{b.dy} with no trailing axes, "
+            f"got codomain R^{a.dz} and trailing axes {a._tail()}"
+        )
     order = min(a.order, b.order)
     b_entries, a_entries = _nonzero_entries(b), _nonzero_entries(a)
+    tail = b._tail()
     memo: dict = {}
     comps = []
     for n in range(1, order + 1):
-        acc = _compose_component(n, b_entries, a_entries, (b.dz,) + (a.dy,) * n, memo)
-        comps.append(MultilinearMap(n, a.dy, b.dz, acc))
-    return FormalMapping(order, a.dy, b.dz, tuple(comps))
+        shape = (b.dz,) + (a.dy,) * n + tail
+        acc = _compose_component(n, b_entries, a_entries, shape, memo, tail=len(tail))
+        comps.append(b._COMPONENT(n, a.dy, b.dz, *tail, acc))
+    return b._of(order, comps)
 
 
 def identity(order: int, d: int) -> FormalMapping:
@@ -273,12 +309,14 @@ def evaluate(a: FormalMapping, y: np.ndarray) -> np.ndarray:
     """Truncated power-series value: sum over k of a_k(y, ..., y).
 
     y has shape (dy,), or (P, dy) for the values at P points, shape (P, dz).
+    Trailing axes of a's components stay last: a diffusion family's value at
+    y is its (dz, m) noise matrix there.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.shape[-1] != a.dy:
         raise ShapeError(f"y has shape {y.shape}, expected ({a.dy},) or (P, {a.dy})")
     batch = y.ndim - 1
-    out = np.zeros(y.shape[:-1] + (a.dz,))
+    out = np.zeros(y.shape[:-1] + (a.dz,) + a._tail())
     for comp in a.components:
         if comp.is_zero:
             continue

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ from .algebra import (
     _compose_component,
     _contract,
     _nonzero_entries,
-    _plug,
+    apply_to_tuple,
     compose,
     evaluate,
     identity,
@@ -212,40 +211,25 @@ def sample_paths(grid: TimeGrid, m: int, seed: int, n_paths: int) -> PathBatch:
     return PathBatch(grid, m, increments, seed)
 
 
-@dataclass(frozen=True)
-class DiffusionMap:
+@dataclass(frozen=True, init=False)
+class DiffusionMap(MultilinearMap):
     """A (k+1)-linear map with k state slots and one noise slot.
 
-    entries has shape (dz, dy, ..., dy, m): output index slowest, k argument
-    indices in order, noise index last.
+    A MultilinearMap whose entries carry a trailing noise axis of length
+    noise_dim: shape (dz, dy, ..., dy, m), output index slowest, k argument
+    indices in order, noise index last.  Its dict form adds the key "m".
     """
 
-    degree: int
-    dy: int
-    dz: int
     noise_dim: int
-    entries: np.ndarray
 
-    def __post_init__(self):
-        if self.degree < 1 or self.dy < 1 or self.dz < 1 or self.noise_dim < 1:
-            raise ShapeError("degree and dimensions must be >= 1")
-        arr = np.asarray(self.entries, dtype=np.float64)
-        expected = (self.dz,) + (self.dy,) * self.degree + (self.noise_dim,)
-        if arr.size != np.prod(expected):
-            raise ShapeError(f"entry count {arr.size} != dz*dy^k*m = {np.prod(expected)}")
-        arr = arr.reshape(expected).copy()
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(self.degree)
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+    _TAIL_KEYS = ("m",)
 
-    @cached_property
-    def is_zero(self) -> bool:
-        return not self.entries.any()
+    def __init__(self, degree: int, dy: int, dz: int, noise_dim: int, entries: np.ndarray):
+        object.__setattr__(self, "noise_dim", noise_dim)
+        super().__init__(degree, dy, dz, entries)
 
-    @classmethod
-    def zero(cls, degree: int, dy: int, dz: int, m: int) -> "DiffusionMap":
-        return cls(degree, dy, dz, m, np.zeros((dz,) + (dy,) * degree + (m,)))
+    def _tail(self) -> tuple[int, ...]:
+        return (self.noise_dim,)
 
     def contract_noise(self, dw: np.ndarray) -> MultilinearMap:
         """Fix the noise slot to dw, leaving a degree-k multilinear map."""
@@ -256,58 +240,37 @@ class DiffusionMap:
 
     def apply_to_tuple(self, args: Sequence[MultilinearMap]) -> "DiffusionMap":
         """Plug maps into the k state slots, keeping the noise slot open."""
-        # the noise axis comes out next to the output axis; move it back last
-        t = np.moveaxis(_plug(self, args), 1, -1)
-        return DiffusionMap(sum(a.degree for a in args), args[0].dy, self.dz, self.noise_dim, t)
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "dy": self.dy,
-            "dz": self.dz,
-            "m": self.noise_dim,
-            "entries": self.entries.ravel().tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiffusionMap":
-        return cls(d["degree"], d["dy"], d["dz"], d["m"], np.asarray(d["entries"], dtype=np.float64))
+        return apply_to_tuple(self, args)
 
 
-@dataclass(frozen=True)
-class DiffusionFamily:
-    """Degree-indexed diffusion coefficients b_k, k = 1..order."""
+@dataclass(frozen=True, init=False)
+class DiffusionFamily(FormalMapping):
+    """Degree-indexed diffusion coefficients b_k, k = 1..order.
 
-    order: int
-    dy: int
+    A FormalMapping whose components are DiffusionMaps with noise_dim noise
+    columns.  It maps R^dy to R^dz, where dz is its components' (dy for
+    the coefficients of a chain).
+    """
+
     noise_dim: int
-    components: tuple[DiffusionMap, ...]
 
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) != self.order:
-            raise ShapeError(f"expected {self.order} components, got {len(comps)}")
-        for k, c in enumerate(comps, start=1):
-            if c.degree != k or c.dy != self.dy or c.dz != self.dy or c.noise_dim != self.noise_dim:
-                raise ShapeError(f"diffusion component {k} has inconsistent shape")
-        object.__setattr__(self, "components", comps)
+    _COMPONENT = DiffusionMap
 
-    def component(self, k: int) -> DiffusionMap:
-        if not 1 <= k <= self.order:
-            raise ShapeError(f"degree {k} out of range 1..{self.order}")
-        return self.components[k - 1]
+    def __init__(self, order: int, dy: int, noise_dim: int, components: Sequence[DiffusionMap]):
+        comps = tuple(components)
+        object.__setattr__(self, "noise_dim", noise_dim)
+        super().__init__(order, dy, comps[0].dz if comps else dy, comps)
+
+    def _tail(self) -> tuple[int, ...]:
+        return (self.noise_dim,)
+
+    @staticmethod
+    def _dims(c: DiffusionMap) -> tuple[int, int]:
+        return c.dy, c.noise_dim
 
     @classmethod
     def zero(cls, order: int, dy: int, m: int) -> "DiffusionFamily":
-        return cls(order, dy, m, tuple(DiffusionMap.zero(k, dy, dy, m) for k in range(1, order + 1)))
-
-    @classmethod
-    def from_scalar_coeffs(cls, coeffs: Sequence[float]) -> "DiffusionFamily":
-        comps = tuple(
-            DiffusionMap(k, 1, 1, 1, np.array(float(c)).reshape((1,) * (k + 2)))
-            for k, c in enumerate(coeffs, start=1)
-        )
-        return cls(len(comps), 1, 1, comps)
+        return cls(order, dy, m, [DiffusionMap.zero(k, dy, dy, m) for k in range(1, order + 1)])
 
 
 @dataclass(frozen=True)
@@ -322,9 +285,10 @@ class CoefficientFamily:
 
     @classmethod
     def constant(cls, a: FormalMapping, b: DiffusionFamily) -> "CoefficientFamily":
-        if a.order != b.order or a.dy != b.dy or a.dz != a.dy:
-            raise ShapeError("drift and diffusion must share order and dimension")
-        return cls(a.order, a.dy, b.noise_dim, lambda t: a, lambda t: b)
+        coeffs = cls(a.order, a.dy, b.noise_dim, lambda t: a, lambda t: b)
+        # constant coefficients need their shapes checked only once, here
+        coeffs.drift_at(0.0), coeffs.diffusion_at(0.0)
+        return coeffs
 
     @classmethod
     def constant_scalar(
@@ -333,24 +297,22 @@ class CoefficientFamily:
         """Scalar (dy = m = 1) constant-in-time coefficients."""
         a = FormalMapping.from_scalar_coeffs(drift_coeffs)
         if diffusion_coeffs is None:
-            b = DiffusionFamily.zero(a.order, 1, 1)
-        else:
-            if len(diffusion_coeffs) != len(drift_coeffs):
-                raise ShapeError("drift and diffusion coefficient lists must match in length")
-            b = DiffusionFamily.from_scalar_coeffs(diffusion_coeffs)
-        return cls.constant(a, b)
+            return cls.constant(a, DiffusionFamily.zero(a.order, 1, 1))
+        return cls.constant(a, DiffusionFamily.from_scalar_coeffs(diffusion_coeffs))
 
     def drift_at(self, t: float) -> FormalMapping:
-        a = self.drift(t)
-        if a.order != self.order or a.dy != self.dy or a.dz != self.dy:
-            raise ShapeError(f"drift at t={t} has inconsistent shape")
-        return a
+        return self._checked("drift", t, self.drift(t), ())
 
     def diffusion_at(self, t: float) -> DiffusionFamily:
-        b = self.diffusion(t)
-        if b.order != self.order or b.dy != self.dy or b.noise_dim != self.noise_dim:
-            raise ShapeError(f"diffusion at t={t} has inconsistent shape")
-        return b
+        return self._checked("diffusion", t, self.diffusion(t), (self.noise_dim,))
+
+    def _checked(self, what: str, t: float, mapping: FormalMapping, tail: tuple) -> FormalMapping:
+        """mapping, if it has this family's order, maps R^dy to R^dy and has trailing axes tail."""
+        got = (mapping.order, mapping.dy, mapping.dz) + mapping._tail()
+        want = (self.order, self.dy, self.dy) + tail
+        if got != want:
+            raise ShapeError(f"{what} at t={t} has (order, dy, dz, tail) {got}, expected {want}")
+        return mapping
 
 
 @dataclass(frozen=True)
@@ -411,8 +373,7 @@ def one_step_map(
     Composing Psi with the current state reproduces the component-wise Euler
     update of the triangular system.
     """
-    if a_t.dy != a_t.dz or a_t.order != b_t.order or a_t.dy != b_t.dy:
-        raise ShapeError("drift and diffusion shapes are inconsistent")
+    CoefficientFamily.constant(a_t, b_t)  # checks the shapes of a_t and b_t
     dw = np.asarray(dw, dtype=np.float64)
     if dw.shape != (b_t.noise_dim,):
         raise ShapeError(f"dw has shape {dw.shape}, expected ({b_t.noise_dim},)")
@@ -446,11 +407,10 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
         yield state
 
 
-def _check_chain_shapes(coeffs: CoefficientFamily, initial: FormalMapping, noise_dim: int) -> None:
-    if initial.order != coeffs.order or initial.dy != coeffs.dy or initial.dz != coeffs.dy:
-        raise ShapeError("initial condition shape does not match coefficients")
-    if noise_dim != coeffs.noise_dim:
-        raise ShapeError(f"path noise_dim {noise_dim} != coefficients {coeffs.noise_dim}")
+def _check_chain_shapes(coeffs: CoefficientFamily, initial: FormalMapping, paths) -> None:
+    coeffs._checked("initial condition", paths.grid.t_start, initial, ())
+    if paths.noise_dim != coeffs.noise_dim:
+        raise ShapeError(f"path noise_dim {paths.noise_dim} != coefficients {coeffs.noise_dim}")
 
 
 # Overflow surfaces as the typed BlowupError or finite mask, not as numpy warnings.
@@ -467,7 +427,7 @@ def solve_chain(
     initial components of degree <= n.  A non-finite component raises
     BlowupError naming the step and the degree.
     """
-    _check_chain_shapes(coeffs, initial, path.noise_dim)
+    _check_chain_shapes(coeffs, initial, path)
     d = coeffs.dy
     states = [initial]
     start = [c.entries[None] for c in initial.components]
@@ -491,7 +451,7 @@ def solve_chain_batch(
     finite after some step.  Row p of a finite path is bitwise equal to the final
     state of solve_chain on path p.
     """
-    _check_chain_shapes(coeffs, initial, paths.noise_dim)
+    _check_chain_shapes(coeffs, initial, paths)
     finite = np.ones(paths.n_paths, dtype=bool)
     start = [c.entries[None] for c in initial.components]
     for state in _euler_states(coeffs, paths.grid, start, paths.increments):
@@ -555,16 +515,15 @@ def _forcing(
     f_n and g_n are component n of a after S and of b after S, each with its
     degree-1 coefficient zeroed.  state, a and b list entries by degree, each
     with the leading step axis, None where zero at every step.  f has shape
-    shape = (J, dz) + (dy,)*n; g keeps b's noise axis behind the output
-    axis, shape (J, dz, m) + (dy,)*n, and is None when b_2..b_n are None.
+    shape = (J, dz) + (dy,)*n; g keeps b's noise axis last, shape
+    (J, dz) + (dy,)*n + (m,), and is None when b_2..b_n are None.
     """
     f = _compose_component(n, [None] + a[1:n], state, shape, {}, batch=1)
     b = [None] + b[1:n]
     if all(e is None for e in b):
         return f, None
     m = next(e for e in b if e is not None).shape[-1]
-    g = _compose_component(n, b, state, shape[:2] + (m,) + shape[2:], {}, batch=1)
-    return f, g
+    return f, _compose_component(n, b, state, shape + (m,), {}, batch=1, tail=1)
 
 
 def forcing_terms(
@@ -580,15 +539,14 @@ def forcing_terms(
         raise ShapeError(f"forcing terms are defined for n >= 2, got {n}")
     if states_at_t.order < n - 1 or min(a_t.order, b_t.order) < n:
         raise ShapeError(f"need state components up to degree {n - 1}, coefficients up to {n}")
-    dy, dz, m = states_at_t.dy, b_t.dy, b_t.noise_dim
+    dy, dz, m = states_at_t.dy, b_t.dz, b_t.noise_dim
     s, a, b = (
         [None if e is None else e[None] for e in _nonzero_entries(x)]
         for x in (states_at_t, a_t, b_t)
     )
     f, g = _forcing(n, s, a, b, (1, a_t.dz) + (dy,) * n)
-    if g is None:
-        return MultilinearMap(n, dy, a_t.dz, f[0]), DiffusionMap.zero(n, dy, dz, m)
-    return MultilinearMap(n, dy, a_t.dz, f[0]), DiffusionMap(n, dy, dz, m, np.moveaxis(g[0], 1, -1))
+    g = DiffusionMap.zero(n, dy, dz, m) if g is None else DiffusionMap(n, dy, dz, m, g[0])
+    return MultilinearMap(n, dy, a_t.dz, f[0]), g
 
 
 @dataclass(frozen=True)

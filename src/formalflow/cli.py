@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -34,6 +34,7 @@ from .algebra import (
 )
 from .chain import (
     BlowupError,
+    BrownianPath,
     CoefficientFamily,
     DiffusionFamily,
     DiffusionMap,
@@ -80,33 +81,23 @@ class ExperimentConfig:
     initial: dict | None = None
     options: dict = field(default_factory=dict)
 
-    _KNOWN = {
-        "dy", "noise_dim", "order", "t_end", "n_steps", "seed", "n_paths",
-        "drift", "diffusion", "initial",
-    }
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type in (int, "int"):
+                _integer(f.name, getattr(self, f.name))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ShapeError("config must be a JSON object")
-        known = {k: v for k, v in d.items() if k in cls._KNOWN}
-        options = {k: v for k, v in d.items() if k not in cls._KNOWN}
-        return cls(**known, options=options)
+        known = {f.name for f in fields(cls)} - {"options"}
+        options = {k: v for k, v in d.items() if k not in known}
+        return cls(**{k: v for k, v in d.items() if k in known}, options=options)
 
     def to_dict(self) -> dict:
-        out = {
-            "dy": self.dy,
-            "noise_dim": self.noise_dim,
-            "order": self.order,
-            "t_end": self.t_end,
-            "n_steps": self.n_steps,
-            "seed": self.seed,
-            "n_paths": self.n_paths,
-            "drift": self.drift,
-            "diffusion": self.diffusion,
-        }
-        if self.initial is not None:
-            out["initial"] = self.initial
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "options"}
+        if self.initial is None:
+            del out["initial"]
         out.update(self.options)
         return out
 
@@ -115,34 +106,33 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def grid(self) -> TimeGrid:
-        return TimeGrid(0.0, float(self.t_end), int(self.n_steps))
+        return TimeGrid(0.0, float(self.t_end), self.n_steps)
+
+    def path(self) -> BrownianPath:
+        """The Brownian path (seed, path_index) on the config's grid."""
+        index = _integer("path_index", self.options.get("path_index", 0))
+        return sample_path(self.grid(), self.noise_dim, self.seed, index)
 
     def drift_mapping(self) -> FormalMapping:
-        by_degree = self._by_degree("drift", MultilinearMap.from_dict)
-        full = tuple(
-            by_degree.get(k, MultilinearMap.zero(k, self.dy, self.dy))
-            for k in range(1, self.order + 1)
-        )
-        return FormalMapping(self.order, self.dy, self.dy, full)
+        comps = self._components("drift", MultilinearMap)
+        return FormalMapping(self.order, self.dy, self.dy, comps)
 
     def diffusion_family(self) -> DiffusionFamily:
-        by_degree = self._by_degree("diffusion", DiffusionMap.from_dict)
-        full = tuple(
-            by_degree.get(k, DiffusionMap.zero(k, self.dy, self.dy, self.noise_dim))
-            for k in range(1, self.order + 1)
-        )
-        return DiffusionFamily(self.order, self.dy, self.noise_dim, full)
+        comps = self._components("diffusion", DiffusionMap, self.noise_dim)
+        return DiffusionFamily(self.order, self.dy, self.noise_dim, comps)
 
-    def _by_degree(self, key: str, from_dict) -> dict:
-        """The components listed under key, by degree; each degree at most once, <= order."""
-        by_degree = {}
-        for c in map(from_dict, getattr(self, key)):
+    def _components(self, key: str, kind: type, *tail: int) -> tuple:
+        """The components listed under key, zero where missing; each degree once at most, <= order."""
+        comps = [kind.zero(k, self.dy, self.dy, *tail) for k in range(1, self.order + 1)]
+        listed = set()
+        for c in map(kind.from_dict, getattr(self, key)):
             if c.degree > self.order:
                 raise ShapeError(f"{key} component of degree {c.degree} exceeds order {self.order}")
-            if c.degree in by_degree:
+            if c.degree in listed:
                 raise ShapeError(f"duplicate {key} component of degree {c.degree}")
-            by_degree[c.degree] = c
-        return by_degree
+            listed.add(c.degree)
+            comps[c.degree - 1] = c
+        return tuple(comps)
 
     def coefficients(self) -> CoefficientFamily:
         return CoefficientFamily.constant(self.drift_mapping(), self.diffusion_family())
@@ -151,6 +141,13 @@ class ExperimentConfig:
         if self.initial is None:
             return identity(self.order, self.dy)
         return FormalMapping.from_dict(self.initial)
+
+
+def _integer(key: str, value) -> int:
+    """value, if it is an integer; a float or bool in its place is an error, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ShapeError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _json_default(obj):
@@ -192,7 +189,7 @@ def _frobenius_norms(mapping: FormalMapping) -> list[float]:
 
 def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     coeffs = cfg.coefficients()
-    path = sample_path(cfg.grid(), cfg.noise_dim, cfg.seed, int(cfg.options.get("path_index", 0)))
+    path = cfg.path()
     sol = solve_chain(coeffs, cfg.initial_mapping(), path)
     knots = cfg.grid().knots()
     results = {
@@ -239,7 +236,7 @@ def _cmd_evolution_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     split = cfg.options.get("split_knot")
     if split is None:
         split = grid.t_start + (grid.n_steps // 2) * grid.dt
-    path = sample_path(grid, cfg.noise_dim, cfg.seed, int(cfg.options.get("path_index", 0)))
+    path = cfg.path()
     report = evolution_check(coeffs, grid, path, float(split))
     tol = float(cfg.options.get("tolerance", 1e-10))
     passed = report.max_discrepancy <= tol
@@ -257,11 +254,12 @@ def _cmd_evolution_check(cfg: ExperimentConfig, out_dir: Path) -> int:
 def _cmd_taylor_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     coeffs = cfg.coefficients()
     y0 = np.asarray(cfg.options.get("y0", [0.1] * cfg.dy), dtype=np.float64)
-    halvings = int(cfg.options.get("halvings", 5))
+    halvings = _integer("halvings", cfg.options.get("halvings", 5))
     report = truncation_scaling(coeffs, cfg.grid(), y0, halvings)
     expected = report.expected_ratio
     checked = [r for r, ok in zip(report.ratios, report.reliable) if ok]
-    passed = all(0.5 * expected <= r <= 2.0 * expected for r in checked)
+    # with no reliable ratio, nothing was checked
+    passed = bool(checked) and all(0.5 * expected <= r <= 2.0 * expected for r in checked)
     results = report.to_dict()
     results["passed"] = passed
     _write_report(out_dir, "taylor-check", cfg, results)
@@ -272,18 +270,20 @@ def _cmd_taylor_check(cfg: ExperimentConfig, out_dir: Path) -> int:
 def _cmd_formula_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     coeffs = cfg.coefficients()
     grid = cfg.grid()
-    path = sample_path(grid, cfg.noise_dim, cfg.seed, int(cfg.options.get("path_index", 0)))
+    path = cfg.path()
     sol = solve_chain(coeffs, identity(cfg.order, cfg.dy), path)
-    degrees = cfg.options.get("degrees", list(range(2, cfg.order + 1)))
+    degrees = [_integer("degrees", n) for n in cfg.options.get("degrees", range(2, cfg.order + 1))]
+    if not degrees:
+        raise ShapeError("formula-check needs at least one degree in 'degrees'")
     tol = float(cfg.options.get("tolerance", 1e-9))
     per_degree = {}
     passed = True
     for n in degrees:
-        voc = variation_of_constants(int(n), coeffs, sol.states, path)
+        voc = variation_of_constants(n, coeffs, sol.states, path)
         worst = 0.0
         for i, s in enumerate(sol.states):
-            diff = np.linalg.norm(voc[i].entries - s.component(int(n)).entries)
-            ref = np.linalg.norm(s.component(int(n)).entries)
+            diff = np.linalg.norm(voc[i].entries - s.component(n).entries)
+            ref = np.linalg.norm(s.component(n).entries)
             worst = max(worst, diff / ref if ref > 0 else diff)
         per_degree[str(n)] = worst
         passed = passed and worst <= tol
@@ -334,8 +334,8 @@ def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         t_end=float(cfg.t_end),
         noise_dim=cfg.noise_dim,
         dt_values=[float(x) for x in dt_values],
-        n_paths=int(cfg.n_paths),
-        seed=int(cfg.seed),
+        n_paths=cfg.n_paths,
+        seed=cfg.seed,
     )
     results = report.to_dict()
     passed = True

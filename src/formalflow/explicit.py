@@ -90,8 +90,7 @@ def _loads(n: int, coeffs: CoefficientFamily, chain_states, path: BrownianPath) 
     )
     loads = grid.dt * f
     if g is not None:
-        # the noise slot goes last, as in DiffusionMap
-        loads = loads + _noise(np.moveaxis(g, 2, -1), path.increments, batch=1)
+        loads = loads + _noise(g, path.increments, batch=1)
     return loads
 
 

@@ -145,6 +145,8 @@ def estimate_order(
     """
     if len(dt_values) < 3:
         raise ShapeError("need at least 3 step sizes")
+    if min(dt_values) <= 0 or len(set(dt_values)) != len(dt_values):
+        raise ShapeError(f"step sizes must be positive and distinct, got {list(dt_values)}")
     dts = sorted(dt_values, reverse=True)
     fine_dt = dts[-1]
     fine_steps = round(t_end / fine_dt)
@@ -243,6 +245,8 @@ def truncation_scaling(
     simulation keeps the full coefficients), for studying remainders below
     the coefficient order.
     """
+    if halvings < 1:
+        raise ShapeError(f"need at least one halving for a ratio, got {halvings}")
     dt = grid.dt
     for i in range(grid.n_steps):
         if any(not b.is_zero for b in coeffs.diffusion_at(grid.t_start + i * dt).components):

@@ -1,4 +1,7 @@
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +280,14 @@ class TestSimulateDirect:
 
 
 class TestEvolutionCheck:
+    def test_demo_script(self, monkeypatch, capsys):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "evolution_demo.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--steps", "32"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert info.value.code == 0
+        assert float(capsys.readouterr().out.rsplit("max = ", 1)[1]) <= 1e-10
+
     def test_zero_coefficients_exact(self):
         co = CoefficientFamily.constant_scalar([0.0, 0.0], [0.0, 0.0])
         grid = TimeGrid(0.0, 1.0, 8)

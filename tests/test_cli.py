@@ -213,6 +213,26 @@ class TestTaylorCheck:
         assert (out / "scaling.csv").exists()
 
 
+    @pytest.mark.parametrize("halvings", [0, -1])
+    def test_no_halving_is_validation_error(self, tmp_path, capsys, halvings):
+        # with no halving there is no ratio, and the check used to pass
+        cfg = {"dy": 1, "order": 2, "n_steps": 8, "halvings": halvings}
+        path = write_config(tmp_path, "c.json", cfg)
+        rc = main(["taylor-check", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "halving" in capsys.readouterr().err
+
+    def test_no_reliable_ratio_fails(self, tmp_path):
+        # a linear flow has no truncation gap, so every ratio is unreliable
+        cfg = {"dy": 1, "order": 1, "n_steps": 8, "drift": [scalar_tensor(1, 1.0)], "halvings": 3}
+        out = tmp_path / "o"
+        path = write_config(tmp_path, "c.json", cfg)
+        rc = main(["taylor-check", "--config", path, "--out", str(out)])
+        results = read_report(out)["results"]
+        assert not any(results["reliable"])
+        assert rc == 4 and results["passed"] is False
+
+
 class TestFormulaCheck:
     def test_scalar_quadratic_passes(self, tmp_path):
         cfg = {
@@ -231,6 +251,14 @@ class TestFormulaCheck:
         assert rc == 0
         results = read_report(out)["results"]
         assert results["max_relative_error_by_degree"]["2"] <= 1e-9
+
+    def test_empty_degree_list_is_validation_error(self, tmp_path, capsys):
+        # "degrees": [] used to check nothing and report passed
+        cfg = {"dy": 1, "order": 2, "n_steps": 8, "drift": [scalar_tensor(2, 0.5)], "degrees": []}
+        path = write_config(tmp_path, "c.json", cfg)
+        rc = main(["formula-check", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "degrees" in capsys.readouterr().err
 
     def test_degree_one_noise_is_validation_error(self, tmp_path):
         cfg = {
@@ -340,6 +368,19 @@ class TestConvergence:
         assert "1 of 1 paths blew up (limit 1%)" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "dt_values, problem",
+        [([0.5, 0.25, 0], "positive"), ([0.5, 0.25, 0.25], "distinct")],
+    )
+    def test_bad_step_sizes_are_validation_errors(self, tmp_path, capsys, dt_values, problem):
+        # a zero step was a ZeroDivisionError traceback; a repeated one fitted
+        # the slope through two distinct step sizes and exited 0
+        cfg = {"n_paths": 1, "problem": {"kind": "quadratic"}, "dt_values": dt_values}
+        path = write_config(tmp_path, "c.json", cfg)
+        rc = main(["convergence", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert problem in capsys.readouterr().err
+
     def test_closed_form_overflow_is_blowup(self, tmp_path, capsys):
         # exp(800) overflows a float; this used to end in an OverflowError traceback
         cfg = {"n_paths": 1, "problem": {"kind": "gbm", "alpha": 800.0}, "dt_values": [0.5, 0.25, 0.125]}
@@ -448,6 +489,28 @@ class TestStrictConfig:
         assert main([subcommand, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "n_paths = 3" in capsys.readouterr().err
         assert main([subcommand, "--config", path, "--out", str(tmp_path / "o"), "--paths", "1"]) == 0
+
+    @pytest.mark.parametrize(
+        "subcommand, fields, key",
+        [
+            ("solve", {"n_steps": 8.5}, "n_steps"),  # used to integrate 8 steps
+            ("solve", {"n_steps": True}, "n_steps"),  # used to integrate 1 step
+            ("solve", {"path_index": 1.9}, "path_index"),  # used path 1
+            ("convergence", {"n_paths": 2.5}, "n_paths"),  # used 2 paths
+            ("solve", {"dy": 1.0}, "dy"),
+            ("solve", {"noise_dim": 1.5}, "noise_dim"),
+            ("solve", {"order": False}, "order"),
+            ("solve", {"seed": 3.5}, "seed"),
+            ("taylor-check", {"halvings": 2.5}, "halvings"),
+            ("formula-check", {"degrees": [2, 3.0]}, "degrees"),
+        ],
+    )
+    def test_non_integer_values_are_rejected(self, tmp_path, capsys, subcommand, fields, key):
+        cfg = {"dy": 1, "order": 3, "n_steps": 8, "drift": [scalar_tensor(2, 0.5)]}
+        if subcommand == "convergence":
+            cfg = {"problem": {"kind": "gbm"}, "dt_values": [0.5, 0.25, 0.125]}
+        assert self.run(tmp_path, subcommand, dict(cfg, **fields)) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["convergence_gbm.json", "convergence_quadratic.json"])
     def test_shipped_configs_pass(self, tmp_path, name):
