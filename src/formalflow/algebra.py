@@ -3,8 +3,10 @@
 A formal mapping of order N from R^dY to R^dZ is a sequence of k-linear maps
 (k = 1..N), each stored as a dense tensor of shape (dZ, dY, ..., dY) with the
 output index slowest and the k argument indices following in argument order.
-Composition is the Faa-di-Bruno-type double sum over ordered integer
-compositions of the target degree.
+The contraction kernel reads the outer operand slots-first, (dY, ..., dY, dZ),
+a layout each map builds once, on first use.  Composition is the
+Faa-di-Bruno-type double sum over ordered integer compositions of the target
+degree, compiled once per zero pattern into a flat list of contractions.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from numbers import Real
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -72,6 +75,14 @@ class MultilinearMap:
     def is_zero(self) -> bool:
         return not self.entries.any()
 
+    @cached_property
+    def slots_first(self) -> np.ndarray:
+        """entries with the argument axes leading, (dy, ..., dy, dz, tail...):
+        the layout `_contract` plugs into.  Built on first use, once per map."""
+        arr = np.ascontiguousarray(np.moveaxis(self.entries, 0, self.degree))
+        arr.setflags(write=False)
+        return arr
+
     @classmethod
     def zero(cls, degree: int, dy: int, dz: int, *tail: int) -> "MultilinearMap":
         """The zero map; tail gives the trailing axes' lengths, if the type has any."""
@@ -81,13 +92,13 @@ class MultilinearMap:
         """Value on k vectors, contracting argument slots in order."""
         if len(vectors) != self.degree:
             raise ShapeError(f"expected {self.degree} vectors, got {len(vectors)}")
-        out = self.entries
+        out = self.slots_first
         for v in vectors:
             v = np.asarray(v, dtype=np.float64)
             if v.shape != (self.dy,):
                 raise ShapeError(f"argument vector has shape {v.shape}, expected ({self.dy},)")
-            out = _contract(out, v)
-        return out
+            out = _contract(out, v[:, None])
+        return out.reshape((self.dz,) + self._tail())
 
     def to_dict(self) -> dict:
         out = {"degree": self.degree, "dy": self.dy, "dz": self.dz}
@@ -97,7 +108,13 @@ class MultilinearMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MultilinearMap":
-        entries = np.asarray(d["entries"], dtype=np.float64)
+        entries = np.asarray(d["entries"], dtype=object)
+        for kind in set(map(type, entries.flat)):
+            if kind in (bool, np.bool_) or not issubclass(kind, Real):
+                raise ShapeError(
+                    f"entries of a degree-{d['degree']} map must be numbers, got {kind.__name__}"
+                )
+        entries = entries.astype(np.float64)
         return cls(d["degree"], d["dy"], d["dz"], *(d[key] for key in cls._TAIL_KEYS), entries)
 
 
@@ -174,17 +191,21 @@ class FormalMapping:
 def _contract(t: np.ndarray, a: np.ndarray, batch: int = 0) -> np.ndarray:
     """The slot-contraction kernel: plug a into the leading argument slot of t.
 
-    a's input axes are appended last, so repeated calls fill t's slots in order.
+    a is a matrix stack (batch..., m, cols): the inner map's output axis,
+    then its input axes flattened.  t is slots-first: after its first
+    `batch` axes, its entries in C order run over the slot being filled
+    slowest (see `MultilinearMap.slots_first`); the rest of its shape does
+    not matter.  The product takes t's slot axis transposed as it lies, so
+    nothing is copied.  The result is the matrix stack (batch..., rows,
+    cols): rows run over t's other axes in order, its next slot slowest, so
+    it feeds the next call as it is, and columns over a's input axes.  Once
+    every slot is filled, it reshapes to (out, trailing..., inputs...).
     The first `batch` axes of t and a are path axes, broadcast against each
-    other.  Each path is one matrix product with the shape and layout of the
-    unbatched call, so it gives the same bits.
+    other; each path is one matrix product, bitwise equal to the unbatched
+    call.
     """
-    m = t.shape[batch + 1]
-    if t.ndim > batch + 2:
-        # move the slot axis last (np.moveaxis costs more than the product here)
-        t = t.transpose(tuple(range(batch + 1)) + tuple(range(batch + 2, t.ndim)) + (batch + 1,))
-    out = t.reshape(t.shape[:batch] + (-1, m)) @ a.reshape(a.shape[:batch] + (m, -1))
-    return out.reshape(out.shape[:batch] + t.shape[batch:-1] + a.shape[batch + 1 :])
+    m = a.shape[batch]
+    return t.reshape(t.shape[:batch] + (m, -1)).swapaxes(-1, -2) @ a
 
 
 def enumerate_compositions(n: int, k: int) -> list[tuple[int, ...]]:
@@ -207,44 +228,87 @@ def _plan(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((k, parts) for k in range(1, n + 1) for parts in enumerate_compositions(n, k))
 
 
-def _compose_component(
-    n: int, b: list, a: list, shape: tuple, memo: dict, batch: int = 0, tail: int = 0
-) -> np.ndarray:
-    """Component n of b after a, its plan terms summed in order.
+@lru_cache
+def _schedule(
+    order: int, b_nonzero: tuple[bool, ...], a_nonzero: tuple[bool, ...], first: int = 1
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The plan terms of components first..order, compiled for one zero pattern.
 
-    b and a list entries by degree, None where zero; a term with a zero operand
-    is skipped, b_k tested first.  memo holds each b_k contracted with leading
-    parts, shared by all components of one composition.  The last `tail` axes
-    of b's entries are not slots; they stay last in the result, whose shape is
-    shape.  The first `batch` axes of every entry are path axes (see
-    `_contract`); shape includes them.
+    b_nonzero[k-1] and a_nonzero[j-1] tell whether b_k and a_j are nonzero;
+    a term with a zero operand is dropped.  Values 0..order-1 are b_1..b_order,
+    and op i, (source, j), makes value order + i by plugging a_j into the
+    leading slot of value source.  Each prefix (k, j_1..j_i) of a kept term
+    is one op, shared by every term that starts with it.  terms[n - first]
+    lists the values that component n sums, in plan order.
     """
-    acc = np.zeros(shape)
-    for k, parts in _plan(n):
-        if b[k - 1] is None or any(a[j - 1] is None for j in parts):
-            continue
-        t = b[k - 1]
-        for i in range(1, len(parts) + 1):
-            key = (k, parts[:i])
-            if key not in memo:
-                memo[key] = _contract(t, a[parts[i - 1] - 1], batch)
-            t = memo[key]
-        acc += _tail_last(t, batch, tail)
-    return acc
+    made: dict = {}
+    ops, terms = [], []
+    for n in range(first, order + 1):
+        kept = []
+        for k, parts in _plan(n):
+            if not (b_nonzero[k - 1] and all(a_nonzero[j - 1] for j in parts)):
+                continue
+            v = k - 1
+            for i, j in enumerate(parts, start=1):
+                if (k, parts[:i]) not in made:
+                    made[k, parts[:i]] = order + len(ops)
+                    ops.append((v, j))
+                v = made[k, parts[:i]]
+            kept.append(v)
+        terms.append(tuple(kept))
+    return tuple(ops), tuple(terms)
+
+
+def _compose_entries(
+    b: list, a: list, shapes: list, batch: int = 0, tail: int = 0, first: int = 1
+) -> list[np.ndarray]:
+    """Components first.. of b after a, one per shape, by their `_schedule`.
+
+    b lists entries by degree in slots-first layout, a in the usual layout,
+    each None where zero.  The last `tail` axes of b's entries are not slots;
+    they stay last in the results.  The first `batch` axes of every entry are
+    path axes (see `_contract`); the shapes include them.
+    """
+    order = first + len(shapes) - 1
+    a = [None if e is None else e.reshape(e.shape[: batch + 1] + (-1,)) for e in a[:order]]
+    ops, terms = _schedule(
+        order,
+        tuple(e is not None for e in b[:order]),
+        tuple(j < len(a) and a[j] is not None for j in range(order)),
+        first,
+    )
+    values = list(b[:order])
+    for source, j in ops:
+        values.append(_contract(values[source], a[j - 1], batch))
+    out = []
+    for shape, term in zip(shapes, terms):
+        # the terms come out (out, trailing..., inputs...), see _contract
+        cut = len(shape) - tail
+        raw = shape[: batch + 1] + shape[cut:] + shape[batch + 1 : cut]
+        acc = np.zeros(raw)
+        for v in term:
+            t = values[v]
+            acc += t.reshape(t.shape[:batch] + raw[batch:])
+        out.append(_tail_last(acc, batch, tail))
+    return out
 
 
 def _tail_last(t: np.ndarray, batch: int, tail: int) -> np.ndarray:
     """Contraction leaves the `tail` trailing axes of b_k behind its output
-    axis, ahead of the plugged-in input axes; move them back last."""
+    axis, ahead of the plugged-in input axes; move them back last (a view)."""
     if not tail:
         return t
     lead = range(batch + 1, batch + 1 + tail)
     return np.moveaxis(t, lead, range(t.ndim - tail, t.ndim))
 
 
-def _nonzero_entries(mapping) -> list[np.ndarray | None]:
-    """Entries of each component of a mapping, None where zero."""
-    return [None if c.is_zero else c.entries for c in mapping.components]
+def _nonzero_entries(mapping, slots_first: bool = False) -> list[np.ndarray | None]:
+    """Entries of each component of a mapping, None where zero; in
+    slots-first layout if asked, for the outer operand of a composition."""
+    return [
+        None if c.is_zero else c.slots_first if slots_first else c.entries
+        for c in mapping.components
+    ]
 
 
 def apply_to_tuple(b_k: MultilinearMap, args: Sequence[MultilinearMap]) -> MultilinearMap:
@@ -262,11 +326,12 @@ def apply_to_tuple(b_k: MultilinearMap, args: Sequence[MultilinearMap]) -> Multi
                 f"argument maps must map R^{args[0].dy} to R^{b_k.dy} with no trailing axes, "
                 f"got shape {a.entries.shape}"
             )
-    t = b_k.entries
+    t = b_k.slots_first
     for a in args:
-        t = _contract(t, a.entries)
+        t = _contract(t, a.entries.reshape(a.dz, -1))
     tail = b_k._tail()
     n = sum(a.degree for a in args)
+    t = t.reshape((b_k.dz,) + tail + (args[0].dy,) * n)
     return type(b_k)(n, args[0].dy, b_k.dz, *tail, _tail_last(t, 0, len(tail)))
 
 
@@ -285,14 +350,12 @@ def compose(b: FormalMapping, a: FormalMapping) -> FormalMapping:
             f"got codomain R^{a.dz} and trailing axes {a._tail()}"
         )
     order = min(a.order, b.order)
-    b_entries, a_entries = _nonzero_entries(b), _nonzero_entries(a)
     tail = b._tail()
-    memo: dict = {}
-    comps = []
-    for n in range(1, order + 1):
-        shape = (b.dz,) + (a.dy,) * n + tail
-        acc = _compose_component(n, b_entries, a_entries, shape, memo, tail=len(tail))
-        comps.append(b._COMPONENT(n, a.dy, b.dz, *tail, acc))
+    shapes = [(b.dz,) + (a.dy,) * n + tail for n in range(1, order + 1)]
+    entries = _compose_entries(
+        _nonzero_entries(b, slots_first=True), _nonzero_entries(a), shapes, tail=len(tail)
+    )
+    comps = [b._COMPONENT(n, a.dy, b.dz, *tail, e) for n, e in enumerate(entries, start=1)]
     return b._of(order, comps)
 
 
@@ -320,8 +383,8 @@ def evaluate(a: FormalMapping, y: np.ndarray) -> np.ndarray:
     for comp in a.components:
         if comp.is_zero:
             continue
-        t = comp.entries[(None,) * batch]
+        t = comp.slots_first[(None,) * batch]
         for _ in range(comp.degree):
-            t = _contract(t, y, batch)
-        out += t
+            t = _contract(t, y[..., None], batch)
+        out += t.reshape(out.shape)
     return out

@@ -19,7 +19,7 @@ from .algebra import (
     MultilinearMap,
     NonFiniteError,
     ShapeError,
-    _compose_component,
+    _compose_entries,
     _contract,
     _nonzero_entries,
     apply_to_tuple,
@@ -339,28 +339,35 @@ def _noise(b_k: np.ndarray, dw: np.ndarray, batch: int = 0) -> np.ndarray:
     return out.reshape((p,) + b_k.shape[batch:-1])
 
 
+def _drift_part(a_t: FormalMapping, dt: float) -> list[np.ndarray]:
+    """The deterministic part of Psi by degree, slots-first with a leading
+    axis of length 1: id + a_1*dt, then a_k*dt (zero where a_k is zero)."""
+    d = a_t.dy
+    out = []
+    for k, ak in enumerate(a_t.components, start=1):
+        entries = np.eye(d) if k == 1 else np.zeros((d,) * (k + 1))
+        if not ak.is_zero:
+            entries = entries + dt * ak.slots_first
+        out.append(entries[None])
+    return out
+
+
 def _step_entries(
-    a_t: FormalMapping, b_t: DiffusionFamily, dt: float, dw: np.ndarray
+    a_t: FormalMapping, drift: list[np.ndarray], b_t: DiffusionFamily, dw: np.ndarray
 ) -> list[np.ndarray | None]:
     """Entries of the one-step mapping Psi by degree, for each row of dw (P, m).
 
     Psi_1 = id + a_1*dt + b_1(., dw); Psi_k = a_k*dt + b_k(..., dw) for k >= 2,
-    and None where a_k and b_k are both zero.  Each entry has a leading path
-    axis: P where it has noise, else 1, shared by all paths.
+    and None where a_k and b_k are both zero.  drift is `_drift_part(a_t, dt)`.
+    Each entry is slots-first (see `_contract`) with a leading path axis: P
+    where it has noise, else 1, shared by all paths.
     """
-    d = a_t.dy
     out = []
-    for k, (ak, bk) in enumerate(zip(a_t.components, b_t.components), start=1):
-        if k > 1 and ak.is_zero and bk.is_zero:
-            out.append(None)
-            continue
-        entries = np.eye(d) if k == 1 else np.zeros((d,) + (d,) * k)
-        if not ak.is_zero:
-            entries = entries + dt * ak.entries
-        entries = entries[None]
-        if not bk.is_zero:
-            entries = entries + _noise(bk.entries, dw)
-        out.append(entries)
+    for k, (ak, entries, bk) in enumerate(zip(a_t.components, drift, b_t.components), start=1):
+        if bk.is_zero:
+            out.append(None if k > 1 and ak.is_zero else entries)
+        else:
+            out.append(entries + _noise(bk.slots_first, dw))
     return out
 
 
@@ -378,9 +385,10 @@ def one_step_map(
     if dw.shape != (b_t.noise_dim,):
         raise ShapeError(f"dw has shape {dw.shape}, expected ({b_t.noise_dim},)")
     d = a_t.dy
+    psi = _step_entries(a_t, _drift_part(a_t, dt), b_t, dw[None])
     comps = tuple(
-        MultilinearMap(k, d, d, np.zeros((d,) + (d,) * k) if e is None else e[0])
-        for k, e in enumerate(_step_entries(a_t, b_t, dt, dw[None]), start=1)
+        MultilinearMap(k, d, d, np.zeros((d,) + (d,) * k) if e is None else np.moveaxis(e[0], k, 0))
+        for k, e in enumerate(psi, start=1)
     )
     return FormalMapping(a_t.order, d, d, comps)
 
@@ -391,19 +399,21 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
     A state lists its entries by degree, each with a leading path axis;
     the initial one may have a single row shared by all paths.  dw holds
     the increments, shape (P, n_steps, m).  Each step composes the one-step
-    mapping with the previous state, path by path; a term is skipped when
-    its coefficient is zero or its state component is zero on every path.
+    mapping with the previous state, path by path, by the `_schedule` of the
+    zero pattern: a term is skipped when its coefficient is zero or its state
+    component is zero on every path.  The deterministic part of the one-step
+    mapping is rebuilt only when drift_at returns a new object.
     """
     n_paths, dt, d = dw.shape[0], grid.dt, coeffs.dy
+    shapes = [(n_paths, d) + (d,) * n for n in range(1, coeffs.order + 1)]
+    a_t = drift = None
     for i in range(grid.n_steps):
         t_i = grid.t_start + i * dt
-        psi = _step_entries(coeffs.drift_at(t_i), coeffs.diffusion_at(t_i), dt, dw[:, i])
+        if (a_next := coeffs.drift_at(t_i)) is not a_t:
+            a_t, drift = a_next, _drift_part(a_next, dt)
+        psi = _step_entries(a_t, drift, coeffs.diffusion_at(t_i), dw[:, i])
         prev = [e if e.any() else None for e in state]
-        memo: dict = {}
-        state = [
-            _compose_component(n, psi, prev, (n_paths, d) + (d,) * n, memo, batch=1)
-            for n in range(1, coeffs.order + 1)
-        ]
+        state = _compose_entries(psi, prev, shapes, batch=1)
         yield state
 
 
@@ -492,10 +502,10 @@ def simulate_direct(
         for bk in b_t.components:
             if bk.is_zero:
                 continue
-            t = _noise(bk.entries, dw[:, i])
+            t = _noise(bk.slots_first, dw[:, i])
             for _ in range(bk.degree):
-                t = _contract(t, y, batch=1)
-            dy = dy + t
+                t = _contract(t, y[..., None], batch=1)
+            dy = dy + t.reshape(dy.shape)
         y = y + dy
         out[i + 1] = y
     if batched:
@@ -514,16 +524,18 @@ def _forcing(
 
     f_n and g_n are component n of a after S and of b after S, each with its
     degree-1 coefficient zeroed.  state, a and b list entries by degree, each
-    with the leading step axis, None where zero at every step.  f has shape
+    with the leading step axis, None where zero at every step; a and b are
+    slots-first (see `_contract`).  f has shape
     shape = (J, dz) + (dy,)*n; g keeps b's noise axis last, shape
     (J, dz) + (dy,)*n + (m,), and is None when b_2..b_n are None.
     """
-    f = _compose_component(n, [None] + a[1:n], state, shape, {}, batch=1)
+    (f,) = _compose_entries([None] + a[1:n], state, [shape], batch=1, first=n)
     b = [None] + b[1:n]
     if all(e is None for e in b):
         return f, None
     m = next(e for e in b if e is not None).shape[-1]
-    return f, _compose_component(n, b, state, shape + (m,), {}, batch=1, tail=1)
+    (g,) = _compose_entries(b, state, [shape + (m,)], batch=1, tail=1, first=n)
+    return f, g
 
 
 def forcing_terms(
@@ -541,8 +553,8 @@ def forcing_terms(
         raise ShapeError(f"need state components up to degree {n - 1}, coefficients up to {n}")
     dy, dz, m = states_at_t.dy, b_t.dz, b_t.noise_dim
     s, a, b = (
-        [None if e is None else e[None] for e in _nonzero_entries(x)]
-        for x in (states_at_t, a_t, b_t)
+        [None if e is None else e[None] for e in _nonzero_entries(x, slots_first)]
+        for x, slots_first in ((states_at_t, False), (a_t, True), (b_t, True))
     )
     f, g = _forcing(n, s, a, b, (1, a_t.dz) + (dy,) * n)
     g = DiffusionMap.zero(n, dy, dz, m) if g is None else DiffusionMap(n, dy, dz, m, g[0])

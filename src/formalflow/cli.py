@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import GeneratorType
 from typing import Any
 
 import numpy as np
@@ -85,6 +86,8 @@ class ExperimentConfig:
         for f in fields(self):
             if f.type in (int, "int"):
                 _integer(f.name, getattr(self, f.name))
+            elif f.type in (float, "float"):
+                _number(f.name, getattr(self, f.name))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -150,6 +153,16 @@ def _integer(key: str, value) -> int:
     return value
 
 
+def _number(key: str, value) -> float:
+    """value as a float, if it is a number; a bool or string in its place is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ShapeError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ShapeError(f"{key} is too large, got {value!r}") from None
+
+
 def _json_default(obj):
     if isinstance(obj, np.bool_):
         return bool(obj)
@@ -160,6 +173,35 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+_JSON_OPTIONS = {"sort_keys": True, "separators": (",", ":"), "default": _json_default}
+
+
+def _write_json(fh, obj) -> None:
+    """Write obj as json.dumps(obj, **_JSON_OPTIONS) would, without building
+    the whole string.
+
+    A dict is written key by key in sorted order (its keys must be strings,
+    as in every results block), and a generator item by item, as the list of
+    its items; so only one item of a generator exists at a time.  Anything
+    else is one json.dumps call.
+    """
+    if isinstance(obj, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(obj)):
+            fh.write("," if i else "")
+            fh.write(json.dumps(key) + ":")
+            _write_json(fh, obj[key])
+        fh.write("}")
+    elif isinstance(obj, GeneratorType):
+        fh.write("[")
+        for i, item in enumerate(obj):
+            fh.write("," if i else "")
+            _write_json(fh, item)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj, **_JSON_OPTIONS))
 
 
 def _write_report(out_dir: Path, subcommand: str, cfg: ExperimentConfig, results: dict) -> Path:
@@ -173,12 +215,11 @@ def _write_report(out_dir: Path, subcommand: str, cfg: ExperimentConfig, results
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     report_path = out_dir / "report.json"
-    results_blob = json.dumps(results, sort_keys=True, separators=(",", ":"), default=_json_default)
     with open(report_path, "w") as fh:
         fh.write('{"provenance": ')
         fh.write(json.dumps(provenance, sort_keys=True))
         fh.write(', "results": ')
-        fh.write(results_blob)
+        _write_json(fh, results)
         fh.write("}\n")
     return report_path
 
@@ -194,7 +235,8 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     knots = cfg.grid().knots()
     results = {
         "knots": knots.tolist(),
-        "states": [s.to_dict() for s in sol.states],
+        # streamed: one state's float lists at a time
+        "states": (s.to_dict() for s in sol.states),
     }
     _write_report(out_dir, "solve", cfg, results)
     with open(out_dir / "trajectory.csv", "w") as fh:
@@ -210,7 +252,7 @@ def _cmd_compose_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     a = FormalMapping.from_dict(cfg.options["a"])
     b = FormalMapping.from_dict(cfg.options["b"])
     c = compose(b, a)
-    tol = float(cfg.options.get("tolerance", 1e-12))
+    tol = _number("tolerance", cfg.options.get("tolerance", 1e-12))
     results: dict[str, Any] = {"composed": c.to_dict()}
     passed = True
     if a.dy == a.dz == b.dy == b.dz == 1:
@@ -236,9 +278,8 @@ def _cmd_evolution_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     split = cfg.options.get("split_knot")
     if split is None:
         split = grid.t_start + (grid.n_steps // 2) * grid.dt
-    path = cfg.path()
-    report = evolution_check(coeffs, grid, path, float(split))
-    tol = float(cfg.options.get("tolerance", 1e-10))
+    tol = _number("tolerance", cfg.options.get("tolerance", 1e-10))
+    report = evolution_check(coeffs, grid, cfg.path(), _number("split_knot", split))
     passed = report.max_discrepancy <= tol
     results = {
         "split_knot": report.split_knot,
@@ -253,7 +294,10 @@ def _cmd_evolution_check(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _cmd_taylor_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     coeffs = cfg.coefficients()
-    y0 = np.asarray(cfg.options.get("y0", [0.1] * cfg.dy), dtype=np.float64)
+    y0 = cfg.options.get("y0", [0.1] * cfg.dy)
+    if not isinstance(y0, list):
+        raise ShapeError(f"y0 must be a list of {cfg.dy} numbers, got {y0!r}")
+    y0 = np.array([_number("y0", v) for v in y0])
     halvings = _integer("halvings", cfg.options.get("halvings", 5))
     report = truncation_scaling(coeffs, cfg.grid(), y0, halvings)
     expected = report.expected_ratio
@@ -275,7 +319,7 @@ def _cmd_formula_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     degrees = [_integer("degrees", n) for n in cfg.options.get("degrees", range(2, cfg.order + 1))]
     if not degrees:
         raise ShapeError("formula-check needs at least one degree in 'degrees'")
-    tol = float(cfg.options.get("tolerance", 1e-9))
+    tol = _number("tolerance", cfg.options.get("tolerance", 1e-9))
     per_degree = {}
     passed = True
     for n in degrees:
@@ -303,9 +347,18 @@ def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     if kind not in _PROBLEM_KEYS:
         raise ShapeError(f"unknown convergence problem kind '{kind}'")
     _reject_unknown(problem, _PROBLEM_KEYS[kind], f"problem kind '{kind}'")
+    dt_values = [_number("dt_values", x) for x in dt_values]
+    check = "expected_slope" in cfg.options
+    if check:
+        expected = _number("expected_slope", cfg.options["expected_slope"])
+        tol = _number("slope_tol", cfg.options.get("slope_tol", 0.15))
+
+    def number(key: str, default: float) -> float:
+        return _number(f"problem {key}", problem.get(key, default))
+
     if kind == "gbm":
-        alpha = float(problem.get("alpha", 1.0))
-        beta = float(problem.get("beta", 0.5))
+        alpha = number("alpha", 1.0)
+        beta = number("beta", 0.5)
         coeffs = CoefficientFamily.constant_scalar([alpha], [beta])
 
         def simulate(paths: PathBatch) -> np.ndarray:
@@ -317,9 +370,9 @@ def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
             return np.array([[gbm_closed_form(alpha, beta, cfg.t_end, float(w))] for w in w_t])
 
     else:
-        alpha = float(problem.get("alpha", 1.0))
-        gamma = float(problem.get("gamma", 0.5))
-        y0 = float(problem.get("y0", 0.1))
+        alpha = number("alpha", 1.0)
+        gamma = number("gamma", 0.5)
+        y0 = number("y0", 0.1)
         coeffs = CoefficientFamily.constant_scalar([alpha, gamma])
 
         def simulate(paths: PathBatch) -> np.ndarray:
@@ -333,16 +386,15 @@ def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         exact,
         t_end=float(cfg.t_end),
         noise_dim=cfg.noise_dim,
-        dt_values=[float(x) for x in dt_values],
+        dt_values=dt_values,
         n_paths=cfg.n_paths,
         seed=cfg.seed,
     )
     results = report.to_dict()
     passed = True
-    if "expected_slope" in cfg.options:
-        tol = float(cfg.options.get("slope_tol", 0.15))
-        passed = abs(report.slope - float(cfg.options["expected_slope"])) <= tol
-        results["expected_slope"] = float(cfg.options["expected_slope"])
+    if check:
+        passed = abs(report.slope - expected) <= tol
+        results["expected_slope"] = expected
         results["slope_tol"] = tol
     results["passed"] = passed
     _write_report(out_dir, "convergence", cfg, results)

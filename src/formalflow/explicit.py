@@ -58,15 +58,18 @@ def fundamental(coeffs: CoefficientFamily, path: BrownianPath) -> FundamentalSol
     return FundamentalSolution(tuple(factors))
 
 
-def _stacked(components_by_step, top: int) -> list[np.ndarray | None]:
-    """Entries of degrees 1..top stacked along a leading step axis.
-
-    A degree is None only when it is zero at every step.
+def _stacked(components_by_step, top: int, slots_first: bool = False) -> list[np.ndarray | None]:
+    """Entries of degrees 1..top stacked along a leading step axis, in
+    slots-first layout if asked.  A degree is None only when it is zero at
+    every step.
     """
     out = []
     for k in range(top):
         comps = [c[k] for c in components_by_step]
-        out.append(None if all(c.is_zero for c in comps) else np.stack([c.entries for c in comps]))
+        if all(c.is_zero for c in comps):
+            out.append(None)
+        else:
+            out.append(np.stack([c.slots_first if slots_first else c.entries for c in comps]))
     return out
 
 
@@ -86,7 +89,11 @@ def _loads(n: int, coeffs: CoefficientFamily, chain_states, path: BrownianPath) 
     state = _stacked([s.components for s in chain_states[:-1]], n - 1)
     d = coeffs.dy
     f, g = _forcing(
-        n, state, _stacked(drifts, n), _stacked(diffusions, n), (grid.n_steps, d) + (d,) * n
+        n,
+        state,
+        _stacked(drifts, n, slots_first=True),
+        _stacked(diffusions, n, slots_first=True),
+        (grid.n_steps, d) + (d,) * n,
     )
     loads = grid.dt * f
     if g is not None:
@@ -125,7 +132,8 @@ def variation_of_constants(
     trajectory = [MultilinearMap(n, d, d, np.zeros((d,) + (d,) * n))]
     for i in range(1, grid.n_steps + 1):
         phi = np.concatenate((factors[i - 1] @ phi, eye))
-        terms = _contract(phi, loads[:i], batch=1)
+        # Phi's slot is its column axis; the transposed view is slots-first
+        terms = _contract(phi.swapaxes(1, 2), loads[:i].reshape(i, d, -1), batch=1)
         # cumsum adds in order; sum() would add pairwise
         trajectory.append(MultilinearMap(n, d, d, np.cumsum(terms, axis=0)[-1]))
     return trajectory

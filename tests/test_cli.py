@@ -1,11 +1,14 @@
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formalflow import MultilinearMap
-from formalflow.cli import ExperimentConfig, main
+from formalflow.cli import ExperimentConfig, _json_default, _write_json, main
 from conftest import random_coefficients
 
 
@@ -512,6 +515,36 @@ class TestStrictConfig:
         assert self.run(tmp_path, subcommand, dict(cfg, **fields)) == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand, fields, message",
+        [
+            ("evolution-check", {"t_end": True}, "t_end must be a number"),  # ran on [0, 1]
+            ("evolution-check", {"tolerance": True}, "tolerance must be a number"),  # recorded 1.0
+            ("evolution-check", {"split_knot": True}, "split_knot must be a number"),
+            ("formula-check", {"tolerance": "1e-9"}, "tolerance must be a number"),
+            ("taylor-check", {"y0": [True]}, "y0 must be a number"),
+            ("taylor-check", {"y0": 0.1}, "y0 must be a list"),
+            # a quadratic run with slope_tol true passed with tolerance 1.0
+            ("convergence", {"expected_slope": 1.0, "slope_tol": True}, "slope_tol must be a number"),
+            ("convergence", {"expected_slope": True}, "expected_slope must be a number"),
+            ("convergence", {"dt_values": [0.5, True, 0.125]}, "dt_values must be a number"),
+            ("convergence", {"problem": {"kind": "gbm", "alpha": True}}, "problem alpha must be a number"),
+            ("convergence", {"problem": {"kind": "gbm", "beta": True}}, "problem beta must be a number"),
+            ("convergence", {"problem": {"kind": "quadratic", "gamma": True}}, "problem gamma must be a number"),
+            ("convergence", {"problem": {"kind": "quadratic", "y0": True}}, "problem y0 must be a number"),
+            # drift entries [true] ran as 1.0
+            ("solve", {"drift": [scalar_tensor(1, True)]}, "entries of a degree-1 map must be numbers"),
+            ("solve", {"diffusion": [scalar_diffusion(2, False)]}, "entries of a degree-2 map must be numbers"),
+            ("solve", {"drift": [scalar_tensor(2, "0.5")]}, "entries of a degree-2 map must be numbers, got str"),
+        ],
+    )
+    def test_non_number_values_are_rejected(self, tmp_path, capsys, subcommand, fields, message):
+        cfg = {"dy": 1, "order": 2, "n_steps": 8, "drift": [scalar_tensor(1, 0.5)]}
+        if subcommand == "convergence":
+            cfg = {"problem": {"kind": "quadratic"}, "dt_values": [0.5, 0.25, 0.125]}
+        assert self.run(tmp_path, subcommand, dict(cfg, **fields)) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["convergence_gbm.json", "convergence_quadratic.json"])
     def test_shipped_configs_pass(self, tmp_path, name):
         config = Path(__file__).resolve().parent.parent / "scripts" / name
@@ -533,3 +566,77 @@ class TestOverflow:
         assert main(["compose-check", "--config", path, "--out", str(tmp_path / "o")]) == 3
         assert "blowup" in capsys.readouterr().err
 
+
+
+def dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default)
+
+
+def streamed(obj):
+    fh = io.StringIO()
+    _write_json(fh, obj)
+    return fh.getvalue()
+
+
+_leaves = st.one_of(
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+    st.text(max_size=5),
+    st.booleans(),
+    st.none(),
+    st.floats().map(np.float64),
+    st.integers(-(2**31), 2**31).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(st.floats(allow_nan=False), max_size=4).map(np.array),
+)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestReportStream:
+    @given(_documents)
+    @settings(max_examples=300, deadline=None)
+    def test_streamed_bytes_equal_json_dumps(self, obj):
+        assert streamed(obj) == dumps(obj)
+
+    @given(st.lists(st.dictionaries(st.text(max_size=3), _leaves, max_size=3), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_generator_is_written_as_its_list(self, items):
+        doc = {"states": (item for item in items), "knots": [0.0, 0.5]}
+        assert streamed(doc) == dumps({"states": items, "knots": [0.0, 0.5]})
+
+
+class TestSolveSmokeConfig:
+    """scripts/solve_o4d2.json: order 4, dy 2, two noise components, 64 steps."""
+
+    CONFIG = Path(__file__).resolve().parent.parent / "scripts" / "solve_o4d2.json"
+
+    def run(self, out):
+        assert main(["solve", "--config", str(self.CONFIG), "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        return text[text.index(', "results": ') :]
+
+    def test_states_match_the_fundamental_product_and_reproduce(self, tmp_path):
+        from formalflow.explicit import fundamental
+
+        results = self.run(tmp_path / "a")
+        assert self.run(tmp_path / "b") == results
+        report = read_report(tmp_path / "a")
+        states = report["results"]["states"]
+        cfg = ExperimentConfig.from_dict(report["provenance"]["config"])
+        assert len(states) == cfg.n_steps + 1 == 65
+        product = np.eye(cfg.dy)
+        for state, factor in zip(states[1:], fundamental(cfg.coefficients(), cfg.path()).factors):
+            for c in state["components"]:
+                assert np.isfinite(c["entries"]).all()
+            product = factor @ product
+            degree1 = np.reshape(state["components"][0]["entries"], (cfg.dy, cfg.dy))
+            # the benchmark's rule: relative Frobenius error at most 1e-10
+            assert np.linalg.norm(degree1 - product) <= 1e-10 * np.linalg.norm(product)
