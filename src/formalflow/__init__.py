@@ -24,6 +24,7 @@ from .chain import (
     EvolutionReport,
     PathBatch,
     TimeGrid,
+    chain_states,
     evolution_check,
     forcing_terms,
     one_step_map,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -191,13 +191,19 @@ def _coarsen(grid: TimeGrid, increments: np.ndarray, factor: int) -> tuple[TimeG
 
 
 def sample_path(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> BrownianPath:
-    """Draw a Brownian path; deterministic in (grid, m, seed, path_index)."""
+    """Draw a Brownian path; deterministic in (grid, m, seed, path_index).
+
+    seed and path_index must lie in [0, 2**64): they are the two words of
+    the Philox key.
+    """
     if m < 1:
         raise ShapeError(f"noise_dim must be >= 1, got {m}")
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(path_index & 0xFFFFFFFFFFFFFFFF)],
-        dtype=np.uint64,
-    )
+    # the Philox key words are 64 bits wide; a value outside them would wrap
+    # onto another value's path
+    for name, value in (("seed", seed), ("path_index", path_index)):
+        if not 0 <= value < 2**64:
+            raise ShapeError(f"{name} must be in [0, 2**64), got {value}")
+    key = np.array([seed, path_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     increments = rng.standard_normal((grid.n_steps, m)) * math.sqrt(grid.dt)
     return BrownianPath(grid, m, increments, seed, path_index)
@@ -423,6 +429,30 @@ def _check_chain_shapes(coeffs: CoefficientFamily, initial: FormalMapping, paths
         raise ShapeError(f"path noise_dim {paths.noise_dim} != coefficients {coeffs.noise_dim}")
 
 
+def chain_states(
+    coeffs: CoefficientFamily, initial: FormalMapping, path: BrownianPath
+) -> Iterator[FormalMapping]:
+    """Yield the chain states S(t_i, s) along one Brownian path, initial state first.
+
+    Each state is obtained by composing the one-step mapping with the
+    previous state; component n therefore depends only on coefficients and
+    initial components of degree <= n.  A non-finite component raises
+    BlowupError naming the step and the degree.  Overflow is left to the
+    caller's numpy error state: a generator runs in its consumer's context,
+    so wrap the iteration, not the call, in np.errstate.
+    """
+    _check_chain_shapes(coeffs, initial, path)
+    d = coeffs.dy
+    yield initial
+    start = [c.entries[None] for c in initial.components]
+    for i, state in enumerate(_euler_states(coeffs, path.grid, start, path.increments[None])):
+        try:
+            comps = tuple(MultilinearMap(n, d, d, e[0]) for n, e in enumerate(state, start=1))
+        except NonFiniteError as exc:
+            raise BlowupError(step=i, component=exc.degree) from exc
+        yield FormalMapping(coeffs.order, d, d, comps)
+
+
 # Overflow surfaces as the typed BlowupError or finite mask, not as numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def solve_chain(
@@ -430,24 +460,10 @@ def solve_chain(
     initial: FormalMapping,
     path: BrownianPath,
 ) -> ChainSolution:
-    """Integrate the triangular chain along one Brownian path.
-
-    Each state is obtained by composing the one-step mapping with the
-    previous state; component n therefore depends only on coefficients and
-    initial components of degree <= n.  A non-finite component raises
-    BlowupError naming the step and the degree.
-    """
-    _check_chain_shapes(coeffs, initial, path)
-    d = coeffs.dy
-    states = [initial]
-    start = [c.entries[None] for c in initial.components]
-    for i, state in enumerate(_euler_states(coeffs, path.grid, start, path.increments[None])):
-        try:
-            comps = tuple(MultilinearMap(n, d, d, e[0]) for n, e in enumerate(state, start=1))
-        except NonFiniteError as exc:
-            raise BlowupError(step=i, component=exc.degree) from exc
-        states.append(FormalMapping(coeffs.order, d, d, comps))
-    return ChainSolution(path.grid, initial, tuple(states), path.seed, path.path_index)
+    """Integrate the triangular chain along one Brownian path: every state
+    of `chain_states`, kept."""
+    states = tuple(chain_states(coeffs, initial, path))
+    return ChainSolution(path.grid, initial, states, path.seed, path.path_index)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -12,15 +12,20 @@ acceptance check.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import hashlib
+import itertools
 import json
 import math
+import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import GeneratorType
-from typing import Any
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +46,7 @@ from .chain import (
     DiffusionMap,
     PathBatch,
     TimeGrid,
+    chain_states,
     evolution_check,
     sample_path,
     simulate_direct,
@@ -178,14 +184,20 @@ def _json_default(obj):
 _JSON_OPTIONS = {"sort_keys": True, "separators": (",", ":"), "default": _json_default}
 
 
+class _RawJSON(str):
+    """Text that is already JSON; `_write_json` writes it as it is."""
+
+
 def _write_json(fh, obj) -> None:
     """Write obj as json.dumps(obj, **_JSON_OPTIONS) would, without building
     the whole string.
 
     A dict is written key by key in sorted order (its keys must be strings,
     as in every results block), and a generator item by item, as the list of
-    its items; so only one item of a generator exists at a time.  Anything
-    else is one json.dumps call.
+    its items; so only one item of a generator exists at a time.  A
+    `_RawJSON` item is written as it is, so a generator may yield several
+    list items at once as their JSON joined by commas.  Anything else is
+    one json.dumps call.
     """
     if isinstance(obj, dict):
         fh.write("{")
@@ -200,8 +212,23 @@ def _write_json(fh, obj) -> None:
             fh.write("," if i else "")
             _write_json(fh, item)
         fh.write("]")
+    elif isinstance(obj, _RawJSON):
+        fh.write(obj)
     else:
         fh.write(json.dumps(obj, **_JSON_OPTIONS))
+
+
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[Path]:
+    """A temporary name for path: moved onto path when the block succeeds,
+    removed when it raises, so that a failed run leaves no partial file."""
+    tmp = path.with_name(path.name + ".partial")
+    try:
+        yield tmp
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 def _write_report(out_dir: Path, subcommand: str, cfg: ExperimentConfig, results: dict) -> Path:
@@ -215,13 +242,112 @@ def _write_report(out_dir: Path, subcommand: str, cfg: ExperimentConfig, results
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     report_path = out_dir / "report.json"
-    with open(report_path, "w") as fh:
+    with _replacing(report_path) as tmp, open(tmp, "w") as fh:
         fh.write('{"provenance": ')
         fh.write(json.dumps(provenance, sort_keys=True))
         fh.write(', "results": ')
         _write_json(fh, results)
         fh.write("}\n")
     return report_path
+
+
+# A solve report of at least this many floats is encoded in worker processes.
+# Encoding takes about 1 us per float (shortest round-trip repr); w workers
+# take it off the Euler loop and share it.  The pool costs about 50 ms:
+# 15-25 ms to import, 10-40 ms to fork the workers, 5-10 ms to stop them.
+# That pays off from roughly 10^5 floats on two cores.
+_PARALLEL_FLOATS = 2**17
+# Floats per run of states encoded as one task: about 30 ms of encoding.
+# Each task also costs thread hand-offs that slow the Euler loop, so a run
+# holds as many whole states as fit in this many floats, and at least one.
+_CHUNK_FLOATS = 2**15
+# tasks submitted per worker before the solve waits for the oldest result
+_IN_FLIGHT_PER_WORKER = 4
+
+
+def _encode_states(states: Iterable[FormalMapping]) -> str:
+    """The JSON of each state, joined by commas: a run of items of the states list."""
+    return ",".join(json.dumps(s.to_dict(), **_JSON_OPTIONS) for s in states)
+
+
+def _stacked(states: Sequence[FormalMapping]) -> list[np.ndarray]:
+    """The entries of the states by degree, each stacked along a leading axis."""
+    return [np.stack([c.entries for c in comps]) for comps in zip(*(s.components for s in states))]
+
+
+def _encode_stacked(entries: list[np.ndarray]) -> str:
+    """`_encode_states` of the states that `_stacked` stacked into entries.
+
+    A worker's task: a few stacked arrays pickle as their bytes, while
+    mappings pickle object by object, at about 40 us per state.
+    """
+    d = entries[0].shape[1]
+    return _encode_states(
+        FormalMapping(len(entries), d, d, tuple(MultilinearMap(k, d, d, e) for k, e in enumerate(row, 1)))
+        for row in zip(*entries)
+    )
+
+
+def _report_workers(n_floats: int) -> int:
+    """Worker processes to encode a report of n_floats floats; 0 to encode it in-process."""
+    if n_floats < _PARALLEL_FLOATS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 0
+    cores = len(os.sched_getaffinity(0))
+    return cores if cores > 1 else 0
+
+
+def _fork_executor(workers: int):
+    """A process pool of forked workers, started."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # The first task forks every worker.  Python 3.12 warns on fork when the
+    # process has other threads, as numpy's OpenBLAS pool is.  The fork is
+    # safe here: a worker only unpickles arrays, rebuilds the mappings
+    # (copies and an isfinite test), and runs to_dict and json.  It never
+    # calls BLAS or takes another lock those threads may hold, and the
+    # executor starts its own threads after the workers.
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
+        )
+        executor.submit(int).result()
+    return executor
+
+
+def _encoded_states(
+    states: Iterator[FormalMapping], n_states: int, state_floats: int
+) -> Iterator[_RawJSON]:
+    """`_encode_states` of consecutive runs of the n_states states, each of
+    state_floats floats, in order; a run holds about `_CHUNK_FLOATS` floats.
+
+    A report below `_PARALLEL_FLOATS` floats, or on one core, is encoded
+    here, run by run.  A larger one goes to a pool of forked workers, one
+    run per task, while this thread keeps pulling states, so the solve and
+    the encoding overlap.  Finished results are yielded as they come, in
+    order; the solve waits only when `_IN_FLIGHT_PER_WORKER` tasks per
+    worker are out.  Pulling states here keeps the Euler loop in the
+    calling thread, under its numpy error state.
+    """
+    run = max(1, _CHUNK_FLOATS // state_floats)
+    chunks = iter(lambda: tuple(itertools.islice(states, run)), ())
+    workers = _report_workers(n_states * state_floats)
+    if not workers:
+        for chunk in chunks:
+            yield _RawJSON(_encode_states(chunk))
+        return
+    executor = _fork_executor(workers)
+    try:
+        pending = collections.deque()
+        for chunk in chunks:
+            pending.append(executor.submit(_encode_stacked, _stacked(chunk)))
+            while pending and (pending[0].done() or len(pending) > _IN_FLIGHT_PER_WORKER * workers):
+                yield _RawJSON(pending.popleft().result())
+        while pending:
+            yield _RawJSON(pending.popleft().result())
+    finally:
+        executor.shutdown(cancel_futures=True)
 
 
 def _frobenius_norms(mapping: FormalMapping) -> list[float]:
@@ -231,18 +357,25 @@ def _frobenius_norms(mapping: FormalMapping) -> list[float]:
 def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     coeffs = cfg.coefficients()
     path = cfg.path()
-    sol = solve_chain(coeffs, cfg.initial_mapping(), path)
     knots = cfg.grid().knots()
-    results = {
-        "knots": knots.tolist(),
-        # streamed: one state's float lists at a time
-        "states": (s.to_dict() for s in sol.states),
-    }
-    _write_report(out_dir, "solve", cfg, results)
-    with open(out_dir / "trajectory.csv", "w") as fh:
+    norms = []
+
+    def states():
+        # the trajectory norms are taken as each state passes to the report
+        for s in chain_states(coeffs, cfg.initial_mapping(), path):
+            norms.append(_frobenius_norms(s))
+            yield s
+
+    state_floats = cfg.dy * sum(cfg.dy**k for k in range(1, cfg.order + 1))
+    encoded = _encoded_states(states(), len(knots), state_floats)
+    try:
+        _write_report(out_dir, "solve", cfg, {"knots": knots.tolist(), "states": encoded})
+    finally:
+        encoded.close()
+    with _replacing(out_dir / "trajectory.csv") as tmp, open(tmp, "w") as fh:
         fh.write("knot," + ",".join(f"frobenius_norm_degree_{k}" for k in range(1, cfg.order + 1)) + "\n")
-        for t, s in zip(knots, sol.states):
-            fh.write(f"{t!r}," + ",".join(repr(v) for v in _frobenius_norms(s)) + "\n")
+        for t, row in zip(knots, norms):
+            fh.write(f"{t!r}," + ",".join(repr(v) for v in row) + "\n")
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ from formalflow import (
     MultilinearMap,
     ShapeError,
     TimeGrid,
+    chain_states,
     evaluate,
     evolution_check,
     forcing_terms,
@@ -90,6 +91,16 @@ class TestSamplePath:
         assert pool.size == 100_000
         assert abs(pool.mean()) < 4.0 * math.sqrt(dt / pool.size)
         assert abs(pool.var() - dt) < 0.05 * dt
+
+    def test_key_words_outside_64_bits_are_rejected(self):
+        # -1 and 2**64 used to wrap onto the paths of 2**64 - 1 and 0
+        grid = TimeGrid(0.0, 1.0, 4)
+        for key in ("seed", "path_index"):
+            for ok in (0, 2**64 - 1):
+                sample_path(grid, 1, **{"seed": 0, key: ok})
+            for bad in (-1, 2**64):
+                with pytest.raises(ShapeError, match=f"{key} must be in"):
+                    sample_path(grid, 1, **{"seed": 0, key: bad})
 
     def test_cumulative_starts_at_zero(self):
         path = sample_path(TimeGrid(0.0, 1.0, 8), 2, seed=1)
@@ -226,6 +237,28 @@ class TestSolveChain:
             solve_chain(co, identity(1, 1), path)
         assert exc.value.component == 1
         assert 0 <= exc.value.step < 4
+
+    def test_states_stream_up_to_the_blowup(self):
+        # the state after step i is (1 + 3e15)^(i + 1): finite up to step 18
+        co = CoefficientFamily.constant_scalar([1.2e17])
+        grid = TimeGrid(0.0, 1.0, 40)
+        path = BrownianPath.from_increments(grid, np.zeros((40, 1)))
+        states = []
+        with np.errstate(over="ignore"), pytest.raises(BlowupError) as exc:
+            for state in chain_states(co, identity(1, 1), path):
+                states.append(state)
+        assert (exc.value.step, exc.value.component) == (19, 1)
+        assert len(states) == 20
+        assert mapping_equal(states[0], identity(1, 1))
+        assert math.isclose(states[-1].components[0].entries[0, 0], (1 + 1.2e17 / 40) ** 19, rel_tol=1e-13)
+
+    def test_chain_states_are_the_solution_states(self, rng):
+        co = random_coefficients(rng, 3, 2, 2)
+        path = sample_path(TimeGrid(0.0, 1.0, 16), 2, seed=3)
+        streamed = list(chain_states(co, identity(3, 2), path))
+        solved = solve_chain(co, identity(3, 2), path).states
+        assert len(streamed) == len(solved) == 17
+        assert all(mapping_equal(a, b) for a, b in zip(streamed, solved))
 
     def test_initial_condition_shape_checked(self, rng):
         co = random_coefficients(rng, 3, 2, 2)

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formalflow import MultilinearMap
+from formalflow import FormalMapping, MultilinearMap, cli
 from formalflow.cli import ExperimentConfig, _json_default, _write_json, main
 from conftest import random_coefficients
 
@@ -21,6 +23,35 @@ def write_config(tmp_path, name, cfg):
 def read_report(out_dir):
     with open(out_dir / "report.json") as fh:
         return json.load(fh)
+
+
+def force_parallel_report(monkeypatch):
+    """Encode every solve report in a pool of two forked workers.
+
+    os.fork warns as Python 3.12 does in a process with threads, so a test
+    marked filterwarnings("error") fails unless the pool scopes that warning
+    out.  Returns the list of worker counts of the pools started.
+    """
+    real_fork, real_executor, started = os.fork, cli._fork_executor, []
+
+    def fork():
+        warnings.warn(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
+            "to deadlocks in the child.",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return real_fork()
+
+    def fork_executor(workers):
+        started.append(workers)
+        return real_executor(workers)
+
+    monkeypatch.setattr(cli, "_PARALLEL_FLOATS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_fork_executor", fork_executor)
+    return started
 
 
 def scalar_tensor(degree, value):
@@ -94,20 +125,49 @@ class TestSolve:
             blobs.append(raw.split('"results": ', 1)[1])
         assert blobs[0] == blobs[1]
 
-    def test_blowup_exit_code(self, tmp_path):
-        cfg = {
-            "dy": 1,
-            "order": 1,
-            "t_end": 1.0,
-            "n_steps": 4,
-            "seed": 0,
-            "drift": [scalar_tensor(1, 1e160)],
-            "diffusion": [],
-        }
-        rc = main(
-            ["solve", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
-        )
-        assert rc == 3
+    def test_blowup_exit_code(self, tmp_path, monkeypatch, capsys):
+        # (n_steps, drift, step of the blowup): one in the first run of
+        # states, one after two runs of 8 went to the report
+        cases = [(4, 1e160, 1), (40, 1.2e17, 19)]
+        monkeypatch.setattr(cli, "_CHUNK_FLOATS", 8)
+        for parallel in (False, True):
+            if parallel:
+                force_parallel_report(monkeypatch)
+            for n_steps, drift, step in cases:
+                cfg = {"dy": 1, "order": 1, "n_steps": n_steps, "drift": [scalar_tensor(1, drift)]}
+                out = tmp_path / f"o{n_steps}{parallel}"
+                rc = main(["solve", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+                assert rc == 3
+                assert f"numerical blowup at step {step}, component 1" in capsys.readouterr().err
+                # no report, no trajectory, no partial file
+                assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    def test_parallel_report_equals_serial(self, tmp_path, monkeypatch, rng):
+        def tensors(m=None):
+            out = []
+            for k in range(1, 4):
+                shape = (2,) + (2,) * k + ((m,) if m else ())
+                entries = (0.3 * rng.standard_normal(shape)).ravel().tolist()
+                out.append(dict(degree=k, dy=2, dz=2, entries=entries, **({"m": m} if m else {})))
+            return out
+
+        # 38 states of 28 floats, in runs of 3: the last run holds 2
+        cfg = {"dy": 2, "noise_dim": 2, "order": 3, "n_steps": 37, "seed": 5,
+               "drift": tensors(), "diffusion": tensors(2)[1:]}
+        monkeypatch.setattr(cli, "_CHUNK_FLOATS", 3 * 28)
+        path = write_config(tmp_path, "c.json", cfg)
+        outputs = []
+        for parallel in (False, True):
+            if parallel:
+                forks = force_parallel_report(monkeypatch)
+            out = tmp_path / f"o{parallel}"
+            assert main(["solve", "--config", path, "--out", str(out)]) == 0
+            text = (out / "report.json").read_text()
+            outputs.append((text[text.index(', "results": '):], (out / "trajectory.csv").read_text()))
+        assert forks == [2]
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[1][0][len(', "results": '):-2])["states"]) == 38
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = {
@@ -545,6 +605,26 @@ class TestStrictConfig:
         assert self.run(tmp_path, subcommand, dict(cfg, **fields)) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand, fields, argv, message",
+        [
+            # seed -1 drew the path of 2**64 - 1, and seed 2**64 that of 0
+            ("solve", {"seed": -1}, [], "seed must be in [0, 2**64), got -1"),
+            ("solve", {"seed": 2**64}, [], f"seed must be in [0, 2**64), got {2**64}"),
+            ("solve", {}, ["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
+            ("solve", {"path_index": -1}, [], "path_index must be in [0, 2**64), got -1"),
+            ("convergence", {"seed": -1}, [], "seed must be in [0, 2**64), got -1"),
+        ],
+    )
+    def test_seed_outside_64_bits_is_rejected(self, tmp_path, capsys, subcommand, fields, argv, message):
+        cfg = {"dy": 1, "order": 1, "n_steps": 8, "drift": [scalar_tensor(1, 0.5)]}
+        if subcommand == "convergence":
+            cfg = {"problem": {"kind": "gbm"}, "dt_values": [0.5, 0.25, 0.125]}
+        path = write_config(tmp_path, "c.json", dict(cfg, **fields))
+        assert main([subcommand, "--config", path, "--out", str(tmp_path / "o"), *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("name", ["convergence_gbm.json", "convergence_quadratic.json"])
     def test_shipped_configs_pass(self, tmp_path, name):
         config = Path(__file__).resolve().parent.parent / "scripts" / name
@@ -611,6 +691,16 @@ class TestReportStream:
     def test_generator_is_written_as_its_list(self, items):
         doc = {"states": (item for item in items), "knots": [0.0, 0.5]}
         assert streamed(doc) == dumps({"states": items, "knots": [0.0, 0.5]})
+
+    @pytest.mark.filterwarnings("error")
+    def test_pool_keeps_the_states_in_order(self, monkeypatch):
+        # states ready at once: many runs of 8 are in flight, done in any order
+        states = [FormalMapping.from_scalar_coeffs([i, 0.5 * i]) for i in range(203)]
+        forks = force_parallel_report(monkeypatch)
+        monkeypatch.setattr(cli, "_CHUNK_FLOATS", 16)
+        joined = ",".join(cli._encoded_states(iter(states), len(states), 2))
+        assert forks == [2]
+        assert joined == ",".join(dumps(s.to_dict()) for s in states)
 
 
 class TestSolveSmokeConfig:
