@@ -88,18 +88,6 @@ class MultilinearMap:
         """The zero map; tail gives the trailing axes' lengths, if the type has any."""
         return cls(degree, dy, dz, *tail, np.zeros((dz,) + (dy,) * degree + tail))
 
-    def apply(self, *vectors: np.ndarray) -> np.ndarray:
-        """Value on k vectors, contracting argument slots in order."""
-        if len(vectors) != self.degree:
-            raise ShapeError(f"expected {self.degree} vectors, got {len(vectors)}")
-        out = self.slots_first
-        for v in vectors:
-            v = np.asarray(v, dtype=np.float64)
-            if v.shape != (self.dy,):
-                raise ShapeError(f"argument vector has shape {v.shape}, expected ({self.dy},)")
-            out = _contract(out, v[:, None])
-        return out.reshape((self.dz,) + self._tail())
-
     def to_dict(self) -> dict:
         out = {"degree": self.degree, "dy": self.dy, "dz": self.dz}
         out.update(zip(self._TAIL_KEYS, self._tail()))

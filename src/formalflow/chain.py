@@ -20,7 +20,6 @@ from .algebra import (
     NonFiniteError,
     ShapeError,
     _compose_entries,
-    _contract,
     _nonzero_entries,
     apply_to_tuple,
     compose,
@@ -512,17 +511,9 @@ def simulate_direct(
     out[0] = y
     for i in range(grid.n_steps):
         t_i = grid.t_start + i * dt
-        a_t = coeffs.drift_at(t_i)
-        b_t = coeffs.diffusion_at(t_i)
-        dy = dt * evaluate(a_t, y)
-        for bk in b_t.components:
-            if bk.is_zero:
-                continue
-            t = _noise(bk.slots_first, dw[:, i])
-            for _ in range(bk.degree):
-                t = _contract(t, y[..., None], batch=1)
-            dy = dy + t.reshape(dy.shape)
-        y = y + dy
+        # the noise matrix b(t_i, y) of each path, (P, dy, m), times its increment
+        noise = evaluate(coeffs.diffusion_at(t_i), y) @ dw[:, i, :, None]
+        y = y + (dt * evaluate(coeffs.drift_at(t_i), y) + noise[..., 0])
         out[i + 1] = y
     if batched:
         return out

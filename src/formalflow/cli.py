@@ -22,7 +22,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import GeneratorType
 from typing import Any, Iterable, Iterator, Sequence
@@ -251,6 +251,15 @@ def _write_report(out_dir: Path, subcommand: str, cfg: ExperimentConfig, results
     return report_path
 
 
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Iterable[float]]) -> None:
+    """Write a CSV through `_replacing`: the header, then each row's numbers
+    as repr(float(v)), which every CSV reader parses as a number."""
+    with _replacing(path) as tmp, open(tmp, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
 # A solve report of at least this many floats is encoded in worker processes.
 # Encoding takes about 1 us per float (shortest round-trip repr); w workers
 # take it off the Euler loop and share it.  The pool costs about 50 ms:
@@ -265,27 +274,25 @@ _CHUNK_FLOATS = 2**15
 _IN_FLIGHT_PER_WORKER = 4
 
 
-def _encode_states(states: Iterable[FormalMapping]) -> str:
-    """The JSON of each state, joined by commas: a run of items of the states list."""
-    return ",".join(json.dumps(s.to_dict(), **_JSON_OPTIONS) for s in states)
-
-
 def _stacked(states: Sequence[FormalMapping]) -> list[np.ndarray]:
     """The entries of the states by degree, each stacked along a leading axis."""
     return [np.stack([c.entries for c in comps]) for comps in zip(*(s.components for s in states))]
 
 
 def _encode_stacked(entries: list[np.ndarray]) -> str:
-    """`_encode_states` of the states that `_stacked` stacked into entries.
+    """The JSON of each state that `_stacked` stacked into entries, joined by
+    commas: a run of items of the states list.
 
-    A worker's task: a few stacked arrays pickle as their bytes, while
-    mappings pickle object by object, at about 40 us per state.
+    This is a worker's task, so it takes the stacked arrays: they pickle as
+    their bytes, while mappings pickle object by object, at about 40 us per
+    state.
     """
     d = entries[0].shape[1]
-    return _encode_states(
+    states = (
         FormalMapping(len(entries), d, d, tuple(MultilinearMap(k, d, d, e) for k, e in enumerate(row, 1)))
         for row in zip(*entries)
     )
+    return ",".join(json.dumps(s.to_dict(), **_JSON_OPTIONS) for s in states)
 
 
 def _report_workers(n_floats: int) -> int:
@@ -319,7 +326,7 @@ def _fork_executor(workers: int):
 def _encoded_states(
     states: Iterator[FormalMapping], n_states: int, state_floats: int
 ) -> Iterator[_RawJSON]:
-    """`_encode_states` of consecutive runs of the n_states states, each of
+    """`_encode_stacked` of consecutive runs of the n_states states, each of
     state_floats floats, in order; a run holds about `_CHUNK_FLOATS` floats.
 
     A report below `_PARALLEL_FLOATS` floats, or on one core, is encoded
@@ -335,7 +342,7 @@ def _encoded_states(
     workers = _report_workers(n_states * state_floats)
     if not workers:
         for chunk in chunks:
-            yield _RawJSON(_encode_states(chunk))
+            yield _RawJSON(_encode_stacked(_stacked(chunk)))
         return
     executor = _fork_executor(workers)
     try:
@@ -350,10 +357,6 @@ def _encoded_states(
         executor.shutdown(cancel_futures=True)
 
 
-def _frobenius_norms(mapping: FormalMapping) -> list[float]:
-    return [float(np.linalg.norm(c.entries)) for c in mapping.components]
-
-
 def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     coeffs = cfg.coefficients()
     path = cfg.path()
@@ -363,7 +366,7 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     def states():
         # the trajectory norms are taken as each state passes to the report
         for s in chain_states(coeffs, cfg.initial_mapping(), path):
-            norms.append(_frobenius_norms(s))
+            norms.append([np.linalg.norm(c.entries) for c in s.components])
             yield s
 
     state_floats = cfg.dy * sum(cfg.dy**k for k in range(1, cfg.order + 1))
@@ -372,10 +375,8 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         _write_report(out_dir, "solve", cfg, {"knots": knots.tolist(), "states": encoded})
     finally:
         encoded.close()
-    with _replacing(out_dir / "trajectory.csv") as tmp, open(tmp, "w") as fh:
-        fh.write("knot," + ",".join(f"frobenius_norm_degree_{k}" for k in range(1, cfg.order + 1)) + "\n")
-        for t, row in zip(knots, norms):
-            fh.write(f"{t!r}," + ",".join(repr(v) for v in row) + "\n")
+    header = ["knot"] + [f"frobenius_norm_degree_{k}" for k in range(1, cfg.order + 1)]
+    _write_csv(out_dir / "trajectory.csv", header, ([t, *row] for t, row in zip(knots, norms)))
     return EXIT_OK
 
 
@@ -437,10 +438,10 @@ def _cmd_taylor_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     checked = [r for r, ok in zip(report.ratios, report.reliable) if ok]
     # with no reliable ratio, nothing was checked
     passed = bool(checked) and all(0.5 * expected <= r <= 2.0 * expected for r in checked)
-    results = report.to_dict()
+    results = asdict(report)
     results["passed"] = passed
     _write_report(out_dir, "taylor-check", cfg, results)
-    report.write_csv(out_dir / "scaling.csv")
+    _write_csv(out_dir / "scaling.csv", ["y0_norm", "gap"], zip(report.y0_norms, report.gaps))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -523,7 +524,7 @@ def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         n_paths=cfg.n_paths,
         seed=cfg.seed,
     )
-    results = report.to_dict()
+    results = asdict(report)
     passed = True
     if check:
         passed = abs(report.slope - expected) <= tol
@@ -531,18 +532,25 @@ def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         results["slope_tol"] = tol
     results["passed"] = passed
     _write_report(out_dir, "convergence", cfg, results)
-    report.write_csv(out_dir / "convergence.csv")
+    _write_csv(
+        out_dir / "convergence.csv",
+        ["dt", "error", "error_sem"],
+        zip(report.dt_values, report.errors, report.error_sems),
+    )
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-# subcommand -> (runner, the config keys it reads besides ExperimentConfig's fields)
+# subcommand -> (runner, the config keys it reads besides ExperimentConfig's
+# fields, the CSV it writes beside report.json or None)
 _COMMANDS = {
-    "solve": (_cmd_solve, {"path_index"}),
-    "compose-check": (_cmd_compose_check, {"a", "b", "tolerance"}),
-    "evolution-check": (_cmd_evolution_check, {"split_knot", "path_index", "tolerance"}),
-    "taylor-check": (_cmd_taylor_check, {"y0", "halvings"}),
-    "formula-check": (_cmd_formula_check, {"path_index", "degrees", "tolerance"}),
-    "convergence": (_cmd_convergence, {"problem", "dt_values", "expected_slope", "slope_tol"}),
+    "solve": (_cmd_solve, {"path_index"}, "trajectory.csv"),
+    "compose-check": (_cmd_compose_check, {"a", "b", "tolerance"}, None),
+    "evolution-check": (_cmd_evolution_check, {"split_knot", "path_index", "tolerance"}, None),
+    "taylor-check": (_cmd_taylor_check, {"y0", "halvings"}, "scaling.csv"),
+    "formula-check": (_cmd_formula_check, {"path_index", "degrees", "tolerance"}, None),
+    "convergence": (
+        _cmd_convergence, {"problem", "dt_values", "expected_slope", "slope_tol"}, "convergence.csv"
+    ),
 }
 
 # convergence problem kind -> the keys its 'problem' object may hold
@@ -584,13 +592,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run, options, csv = _COMMANDS[args.subcommand]
+    out = Path(args.out)
+    try:
+        # an earlier run's outputs must not read as this run's, whatever this
+        # run does; out itself is made by the first write
+        for name in filter(None, ("report.json", csv)):
+            (out / name).unlink(missing_ok=True)
+    except OSError as exc:
+        return _cannot_write(out, exc)
     try:
         with open(args.config) as fh:
             raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read config '{args.config}': {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    run, options = _COMMANDS[args.subcommand]
     try:
         cfg = ExperimentConfig.from_dict(raw)
         _reject_unknown(cfg.options, options, args.subcommand)
@@ -607,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         # config numbers are finite, so a non-finite value is numerical overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            return run(cfg, Path(args.out))
+            return run(cfg, out)
     except BlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
@@ -617,6 +633,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, KeyError, IndexError) as exc:
         print(f"error: invalid config or shapes: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        if exc.filename is None:  # not a file operation, so not a failed write
+            raise
+        return _cannot_write(out, exc)
+
+
+def _cannot_write(out: Path, exc: OSError) -> int:
+    print(f"error: cannot write to '{out}': {exc}", file=sys.stderr)
+    return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -30,16 +30,6 @@ class FundamentalSolution:
 
     factors: tuple[np.ndarray, ...]
 
-    def matrix(self, i: int, j: int) -> np.ndarray:
-        """Propagator from knot j to knot i (j <= i), left-accumulated."""
-        if not 0 <= j <= i <= len(self.factors):
-            raise ShapeError(f"bad knot pair (i={i}, j={j})")
-        d = self.factors[0].shape[0] if self.factors else 1
-        p = np.eye(d)
-        for step in range(j, i):
-            p = self.factors[step] @ p
-        return p
-
 
 def fundamental(coeffs: CoefficientFamily, path: BrownianPath) -> FundamentalSolution:
     """Per-step propagator factors of the degree-1 equation along one path."""

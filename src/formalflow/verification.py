@@ -107,23 +107,6 @@ class ConvergenceReport:
     n_paths: int
     n_excluded: int
 
-    def to_dict(self) -> dict:
-        return {
-            "dt_values": list(self.dt_values),
-            "errors": list(self.errors),
-            "error_sems": list(self.error_sems),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "n_paths": self.n_paths,
-            "n_excluded": self.n_excluded,
-        }
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("dt,error,error_sem\n")
-            for dt, err, sem in zip(self.dt_values, self.errors, self.error_sems):
-                fh.write(f"{dt!r},{err!r},{sem!r}\n")
-
 
 def estimate_order(
     simulate: Callable[[PathBatch], np.ndarray],
@@ -212,21 +195,6 @@ class ScalingReport:
     ratios: tuple[float, ...]
     reliable: tuple[bool, ...]
     expected_ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "y0_norms": list(self.y0_norms),
-            "gaps": list(self.gaps),
-            "ratios": list(self.ratios),
-            "reliable": list(self.reliable),
-            "expected_ratio": self.expected_ratio,
-        }
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("y0_norm,gap\n")
-            for ynorm, gap in zip(self.y0_norms, self.gaps):
-                fh.write(f"{ynorm!r},{gap!r}\n")
 
 
 def truncation_scaling(

@@ -84,8 +84,14 @@ class TestApplyToTuple:
         a2 = MultilinearMap(2, 3, 2, rng.standard_normal((2, 3, 3)))
         out = apply_to_tuple(b, [a1, a2])
         y1, y2, y3 = rng.standard_normal((3, 3))
-        expected = b.apply(a1.apply(y1), a2.apply(y2, y3))
-        assert np.allclose(out.apply(y1, y2, y3), expected)
+        # each map's value on vectors, by einsum: an oracle outside the kernel
+        expected = np.einsum(
+            "ijk,j,k->i",
+            b.entries,
+            np.einsum("ij,j->i", a1.entries, y1),
+            np.einsum("ijk,j,k->i", a2.entries, y2, y3),
+        )
+        assert np.allclose(np.einsum("ijkl,j,k,l->i", out.entries, y1, y2, y3), expected)
 
     def test_multilinearity_in_each_argument(self, rng):
         b = MultilinearMap(2, 2, 2, rng.standard_normal((2, 2, 2)))

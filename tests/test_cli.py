@@ -1,3 +1,5 @@
+import csv
+import importlib.util
 import io
 import json
 import os
@@ -141,6 +143,17 @@ class TestSolve:
                 assert f"numerical blowup at step {step}, component 1" in capsys.readouterr().err
                 # no report, no trajectory, no partial file
                 assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("failure, code", [({"drift": [scalar_tensor(1, 1e160)]}, 3), ({"n_step": 4}, 2)])
+    def test_failed_run_leaves_no_earlier_output(self, tmp_path, capsys, failure, code):
+        # a failed run used to leave the earlier run's report, which then read as its own
+        cfg = {"dy": 1, "order": 1, "n_steps": 4, "drift": [scalar_tensor(1, 0.5)]}
+        out = tmp_path / "o"
+        assert main(["solve", "--config", write_config(tmp_path, "good.json", cfg), "--out", str(out)]) == 0
+        assert (out / "report.json").exists() and (out / "trajectory.csv").exists()
+        path = write_config(tmp_path, "bad.json", dict(cfg, **failure))
+        assert main(["solve", "--config", path, "--out", str(out)]) == code
+        assert not any(out.iterdir())
 
     @pytest.mark.filterwarnings("error")
     def test_parallel_report_equals_serial(self, tmp_path, monkeypatch, rng):
@@ -499,6 +512,52 @@ class TestErrorHandling:
         assert rc == 2
 
 
+class TestOutputs:
+    @pytest.mark.parametrize("subcommand", ["taylor-check", "solve"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_that_is_a_file_is_validation_error(self, tmp_path, capsys, subcommand, below):
+        # taylor-check used to run the whole check, then end in a FileExistsError traceback
+        cfg = {"dy": 1, "order": 2, "n_steps": 8, "drift": [scalar_tensor(1, 1.0), scalar_tensor(2, 0.5)]}
+        path = write_config(tmp_path, "c.json", cfg)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "sub" if below else blocker
+        assert main([subcommand, "--config", path, "--out", str(out)]) == 2
+        assert f"cannot write to '{out}'" in capsys.readouterr().err
+        assert blocker.read_text() == "kept"
+
+    def test_out_that_cannot_be_made_is_validation_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        cfg = {"dy": 1, "order": 1, "n_steps": 4, "drift": [scalar_tensor(1, 0.5)]}
+        path = write_config(tmp_path, "c.json", cfg)
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        assert f"cannot write to '{out}': [Errno 13] Permission denied" in capsys.readouterr().err
+
+    def test_csv_fields_parse_as_numbers(self, tmp_path):
+        # numpy 2 wrote np.float64(0.015625) for the knot, error and error_sem columns
+        scripts = Path(__file__).resolve().parent.parent / "scripts"
+        quadratic = [scalar_tensor(1, 1.0), scalar_tensor(2, 0.5)]
+        taylor = {"dy": 1, "order": 3, "n_steps": 128, "drift": quadratic}
+        runs = [
+            ("solve", str(scripts / "solve_o4d2.json"), "trajectory.csv"),
+            ("convergence", str(scripts / "convergence_gbm.json"), "convergence.csv"),
+            ("taylor-check", write_config(tmp_path, "taylor.json", taylor), "scaling.csv"),
+        ]
+        for subcommand, config, name in runs:
+            out = tmp_path / subcommand
+            assert main([subcommand, "--config", config, "--out", str(out)]) == 0
+            with open(out / name, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows)
+            for row in rows:
+                for value in row:
+                    float(value)
+
+
 class TestStrictConfig:
     def run(self, tmp_path, subcommand, cfg):
         path = write_config(tmp_path, "c.json", cfg)
@@ -730,3 +789,16 @@ class TestSolveSmokeConfig:
             degree1 = np.reshape(state["components"][0]["entries"], (cfg.dy, cfg.dy))
             # the benchmark's rule: relative Frobenius error at most 1e-10
             assert np.linalg.norm(degree1 - product) <= 1e-10 * np.linalg.norm(product)
+
+    def test_benchmark_check_accepts_the_report(self, tmp_path):
+        # the benchmark checks each solve with perfbench/child.py's check_solve,
+        # which reads ExperimentConfig, sample_path, fundamental(...).factors
+        # and the report format
+        child_py = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+        spec = importlib.util.spec_from_file_location("perfbench_child", child_py)
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        self.run(tmp_path)
+        with open(tmp_path / "report.json") as fh:
+            report = json.load(fh, parse_constant=child.reject_non_finite)
+        assert child.check_solve(json.loads(self.CONFIG.read_text()), report) is None
