@@ -31,6 +31,7 @@ checkout whose functions keep these names, so two commits can be compared.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -156,11 +157,8 @@ def measure(repeats: int) -> dict:
 
     def write(out_dir):
         encoded = cli._encoded_states(iter(sol.states), len(sol.states), state_floats)
-        results = {"knots": cfg.grid().knots().tolist(), "states": encoded}
-        try:
-            cli._write_report(out_dir, "solve", cfg, results)
-        finally:
-            encoded.close()
+        with contextlib.closing(encoded):
+            cli._write_report(out_dir, "solve", cfg, cli._solve_results(cfg.grid().knots(), encoded))
 
     workers = cli._report_workers(n_floats)
     with tempfile.TemporaryDirectory() as tmp:

@@ -236,13 +236,6 @@ class DiffusionMap(MultilinearMap):
     def _tail(self) -> tuple[int, ...]:
         return (self.noise_dim,)
 
-    def contract_noise(self, dw: np.ndarray) -> MultilinearMap:
-        """Fix the noise slot to dw, leaving a degree-k multilinear map."""
-        dw = np.asarray(dw, dtype=np.float64)
-        if dw.shape != (self.noise_dim,):
-            raise ShapeError(f"dw has shape {dw.shape}, expected ({self.noise_dim},)")
-        return MultilinearMap(self.degree, self.dy, self.dz, self.entries @ dw)
-
     def apply_to_tuple(self, args: Sequence[MultilinearMap]) -> "DiffusionMap":
         """Plug maps into the k state slots, keeping the noise slot open."""
         return apply_to_tuple(self, args)

@@ -24,7 +24,6 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from types import GeneratorType
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -169,53 +168,7 @@ def _number(key: str, value) -> float:
         raise ShapeError(f"{key} is too large, got {value!r}") from None
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-_JSON_OPTIONS = {"sort_keys": True, "separators": (",", ":"), "default": _json_default}
-
-
-class _RawJSON(str):
-    """Text that is already JSON; `_write_json` writes it as it is."""
-
-
-def _write_json(fh, obj) -> None:
-    """Write obj as json.dumps(obj, **_JSON_OPTIONS) would, without building
-    the whole string.
-
-    A dict is written key by key in sorted order (its keys must be strings,
-    as in every results block), and a generator item by item, as the list of
-    its items; so only one item of a generator exists at a time.  A
-    `_RawJSON` item is written as it is, so a generator may yield several
-    list items at once as their JSON joined by commas.  Anything else is
-    one json.dumps call.
-    """
-    if isinstance(obj, dict):
-        fh.write("{")
-        for i, key in enumerate(sorted(obj)):
-            fh.write("," if i else "")
-            fh.write(json.dumps(key) + ":")
-            _write_json(fh, obj[key])
-        fh.write("}")
-    elif isinstance(obj, GeneratorType):
-        fh.write("[")
-        for i, item in enumerate(obj):
-            fh.write("," if i else "")
-            _write_json(fh, item)
-        fh.write("]")
-    elif isinstance(obj, _RawJSON):
-        fh.write(obj)
-    else:
-        fh.write(json.dumps(obj, **_JSON_OPTIONS))
+_JSON_OPTIONS = {"sort_keys": True, "separators": (",", ":")}
 
 
 @contextlib.contextmanager
@@ -231,8 +184,13 @@ def _replacing(path: Path) -> Iterator[Path]:
     os.replace(tmp, path)
 
 
-def _write_report(out_dir: Path, subcommand: str, cfg: ExperimentConfig, results: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_report(
+    out_dir: Path, subcommand: str, cfg: ExperimentConfig, results: dict | Iterable[str]
+) -> Path:
+    """Write out_dir/report.json: the provenance, then results, a dict or
+    the pieces of its JSON text (as `_solve_results` makes them)."""
+    if isinstance(results, dict):
+        results = [json.dumps(results, **_JSON_OPTIONS)]
     provenance = {
         "subcommand": subcommand,
         "config_hash": cfg.config_hash(),
@@ -246,7 +204,7 @@ def _write_report(out_dir: Path, subcommand: str, cfg: ExperimentConfig, results
         fh.write('{"provenance": ')
         fh.write(json.dumps(provenance, sort_keys=True))
         fh.write(', "results": ')
-        _write_json(fh, results)
+        fh.writelines(results)
         fh.write("}\n")
     return report_path
 
@@ -323,9 +281,7 @@ def _fork_executor(workers: int):
     return executor
 
 
-def _encoded_states(
-    states: Iterator[FormalMapping], n_states: int, state_floats: int
-) -> Iterator[_RawJSON]:
+def _encoded_states(states: Iterator[FormalMapping], n_states: int, state_floats: int) -> Iterator[str]:
     """`_encode_stacked` of consecutive runs of the n_states states, each of
     state_floats floats, in order; a run holds about `_CHUNK_FLOATS` floats.
 
@@ -342,7 +298,7 @@ def _encoded_states(
     workers = _report_workers(n_states * state_floats)
     if not workers:
         for chunk in chunks:
-            yield _RawJSON(_encode_stacked(_stacked(chunk)))
+            yield _encode_stacked(_stacked(chunk))
         return
     executor = _fork_executor(workers)
     try:
@@ -350,11 +306,23 @@ def _encoded_states(
         for chunk in chunks:
             pending.append(executor.submit(_encode_stacked, _stacked(chunk)))
             while pending and (pending[0].done() or len(pending) > _IN_FLIGHT_PER_WORKER * workers):
-                yield _RawJSON(pending.popleft().result())
+                yield pending.popleft().result()
         while pending:
-            yield _RawJSON(pending.popleft().result())
+            yield pending.popleft().result()
     finally:
         executor.shutdown(cancel_futures=True)
+
+
+def _solve_results(knots: np.ndarray, runs: Iterator[str]) -> Iterator[str]:
+    """The JSON text of a solve's results block, in pieces: the knots, then
+    the states, one run of `_encoded_states` at a time.  Joined, it is what
+    json.dumps(..., **_JSON_OPTIONS) writes for the same dict."""
+    yield '{"knots":' + json.dumps(knots.tolist(), **_JSON_OPTIONS) + ',"states":['
+    for i, run in enumerate(runs):
+        if i:
+            yield ","
+        yield run
+    yield "]}"
 
 
 def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -370,11 +338,8 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
             yield s
 
     state_floats = cfg.dy * sum(cfg.dy**k for k in range(1, cfg.order + 1))
-    encoded = _encoded_states(states(), len(knots), state_floats)
-    try:
-        _write_report(out_dir, "solve", cfg, {"knots": knots.tolist(), "states": encoded})
-    finally:
-        encoded.close()
+    with contextlib.closing(_encoded_states(states(), len(knots), state_floats)) as encoded:
+        _write_report(out_dir, "solve", cfg, _solve_results(knots, encoded))
     header = ["knot"] + [f"frobenius_norm_degree_{k}" for k in range(1, cfg.order + 1)]
     _write_csv(out_dir / "trajectory.csv", header, ([t, *row] for t, row in zip(knots, norms)))
     return EXIT_OK
@@ -414,7 +379,7 @@ def _cmd_evolution_check(cfg: ExperimentConfig, out_dir: Path) -> int:
         split = grid.t_start + (grid.n_steps // 2) * grid.dt
     tol = _number("tolerance", cfg.options.get("tolerance", 1e-10))
     report = evolution_check(coeffs, grid, cfg.path(), _number("split_knot", split))
-    passed = report.max_discrepancy <= tol
+    passed = bool(report.max_discrepancy <= tol)
     results = {
         "split_knot": report.split_knot,
         "component_discrepancies": list(report.component_discrepancies),
@@ -464,7 +429,7 @@ def _cmd_formula_check(cfg: ExperimentConfig, out_dir: Path) -> int:
             ref = np.linalg.norm(s.component(n).entries)
             worst = max(worst, diff / ref if ref > 0 else diff)
         per_degree[str(n)] = worst
-        passed = passed and worst <= tol
+        passed = passed and bool(worst <= tol)
     results = {"max_relative_error_by_degree": per_degree, "tolerance": tol, "passed": passed}
     _write_report(out_dir, "formula-check", cfg, results)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
@@ -592,11 +557,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    run, options, csv = _COMMANDS[args.subcommand]
     out = Path(args.out)
+    # the levels of out this run makes, deepest first
+    made = [level for level in (out, *out.parents) if not level.exists()]
+    rc = None
     try:
-        # an earlier run's outputs must not read as this run's, whatever this
-        # run does; out itself is made by the first write
+        rc = _main(args, out)
+        return rc
+    finally:
+        if rc != EXIT_OK:
+            for level in made:  # rmdir removes only empty directories
+                with contextlib.suppress(OSError):
+                    level.rmdir()
+
+
+def _main(args: argparse.Namespace, out: Path) -> int:
+    run, options, csv = _COMMANDS[args.subcommand]
+    try:
+        # an earlier run's outputs must not read as this run's, whatever it does
         for name in filter(None, ("report.json", csv)):
             (out / name).unlink(missing_ok=True)
     except OSError as exc:
@@ -621,6 +599,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.subcommand} integrates one path, got n_paths = {cfg.n_paths}; "
                 "only convergence runs several"
             )
+        # made before the run, so that an out that cannot be made fails first
+        out.mkdir(parents=True, exist_ok=True)
         # config numbers are finite, so a non-finite value is numerical overflow
         with np.errstate(over="ignore", invalid="ignore"):
             return run(cfg, out)

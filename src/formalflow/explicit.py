@@ -67,8 +67,8 @@ def _loads(n: int, coeffs: CoefficientFamily, chain_states, path: BrownianPath) 
     """The load f_n(t_j)*dt + g_n(t_j)(..., dw_j) of every step j, shape (N, d) + (d,)*n.
 
     One batched composition over all steps; row j is bitwise the load built
-    from forcing_terms at step j with g_n.contract_noise(dw_j).  Raises
-    UnsupportedCaseError if b_1 is nonzero at some step.
+    from forcing_terms at step j, with noise term g_n.entries @ dw_j.
+    Raises UnsupportedCaseError if b_1 is nonzero at some step.
     """
     grid = path.grid
     times = [grid.t_start + j * grid.dt for j in range(grid.n_steps)]

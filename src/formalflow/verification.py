@@ -243,7 +243,7 @@ def truncation_scaling(
     ratios, reliable = [], []
     for g_big, g_small in zip(gaps, gaps[1:]):
         ratios.append(g_big / g_small if g_small > 0 else math.inf)
-        reliable.append(g_small >= 100 * eps)
+        reliable.append(bool(g_small >= 100 * eps))
     return ScalingReport(
         tuple(y0_norms),
         tuple(gaps),
