@@ -14,25 +14,24 @@ Times, on fixed seeds and sizes:
   - euler_step_o1d1_p64: GBM (order 1, d 1, P 64, 512 steps), per step;
   - variation_of_constants_o3d2: degrees 2 and 3 of the formula-o3d2
     benchmark config (config seed 1);
-  - report_write_o6d3: `cli._write_report` of the solve-o6d3 states,
-    encoded as the solve encodes them (by `cli._encoded_states`: in forked
-    workers on more than one core);
-  - cli_solve_o6d3: `cli.main solve` on that config, end to end, the Euler
-    loop running while the workers encode the states it yields;
-  - report_write_serial_o6d3 / cli_solve_serial_o6d3: the same two with
-    the report encoded in-process, for comparison.
+  - json_floats_o6d3: `cli._json_floats` of every component of the
+    solve-o6d3 states, the bulk float encoder alone;
+  - report_write_o6d3: `cli._write_report` of those states, each written
+    as the solve writes it (`cli._state_json`);
+  - cli_solve_o6d3: `cli.main solve` on that config, end to end.
 
 Each timing is repeated --repeats times; the file holds the minimum and the
-median, in seconds, with the seed, the sizes, the numpy version, the core
-count, the commit and a digest of the sources.  The same script runs on any
-checkout whose functions keep these names, so two commits can be compared.
+median, in seconds, with the seed, the sizes, the numpy and orjson
+versions, the core count, the commit and a digest of the sources.  The same
+script runs on any checkout whose functions keep these names, so two
+commits can be compared.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -42,7 +41,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -152,30 +150,25 @@ def measure(repeats: int) -> dict:
 
     cfg = workload_config("solve-o6d3")
     sol = solve_chain(cfg.coefficients(), cfg.initial_mapping(), cfg.path())
-    state_floats = sum(c.entries.size for c in sol.initial.components)
-    n_floats = len(sol.states) * state_floats
+    n_floats = len(sol.states) * sum(c.entries.size for c in sol.initial.components)
+    sizes = f"{len(sol.states)} states of order 6, d 3, {n_floats} floats"
+
+    def json_floats():
+        for s in sol.states:
+            for c in s.components:
+                cli._json_floats(c.entries)
 
     def write(out_dir):
-        encoded = cli._encoded_states(iter(sol.states), len(sol.states), state_floats)
-        with contextlib.closing(encoded):
-            cli._write_report(out_dir, "solve", cfg, cli._solve_results(cfg.grid().knots(), encoded))
+        states = map(cli._state_json, sol.states)
+        cli._write_report(out_dir, "solve", cfg, cli._solve_results(cfg.grid().knots(), states))
 
-    workers = cli._report_workers(n_floats)
+    out["json_floats_o6d3"] = dict(timed(json_floats, repeats), sizes=sizes)
     with tempfile.TemporaryDirectory() as tmp:
+        out["report_write_o6d3"] = dict(timed(lambda: write(Path(tmp)), repeats), sizes=sizes)
         config = Path(tmp) / "config.json"
         config.write_bytes(config_bytes("solve-o6d3", CONFIG_SEED))
         argv = ["solve", "--config", str(config), "--out", str(Path(tmp) / "out")]
-        for suffix, threshold in (("", cli._PARALLEL_FLOATS), ("_serial", n_floats + 1)):
-            mode = f"{workers} workers" if workers and not suffix else "in-process"
-            with mock.patch.object(cli, "_PARALLEL_FLOATS", threshold):
-                out[f"report_write{suffix}_o6d3"] = dict(
-                    timed(lambda: write(Path(tmp)), repeats),
-                    sizes=f"513 states of order 6, d 3, {n_floats} floats, encoded {mode}",
-                )
-                out[f"cli_solve{suffix}_o6d3"] = dict(
-                    timed(lambda: cli.main(argv), repeats),
-                    sizes=f"solve-o6d3, config seed 1, encoded {mode}",
-                )
+        out["cli_solve_o6d3"] = dict(timed(lambda: cli.main(argv), repeats), sizes="solve-o6d3, config seed 1")
     return out
 
 
@@ -188,6 +181,7 @@ def main() -> int:
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "orjson": importlib.metadata.version("orjson"),
             "nproc": len(os.sched_getaffinity(0)),
             "machine": platform.machine(),
             "commit": git("rev-parse", "HEAD"),

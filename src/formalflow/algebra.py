@@ -95,7 +95,9 @@ class MultilinearMap:
         return out
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MultilinearMap":
+    def from_dict(cls, d: dict, where: str = "component") -> "MultilinearMap":
+        """The map that d describes; where names d in errors, such as "drift component 1"."""
+        _require(d, where, ("degree", "dy", "dz", *cls._TAIL_KEYS), "entries")
         entries = np.asarray(d["entries"], dtype=object)
         for kind in set(map(type, entries.flat)):
             if kind in (bool, np.bool_) or not issubclass(kind, Real):
@@ -172,8 +174,28 @@ class FormalMapping:
         return {"order": self.order, "components": [c.to_dict() for c in self.components]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FormalMapping":
-        return cls._of(d["order"], [cls._COMPONENT.from_dict(c) for c in d["components"]])
+    def from_dict(cls, d: dict, where: str = "mapping") -> "FormalMapping":
+        """The mapping that d describes; where names d in errors, such as "initial"."""
+        _require(d, where, ("order",), "components")
+        comps = d["components"]
+        if not isinstance(comps, list):
+            raise ShapeError(f"{where} components must be a list, got {type(comps).__name__}")
+        return cls._of(
+            d["order"], [cls._COMPONENT.from_dict(c, f"{where} component {i}") for i, c in enumerate(comps, 1)]
+        )
+
+
+def _require(d: dict, where: str, integers: Sequence[str], other: str) -> None:
+    """d must be a dict with the keys integers, each an int, and the key other;
+    where names d in errors."""
+    if not isinstance(d, dict):
+        raise ShapeError(f"{where} must be an object, got {type(d).__name__}")
+    missing = [key for key in (*integers, other) if key not in d]
+    if missing:
+        raise ShapeError(f"{where} is missing {', '.join(map(repr, missing))}")
+    for key in integers:
+        if isinstance(d[key], bool) or not isinstance(d[key], int):
+            raise ShapeError(f"{where} {key} must be an integer, got {d[key]!r}")
 
 
 def _contract(t: np.ndarray, a: np.ndarray, batch: int = 0) -> np.ndarray:

@@ -12,16 +12,13 @@ acceptance check.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import hashlib
-import itertools
 import json
 import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -132,8 +129,11 @@ class ExperimentConfig:
     def _components(self, key: str, kind: type, *tail: int) -> tuple:
         """The components listed under key, zero where missing; each degree once at most, <= order."""
         comps = [kind.zero(k, self.dy, self.dy, *tail) for k in range(1, self.order + 1)]
-        listed = set()
-        for c in map(kind.from_dict, getattr(self, key)):
+        listed, given = set(), getattr(self, key)
+        if not isinstance(given, list):
+            raise ShapeError(f"{key} must be a list of components, got {type(given).__name__}")
+        for i, d in enumerate(given, 1):
+            c = kind.from_dict(d, f"{key} component {i}")
             if c.degree > self.order:
                 raise ShapeError(f"{key} component of degree {c.degree} exceeds order {self.order}")
             if c.degree in listed:
@@ -148,7 +148,7 @@ class ExperimentConfig:
     def initial_mapping(self) -> FormalMapping:
         if self.initial is None:
             return identity(self.order, self.dy)
-        return FormalMapping.from_dict(self.initial)
+        return FormalMapping.from_dict(self.initial, "initial")
 
 
 def _integer(key: str, value) -> int:
@@ -218,110 +218,51 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Iterable[float]
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-# A solve report of at least this many floats is encoded in worker processes.
-# Encoding takes about 1 us per float (shortest round-trip repr); w workers
-# take it off the Euler loop and share it.  The pool costs about 50 ms:
-# 15-25 ms to import, 10-40 ms to fork the workers, 5-10 ms to stop them.
-# That pays off from roughly 10^5 floats on two cores.
-_PARALLEL_FLOATS = 2**17
-# Floats per run of states encoded as one task: about 30 ms of encoding.
-# Each task also costs thread hand-offs that slow the Euler loop, so a run
-# holds as many whole states as fit in this many floats, and at least one.
-_CHUNK_FLOATS = 2**15
-# tasks submitted per worker before the solve waits for the oldest result
-_IN_FLIGHT_PER_WORKER = 4
+def _json_floats(x: np.ndarray) -> str:
+    """json.dumps(x.ravel().tolist(), **_JSON_OPTIONS) for a float64 array x,
+    in bulk; a NaN or Inf in x raises ValueError.
 
-
-def _stacked(states: Sequence[FormalMapping]) -> list[np.ndarray]:
-    """The entries of the states by degree, each stacked along a leading axis."""
-    return [np.stack([c.entries for c in comps]) for comps in zip(*(s.components for s in states))]
-
-
-def _encode_stacked(entries: list[np.ndarray]) -> str:
-    """The JSON of each state that `_stacked` stacked into entries, joined by
-    commas: a run of items of the states list.
-
-    This is a worker's task, so it takes the stacked arrays: they pickle as
-    their bytes, while mappings pickle object by object, at about 40 us per
-    state.
+    orjson prints each float as its shortest round-trip digits, as repr
+    does, about 10 times faster.  It writes the same text for 0, -0 and
+    every 1e-4 <= |v| < 1e16, and only formats the other magnitudes
+    differently (0.00007 for 7e-05, 1e16 for 1e+16), so those entries are
+    written with repr, between runs that orjson writes.
     """
-    d = entries[0].shape[1]
-    states = (
-        FormalMapping(len(entries), d, d, tuple(MultilinearMap(k, d, d, e) for k, e in enumerate(row, 1)))
-        for row in zip(*entries)
+    import orjson
+
+    def numbers(a: np.ndarray) -> str:  # a's JSON list without its brackets
+        return orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+
+    flat = x.ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError("a non-finite float has no JSON number")
+    mag = np.abs(flat)
+    pieces, start = [], 0
+    for i in np.flatnonzero(((mag < 1e-4) & (mag > 0)) | (mag >= 1e16)).tolist():
+        pieces += [numbers(flat[start:i]), repr(float(flat[i]))]
+        start = i + 1
+    pieces.append(numbers(flat[start:]))
+    return "[" + ",".join(filter(None, pieces)) + "]"  # an empty run is ""
+
+
+def _state_json(state: FormalMapping) -> str:
+    """json.dumps(state.to_dict(), **_JSON_OPTIONS), its entries by `_json_floats`."""
+    components = ",".join(
+        f'{{"degree":{c.degree},"dy":{c.dy},"dz":{c.dz},"entries":{_json_floats(c.entries)}}}'
+        for c in state.components
     )
-    return ",".join(json.dumps(s.to_dict(), **_JSON_OPTIONS) for s in states)
+    return f'{{"components":[{components}],"order":{state.order}}}'
 
 
-def _report_workers(n_floats: int) -> int:
-    """Worker processes to encode a report of n_floats floats; 0 to encode it in-process."""
-    if n_floats < _PARALLEL_FLOATS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 0
-    cores = len(os.sched_getaffinity(0))
-    return cores if cores > 1 else 0
-
-
-def _fork_executor(workers: int):
-    """A process pool of forked workers, started."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    # The first task forks every worker.  Python 3.12 warns on fork when the
-    # process has other threads, as numpy's OpenBLAS pool is.  The fork is
-    # safe here: a worker only unpickles arrays, rebuilds the mappings
-    # (copies and an isfinite test), and runs to_dict and json.  It never
-    # calls BLAS or takes another lock those threads may hold, and the
-    # executor starts its own threads after the workers.
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
-        )
-        executor.submit(int).result()
-    return executor
-
-
-def _encoded_states(states: Iterator[FormalMapping], n_states: int, state_floats: int) -> Iterator[str]:
-    """`_encode_stacked` of consecutive runs of the n_states states, each of
-    state_floats floats, in order; a run holds about `_CHUNK_FLOATS` floats.
-
-    A report below `_PARALLEL_FLOATS` floats, or on one core, is encoded
-    here, run by run.  A larger one goes to a pool of forked workers, one
-    run per task, while this thread keeps pulling states, so the solve and
-    the encoding overlap.  Finished results are yielded as they come, in
-    order; the solve waits only when `_IN_FLIGHT_PER_WORKER` tasks per
-    worker are out.  Pulling states here keeps the Euler loop in the
-    calling thread, under its numpy error state.
-    """
-    run = max(1, _CHUNK_FLOATS // state_floats)
-    chunks = iter(lambda: tuple(itertools.islice(states, run)), ())
-    workers = _report_workers(n_states * state_floats)
-    if not workers:
-        for chunk in chunks:
-            yield _encode_stacked(_stacked(chunk))
-        return
-    executor = _fork_executor(workers)
-    try:
-        pending = collections.deque()
-        for chunk in chunks:
-            pending.append(executor.submit(_encode_stacked, _stacked(chunk)))
-            while pending and (pending[0].done() or len(pending) > _IN_FLIGHT_PER_WORKER * workers):
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        executor.shutdown(cancel_futures=True)
-
-
-def _solve_results(knots: np.ndarray, runs: Iterator[str]) -> Iterator[str]:
+def _solve_results(knots: np.ndarray, states: Iterable[str]) -> Iterator[str]:
     """The JSON text of a solve's results block, in pieces: the knots, then
-    the states, one run of `_encoded_states` at a time.  Joined, it is what
+    the states, one `_state_json` text at a time.  Joined, it is what
     json.dumps(..., **_JSON_OPTIONS) writes for the same dict."""
     yield '{"knots":' + json.dumps(knots.tolist(), **_JSON_OPTIONS) + ',"states":['
-    for i, run in enumerate(runs):
+    for i, state in enumerate(states):
         if i:
             yield ","
-        yield run
+        yield state
     yield "]}"
 
 
@@ -335,11 +276,9 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         # the trajectory norms are taken as each state passes to the report
         for s in chain_states(coeffs, cfg.initial_mapping(), path):
             norms.append([np.linalg.norm(c.entries) for c in s.components])
-            yield s
+            yield _state_json(s)
 
-    state_floats = cfg.dy * sum(cfg.dy**k for k in range(1, cfg.order + 1))
-    with contextlib.closing(_encoded_states(states(), len(knots), state_floats)) as encoded:
-        _write_report(out_dir, "solve", cfg, _solve_results(knots, encoded))
+    _write_report(out_dir, "solve", cfg, _solve_results(knots, states()))
     header = ["knot"] + [f"frobenius_norm_degree_{k}" for k in range(1, cfg.order + 1)]
     _write_csv(out_dir / "trajectory.csv", header, ([t, *row] for t, row in zip(knots, norms)))
     return EXIT_OK
@@ -348,8 +287,8 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
 def _cmd_compose_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     if "a" not in cfg.options or "b" not in cfg.options:
         raise ShapeError("compose-check needs 'a' and 'b' formal mappings in the config")
-    a = FormalMapping.from_dict(cfg.options["a"])
-    b = FormalMapping.from_dict(cfg.options["b"])
+    a = FormalMapping.from_dict(cfg.options["a"], "a")
+    b = FormalMapping.from_dict(cfg.options["b"], "b")
     c = compose(b, a)
     tol = _number("tolerance", cfg.options.get("tolerance", 1e-12))
     results: dict[str, Any] = {"composed": c.to_dict()}
@@ -612,6 +551,9 @@ def _main(args: argparse.Namespace, out: Path) -> int:
         return EXIT_BLOWUP
     except (ValueError, TypeError, KeyError, IndexError) as exc:
         print(f"error: invalid config or shapes: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # sizes too large for this machine, such as n_steps
+        print(f"error: not enough memory for a run of this size: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         if exc.filename is None:  # not a file operation, so not a failed write

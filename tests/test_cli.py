@@ -1,17 +1,18 @@
 import csv
 import importlib.util
 import json
-import os
-import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from formalflow import FormalMapping, MultilinearMap, cli
+from formalflow import MultilinearMap, TimeGrid, chain_states, cli, sample_path
 from formalflow.cli import ExperimentConfig, main
-from conftest import random_coefficients
+from conftest import random_coefficients, random_mapping
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -25,35 +26,6 @@ def write_config(tmp_path, name, cfg):
 def read_report(out_dir):
     with open(out_dir / "report.json") as fh:
         return json.load(fh)
-
-
-def force_parallel_report(monkeypatch):
-    """Encode every solve report in a pool of two forked workers.
-
-    os.fork warns as Python 3.12 does in a process with threads, so a test
-    marked filterwarnings("error") fails unless the pool scopes that warning
-    out.  Returns the list of worker counts of the pools started.
-    """
-    real_fork, real_executor, started = os.fork, cli._fork_executor, []
-
-    def fork():
-        warnings.warn(
-            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
-            "to deadlocks in the child.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return real_fork()
-
-    def fork_executor(workers):
-        started.append(workers)
-        return real_executor(workers)
-
-    monkeypatch.setattr(cli, "_PARALLEL_FLOATS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(cli, "_fork_executor", fork_executor)
-    return started
 
 
 def scalar_tensor(degree, value):
@@ -127,22 +99,18 @@ class TestSolve:
             blobs.append(raw.split('"results": ', 1)[1])
         assert blobs[0] == blobs[1]
 
-    def test_blowup_exit_code(self, tmp_path, monkeypatch, capsys):
-        # (n_steps, drift, step of the blowup): one in the first run of
-        # states, one after two runs of 8 went to the report
+    def test_blowup_exit_code(self, tmp_path, capsys):
+        # (n_steps, drift, step of the blowup): one at the first step, one
+        # after 19 states went to the report
         cases = [(4, 1e160, 1), (40, 1.2e17, 19)]
-        monkeypatch.setattr(cli, "_CHUNK_FLOATS", 8)
-        for parallel in (False, True):
-            if parallel:
-                force_parallel_report(monkeypatch)
-            for n_steps, drift, step in cases:
-                cfg = {"dy": 1, "order": 1, "n_steps": n_steps, "drift": [scalar_tensor(1, drift)]}
-                out = tmp_path / f"o{n_steps}{parallel}"
-                rc = main(["solve", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
-                assert rc == 3
-                assert f"numerical blowup at step {step}, component 1" in capsys.readouterr().err
-                # no report, no trajectory, no partial file
-                assert not out.exists() or not any(out.iterdir())
+        for n_steps, drift, step in cases:
+            cfg = {"dy": 1, "order": 1, "n_steps": n_steps, "drift": [scalar_tensor(1, drift)]}
+            out = tmp_path / f"o{n_steps}"
+            rc = main(["solve", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+            assert rc == 3
+            assert f"numerical blowup at step {step}, component 1" in capsys.readouterr().err
+            # no report, no trajectory, no partial file
+            assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("failure, code", [({"drift": [scalar_tensor(1, 1e160)]}, 3), ({"n_step": 4}, 2)])
     def test_failed_run_leaves_no_earlier_output(self, tmp_path, capsys, failure, code):
@@ -154,33 +122,6 @@ class TestSolve:
         path = write_config(tmp_path, "bad.json", dict(cfg, **failure))
         assert main(["solve", "--config", path, "--out", str(out)]) == code
         assert not any(out.iterdir())
-
-    @pytest.mark.filterwarnings("error")
-    def test_parallel_report_equals_serial(self, tmp_path, monkeypatch, rng):
-        def tensors(m=None):
-            out = []
-            for k in range(1, 4):
-                shape = (2,) + (2,) * k + ((m,) if m else ())
-                entries = (0.3 * rng.standard_normal(shape)).ravel().tolist()
-                out.append(dict(degree=k, dy=2, dz=2, entries=entries, **({"m": m} if m else {})))
-            return out
-
-        # 38 states of 28 floats, in runs of 3: the last run holds 2
-        cfg = {"dy": 2, "noise_dim": 2, "order": 3, "n_steps": 37, "seed": 5,
-               "drift": tensors(), "diffusion": tensors(2)[1:]}
-        monkeypatch.setattr(cli, "_CHUNK_FLOATS", 3 * 28)
-        path = write_config(tmp_path, "c.json", cfg)
-        outputs = []
-        for parallel in (False, True):
-            if parallel:
-                forks = force_parallel_report(monkeypatch)
-            out = tmp_path / f"o{parallel}"
-            assert main(["solve", "--config", path, "--out", str(out)]) == 0
-            text = (out / "report.json").read_text()
-            outputs.append((text[text.index(', "results": '):], (out / "trajectory.csv").read_text()))
-        assert forks == [2]
-        assert outputs[0] == outputs[1]
-        assert len(json.loads(outputs[1][0][len(', "results": '):-2])["states"]) == 38
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = {
@@ -512,6 +453,20 @@ class TestErrorHandling:
         assert rc == 2
 
 
+    def test_run_too_large_for_memory_is_validation_error(self, tmp_path, capsys, monkeypatch):
+        # n_steps 10^9 ended in a numpy _ArrayMemoryError traceback and exit 1;
+        # the stub raises before anything is allocated
+        def refuse(grid, m, seed, path_index=0):
+            raise MemoryError(f"Unable to allocate 7.45 GiB for an array with shape ({grid.n_steps}, {m})")
+
+        monkeypatch.setattr(cli, "sample_path", refuse)
+        cfg = {"dy": 1, "order": 1, "n_steps": 10**9, "drift": [scalar_tensor(1, 0.5)]}
+        out = tmp_path / "o"
+        assert main(["solve", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+        assert "not enough memory for a run of this size: Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOutputs:
     @pytest.mark.parametrize("subcommand", ["taylor-check", "solve"])
     @pytest.mark.parametrize("below", [False, True])
@@ -603,6 +558,36 @@ class TestStrictConfig:
         }
         assert self.run(tmp_path, "solve", cfg) == 2
         assert "duplicate diffusion component of degree 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, fields, message",
+        [
+            # "x" exited 2 with "string indices must be integers, not 'str'"
+            ("solve", {"drift": "x"}, "drift must be a list of components, got str"),
+            ("solve", {"drift": ["x"]}, "drift component 1 must be an object, got str"),
+            # a component without entries exited 2 with just "'entries'"
+            ("solve", {"drift": [{"degree": 1}]}, "drift component 1 is missing 'dy', 'dz', 'entries'"),
+            ("solve", {"diffusion": [scalar_tensor(1, 0.5)]}, "diffusion component 1 is missing 'm'"),
+            ("solve", {"drift": [scalar_tensor(1, 0.5), {"degree": 2, "dy": 1, "dz": 1}]},
+             "drift component 2 is missing 'entries'"),
+            ("solve", {"drift": [scalar_tensor("2", 0.5)]}, "drift component 1 degree must be an integer, got '2'"),
+            ("solve", {"initial": "x"}, "initial must be an object, got str"),
+            ("solve", {"initial": {"order": 1, "components": "x"}}, "initial components must be a list, got str"),
+            ("solve", {"initial": {"order": 1, "components": [{"degree": 1}]}},
+             "initial component 1 is missing 'dy', 'dz', 'entries'"),
+            ("solve", {"initial": {"components": []}}, "initial is missing 'order'"),
+            ("compose-check", {"a": {"order": 1, "components": "x"}}, "a components must be a list, got str"),
+            ("compose-check", {"a": {"order": 1, "components": [{"degree": 1, "dy": 1, "dz": 1}]}},
+             "a component 1 is missing 'entries'"),
+        ],
+    )
+    def test_malformed_coefficients_are_named(self, tmp_path, capsys, subcommand, fields, message):
+        cfg = {"dy": 1, "order": 1, "n_steps": 4}
+        if subcommand == "compose-check":
+            identity1 = {"order": 1, "components": [scalar_tensor(1, 1.0)]}
+            cfg = {"a": identity1, "b": identity1}
+        assert self.run(tmp_path, subcommand, dict(cfg, **fields)) == 2
+        assert f"error: invalid config or shapes: {message}\n" == capsys.readouterr().err
 
     def test_unknown_problem_key_is_rejected(self, tmp_path, capsys):
         cfg = {"n_paths": 1, "problem": {"kind": "gbm", "gamma": 0.5}, "dt_values": [0.5, 0.25, 0.125]}
@@ -728,7 +713,7 @@ def dumps(obj):
 
 class TestReportStream:
     @pytest.mark.filterwarnings("error")
-    def test_results_block_is_canonical_json(self, tmp_path, monkeypatch, rng):
+    def test_results_block_is_canonical_json(self, tmp_path, rng):
         # solve frames its block by hand; every other block is one json.dumps,
         # which raises on a numpy scalar such as np.bool_
         co = random_coefficients(rng, 3, 2, 2)
@@ -739,38 +724,70 @@ class TestReportStream:
             "diffusion": [c.to_dict() for c in co.diffusion(0.0).components],
         }
         taylor = {"dy": 1, "order": 3, "n_steps": 128, "drift": mapping["components"]}
-        solve = str(SCRIPTS / "solve_o4d2.json")
         runs = [
             ("compose-check", write_config(tmp_path, "compose.json", {"order": 2, "a": mapping, "b": mapping})),
             ("evolution-check", write_config(tmp_path, "evolution.json", evolution)),
             ("taylor-check", write_config(tmp_path, "taylor.json", taylor)),
             ("formula-check", str(SCRIPTS / "formula_check.json")),
             ("convergence", str(SCRIPTS / "convergence_gbm.json")),
-            ("solve", solve),
-            ("solve", solve),
+            ("solve", str(SCRIPTS / "solve_o4d2.json")),
         ]
-        # 65 states of 60 floats in runs of 2, so the states list joins 33 runs
-        monkeypatch.setattr(cli, "_CHUNK_FLOATS", 120)
         for i, (subcommand, config) in enumerate(runs):
-            if i == len(runs) - 1:  # the second solve encodes in forked workers
-                forks = force_parallel_report(monkeypatch)
             out = tmp_path / f"o{i}"
             assert main([subcommand, "--config", config, "--out", str(out)]) == 0, subcommand
             text = (out / "report.json").read_text()
             assert text.endswith("}\n")
             block = text[text.index(', "results": ') + len(', "results": ') : -2]
             assert block == dumps(json.loads(block)), subcommand
-        assert forks == [2]
 
-    @pytest.mark.filterwarnings("error")
-    def test_pool_keeps_the_states_in_order(self, monkeypatch):
-        # states ready at once: many runs of 8 are in flight, done in any order
-        states = [FormalMapping.from_scalar_coeffs([i, 0.5 * i]) for i in range(203)]
-        forks = force_parallel_report(monkeypatch)
-        monkeypatch.setattr(cli, "_CHUNK_FLOATS", 16)
-        joined = ",".join(cli._encoded_states(iter(states), len(states), 2))
-        assert forks == [2]
-        assert joined == ",".join(dumps(s.to_dict()) for s in states)
+
+class TestJsonFloats:
+    """cli._json_floats writes a float array as json.dumps writes its list."""
+
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=0, max_dims=3, min_side=0),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps(self, x):
+        assert cli._json_floats(x) == json.dumps(x.ravel().tolist(), separators=(",", ":"))
+
+    def test_equals_json_dumps_at_the_format_edges(self):
+        # orjson writes 0.00001 for 1e-05 and 1e16 for 1e+16: those take repr
+        edges = [1e-4, 1e16, np.finfo(float).tiny]
+        values = [0.0, 5e-324, 1e-5, 1e15, 123456789012345678.0, np.finfo(float).max, *edges]
+        values += [np.nextafter(v, direction) for v in edges for direction in (0.0, np.inf)]
+        values += [-v for v in values]
+        x = np.array(values)
+        for arr in (x, x[::-1], x.reshape(2, -1), *x[:, None]):
+            assert cli._json_floats(arr) == json.dumps(arr.ravel().tolist(), separators=(",", ":"))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, value):
+        # orjson would write null
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._json_floats(np.array([1.0, value, 1e-5]))
+
+    @pytest.mark.parametrize(
+        "magnitude, start, off_format",
+        [
+            (1e-7, 1e-6, lambda e: (0 < np.abs(e)) & (np.abs(e) < 1e-4)),
+            (0.3, 1e12, lambda e: np.abs(e) >= 1e16),
+        ],
+    )
+    def test_state_text_is_json_dumps(self, rng, magnitude, start, off_format):
+        # states with entries outside [1e-4, 1e16), where orjson's format differs
+        coeffs = random_coefficients(rng, 3, 2, 2, magnitude)
+        initial = random_mapping(rng, 3, 2, 2, start)
+        path = sample_path(TimeGrid(0.0, 1.0, 16), 2, 7)
+        states = list(chain_states(coeffs, initial, path))
+        for s in states:
+            assert cli._state_json(s) == dumps(s.to_dict())
+        entries = np.concatenate([c.entries.ravel() for s in states for c in s.components])
+        assert off_format(entries).sum() >= 100
 
 
 class TestSolveSmokeConfig:
