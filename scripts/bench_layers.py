@@ -8,6 +8,9 @@ Times, on fixed seeds and sizes:
   - contract_hot: one `_contract` call on the hottest operands of the
     order-6 Euler step, (1, 3, 3^6) x (1, 3, 3);
   - compose_o6d3: `compose` of two dense order-6, d = 3 mappings;
+  - schedule_matmuls_o6d3: the 120 matmuls of one order-6, d = 3 Euler
+    step with every component nonzero, run on the views of an
+    `algebra._Runner` and nothing else: the floor of that step;
   - euler_step_o6d3 / euler_loop_o6d3: the solve-o6d3 benchmark config
     (order 6, d 3, m 2, P 1, 512 steps, config seed 1), per step and for
     the whole loop of `chain._euler_states`;
@@ -48,7 +51,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 from formalflow import cli  # noqa: E402
-from formalflow.algebra import FormalMapping, MultilinearMap, _contract, compose, identity  # noqa: E402
+from formalflow.algebra import (  # noqa: E402
+    FormalMapping,
+    MultilinearMap,
+    _contract,
+    _Runner,
+    compose,
+    identity,
+)
 from formalflow.chain import (  # noqa: E402
     CoefficientFamily,
     TimeGrid,
@@ -116,6 +126,19 @@ def measure(repeats: int) -> dict:
     outer, inner = dense(6, 3), dense(6, 3)
     out["compose_o6d3"] = dict(
         timed(lambda: compose(outer, inner), repeats, 20), sizes="order 6, d 3"
+    )
+
+    # one Euler step's operands: Psi slots-first and the state, a path axis of 1 each
+    psi = [rng.standard_normal((1,) + (3,) * (k + 1)) for k in range(1, 7)]
+    state = [rng.standard_normal((1,) + (3,) * (k + 1)) for k in range(1, 7)]
+    run = _Runner(psi, state, [(1,) + (3,) * (n + 1) for n in range(1, 7)], batch=1)
+
+    def matmuls():
+        for lhs, rhs, product in run.ops:
+            np.matmul(lhs, rhs, product)
+
+    out["schedule_matmuls_o6d3"] = dict(
+        timed(matmuls, repeats, 200), sizes=f"{len(run.ops)} ops, order 6, d 3, P 1, every component nonzero"
     )
 
     cfg = workload_config("solve-o6d3")

@@ -198,6 +198,11 @@ def _require(d: dict, where: str, integers: Sequence[str], other: str) -> None:
             raise ShapeError(f"{where} {key} must be an integer, got {d[key]!r}")
 
 
+def _operands(t: np.ndarray, a: np.ndarray, batch: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The operands (lhs, rhs) of `_contract`; lhs is a view of t when t is contiguous."""
+    return t.reshape(t.shape[:batch] + (a.shape[batch], -1)).swapaxes(-1, -2), a
+
+
 def _contract(t: np.ndarray, a: np.ndarray, batch: int = 0) -> np.ndarray:
     """The slot-contraction kernel: plug a into the leading argument slot of t.
 
@@ -214,8 +219,7 @@ def _contract(t: np.ndarray, a: np.ndarray, batch: int = 0) -> np.ndarray:
     other; each path is one matrix product, bitwise equal to the unbatched
     call.
     """
-    m = a.shape[batch]
-    return t.reshape(t.shape[:batch] + (m, -1)).swapaxes(-1, -2) @ a
+    return np.matmul(*_operands(t, a, batch))
 
 
 def enumerate_compositions(n: int, k: int) -> list[tuple[int, ...]]:
@@ -269,6 +273,52 @@ def _schedule(
     return tuple(ops), tuple(terms)
 
 
+class _Runner:
+    """A `_schedule` run on operands b and a as `_compose_entries` takes them,
+    keeping each op's (lhs, rhs, out) views and each component's term views.
+    `rerun` copies operands of the same shapes and zero pattern into b and a,
+    which must be contiguous and held by nothing else, and reruns each op as
+    np.matmul(lhs, rhs, out=out): the same bits, with no reshape or
+    allocation per op.  `sums` returns fresh arrays."""
+
+    def __init__(self, b: list, a: list, shapes: list, batch: int = 0, tail: int = 0, first: int = 1):
+        order = first + len(shapes) - 1
+        self.batch, self.tail = batch, tail
+        b_nonzero = tuple(e is not None for e in b[:order])
+        a_nonzero = tuple(j < len(a) and a[j] is not None for j in range(order))
+        ops, terms = _schedule(order, b_nonzero, a_nonzero, first)
+        self.b = b[:order]
+        self.a = [None if e is None else e.reshape(e.shape[: batch + 1] + (-1,)) for e in a[:order]]
+        values, self.ops = list(self.b), []
+        for source, j in ops:
+            lhs, rhs = _operands(values[source], self.a[j - 1], batch)
+            values.append(lhs @ rhs)
+            self.ops.append((lhs, rhs, values[-1]))
+        self.terms = []
+        for shape, term in zip(shapes, terms):
+            # the terms come out (out, trailing..., inputs...), see _contract
+            cut = len(shape) - tail
+            raw = shape[: batch + 1] + shape[cut:] + shape[batch + 1 : cut]
+            self.terms.append((raw, [values[v].reshape(values[v].shape[:batch] + raw[batch:]) for v in term]))
+
+    def rerun(self, b: list, a: list) -> None:
+        for buf, e in [*zip(self.b, b), *zip(self.a, a)]:
+            if buf is not None:
+                np.copyto(buf, e.reshape(buf.shape))
+        for lhs, rhs, out in self.ops:
+            np.matmul(lhs, rhs, out)
+
+    def sums(self) -> list[np.ndarray]:
+        out = []
+        for raw, views in self.terms:
+            # from zeros, not a copy of the first term, so that a -0.0 term sums to 0.0
+            acc = np.zeros(raw)
+            for v in views:
+                np.add(acc, v, acc)
+            out.append(_tail_last(acc, self.batch, self.tail))
+        return out
+
+
 def _compose_entries(
     b: list, a: list, shapes: list, batch: int = 0, tail: int = 0, first: int = 1
 ) -> list[np.ndarray]:
@@ -279,28 +329,7 @@ def _compose_entries(
     they stay last in the results.  The first `batch` axes of every entry are
     path axes (see `_contract`); the shapes include them.
     """
-    order = first + len(shapes) - 1
-    a = [None if e is None else e.reshape(e.shape[: batch + 1] + (-1,)) for e in a[:order]]
-    ops, terms = _schedule(
-        order,
-        tuple(e is not None for e in b[:order]),
-        tuple(j < len(a) and a[j] is not None for j in range(order)),
-        first,
-    )
-    values = list(b[:order])
-    for source, j in ops:
-        values.append(_contract(values[source], a[j - 1], batch))
-    out = []
-    for shape, term in zip(shapes, terms):
-        # the terms come out (out, trailing..., inputs...), see _contract
-        cut = len(shape) - tail
-        raw = shape[: batch + 1] + shape[cut:] + shape[batch + 1 : cut]
-        acc = np.zeros(raw)
-        for v in term:
-            t = values[v]
-            acc += t.reshape(t.shape[:batch] + raw[batch:])
-        out.append(_tail_last(acc, batch, tail))
-    return out
+    return _Runner(b, a, shapes, batch, tail, first).sums()
 
 
 def _tail_last(t: np.ndarray, batch: int, tail: int) -> np.ndarray:

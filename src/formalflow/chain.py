@@ -20,6 +20,7 @@ from .algebra import (
     NonFiniteError,
     ShapeError,
     _compose_entries,
+    _Runner,
     _nonzero_entries,
     apply_to_tuple,
     compose,
@@ -396,23 +397,30 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
 
     A state lists its entries by degree, each with a leading path axis;
     the initial one may have a single row shared by all paths.  dw holds
-    the increments, shape (P, n_steps, m).  Each step composes the one-step
-    mapping with the previous state, path by path, by the `_schedule` of the
-    zero pattern: a term is skipped when its coefficient is zero or its state
-    component is zero on every path.  The deterministic part of the one-step
-    mapping is rebuilt only when drift_at returns a new object.
+    the increments, shape (P, n_steps, m).  Each step composes Psi with the
+    previous state, path by path, by the `_schedule` of the zero pattern: a
+    term is skipped when its coefficient is zero or its state component is
+    zero on every path.  One `_Runner` per zero pattern and operand shapes
+    lives as long as this generator, which yields fresh arrays.  Psi's
+    deterministic part is rebuilt only when drift_at returns a new object.
     """
     n_paths, dt, d = dw.shape[0], grid.dt, coeffs.dy
     shapes = [(n_paths, d) + (d,) * n for n in range(1, coeffs.order + 1)]
     a_t = drift = None
+    runners = {}
     for i in range(grid.n_steps):
         t_i = grid.t_start + i * dt
         if (a_next := coeffs.drift_at(t_i)) is not a_t:
             a_t, drift = a_next, _drift_part(a_next, dt)
         psi = _step_entries(a_t, drift, coeffs.diffusion_at(t_i), dw[:, i])
         prev = [e if e.any() else None for e in state]
-        state = _compose_entries(psi, prev, shapes, batch=1)
-        yield state
+        key = tuple(None if e is None else e.shape for e in psi + prev)
+        if (run := runners.get(key)) is None:
+            psi, prev = ([None if e is None else e.copy() for e in x] for x in (psi, prev))
+            run = runners[key] = _Runner(psi, prev, shapes, batch=1)
+        else:
+            run.rerun(psi, prev)
+        yield (state := run.sums())
 
 
 def _check_chain_shapes(coeffs: CoefficientFamily, initial: FormalMapping, paths) -> None:
@@ -497,6 +505,8 @@ def simulate_direct(
     expected = (n_paths, coeffs.dy) if batched else (coeffs.dy,)
     if y.shape != expected:
         raise ShapeError(f"y0 has shape {y.shape}, expected {expected}")
+    if not np.isfinite(y).all():
+        raise ShapeError("y0 has non-finite entries")
     y = y.reshape(n_paths, coeffs.dy)
     grid = path.grid
     dt = grid.dt

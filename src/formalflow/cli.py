@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -166,6 +166,13 @@ def _number(key: str, value) -> float:
         return float(value)
     except OverflowError:
         raise ShapeError(f"{key} is too large, got {value!r}") from None
+
+
+def _list(key: str, value, item: Callable, items: str) -> list:
+    """value with item(key, x) applied to each x, if it is a list; items names what x must be."""
+    if not isinstance(value, list):
+        raise ShapeError(f"{key} must be a list of {items}, got {type(value).__name__}")
+    return [item(key, x) for x in value]
 
 
 _JSON_OPTIONS = {"sort_keys": True, "separators": (",", ":")}
@@ -332,10 +339,7 @@ def _cmd_evolution_check(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _cmd_taylor_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     coeffs = cfg.coefficients()
-    y0 = cfg.options.get("y0", [0.1] * cfg.dy)
-    if not isinstance(y0, list):
-        raise ShapeError(f"y0 must be a list of {cfg.dy} numbers, got {y0!r}")
-    y0 = np.array([_number("y0", v) for v in y0])
+    y0 = np.array(_list("y0", cfg.options.get("y0", [0.1] * cfg.dy), _number, "numbers"))
     halvings = _integer("halvings", cfg.options.get("halvings", 5))
     report = truncation_scaling(coeffs, cfg.grid(), y0, halvings)
     expected = report.expected_ratio
@@ -354,7 +358,7 @@ def _cmd_formula_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = cfg.grid()
     path = cfg.path()
     sol = solve_chain(coeffs, identity(cfg.order, cfg.dy), path)
-    degrees = [_integer("degrees", n) for n in cfg.options.get("degrees", range(2, cfg.order + 1))]
+    degrees = _list("degrees", cfg.options.get("degrees", list(range(2, cfg.order + 1))), _integer, "integers")
     if not degrees:
         raise ShapeError("formula-check needs at least one degree in 'degrees'")
     tol = _number("tolerance", cfg.options.get("tolerance", 1e-9))
@@ -378,14 +382,11 @@ def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     problem = cfg.options.get("problem")
     if not isinstance(problem, dict) or "kind" not in problem:
         raise ShapeError("convergence needs a 'problem' object with a 'kind' field")
-    dt_values = cfg.options.get("dt_values")
-    if not dt_values:
-        raise ShapeError("convergence needs a 'dt_values' list")
+    dt_values = _list("dt_values", cfg.options.get("dt_values"), _number, "numbers")
     kind = problem["kind"]
-    if kind not in _PROBLEM_KEYS:
-        raise ShapeError(f"unknown convergence problem kind '{kind}'")
+    if not isinstance(kind, str) or kind not in _PROBLEM_KEYS:
+        raise ShapeError(f"problem kind must be one of {', '.join(map(repr, _PROBLEM_KEYS))}, got {kind!r}")
     _reject_unknown(problem, _PROBLEM_KEYS[kind], f"problem kind '{kind}'")
-    dt_values = [_number("dt_values", x) for x in dt_values]
     check = "expected_slope" in cfg.options
     if check:
         expected = _number("expected_slope", cfg.options["expected_slope"])

@@ -1,6 +1,7 @@
 import math
 import runpy
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,12 @@ from formalflow import (
     identity,
     one_step_map,
     sample_path,
+    sample_paths,
     simulate_direct,
     solve_chain,
 )
 from formalflow.algebra import _contract
-from formalflow.chain import _noise
+from formalflow.chain import _euler_states, _noise
 from conftest import mapping_equal, random_coefficients, random_mapping
 
 
@@ -272,6 +274,64 @@ class TestSolveChain:
             solve_chain(co, identity(2, 2), path)
 
 
+class TestBufferDiscipline:
+    """The Euler loop reuses buffers within one generator; nothing it hands
+    out, nor another generator or thread, may see them change."""
+
+    def instance(self, rng):
+        # from the identity, the first step has a zero pattern of its own, so
+        # each run builds two runners and reruns the second
+        return random_coefficients(rng, 4, 2, 2), TimeGrid(0.0, 1.0, 24)
+
+    def test_yielded_states_stay_unchanged(self, rng):
+        co, grid = self.instance(rng)
+        dw = sample_paths(grid, 2, 5, 3).increments
+        start = [c.entries[None] for c in identity(4, 2).components]
+        path = sample_path(grid, 2, seed=5)
+        for states in (
+            _euler_states(co, grid, start, dw),
+            ([c.entries for c in s.components] for s in chain_states(co, identity(4, 2), path)),
+        ):
+            kept, copies = [], []
+            for state in states:
+                kept += state
+                copies += [e.copy() for e in state]
+            assert len(kept) >= 4 * grid.n_steps
+            assert all(map(np.array_equal, kept, copies))
+
+    def test_interleaved_generators_equal_serial_runs(self, rng):
+        co, grid = self.instance(rng)
+        paths = [sample_path(grid, 2, seed=s) for s in (1, 2)]
+        serial = [list(chain_states(co, identity(4, 2), p)) for p in paths]
+        interleaved = zip(*(chain_states(co, identity(4, 2), p) for p in paths))
+        for (x, y), (sx, sy) in zip(interleaved, zip(*serial)):
+            assert mapping_equal(x, sx) and mapping_equal(y, sy)
+
+    def test_concurrent_threads_equal_serial_runs(self, rng):
+        co, grid = self.instance(rng)
+        paths = [sample_path(grid, 2, seed=s) for s in range(4)]
+        serial = [solve_chain(co, identity(4, 2), p).states for p in paths]
+        got = [None] * len(paths)
+
+        def solve(i):
+            got[i] = solve_chain(co, identity(4, 2), paths[i]).states
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(paths))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for states, expected in zip(got, serial):
+            assert len(states) == len(expected) == grid.n_steps + 1
+            assert all(map(mapping_equal, states, expected))
+
+
 class TestSimulateDirect:
     def test_zero_initial_condition_stays_zero(self, rng):
         co = random_coefficients(rng, 3, 2, 2)
@@ -307,6 +367,16 @@ class TestSimulateDirect:
             errs.append(abs(got - target))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.15)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_value_is_rejected(self, bad):
+        # this raised BlowupError("numerical blowup at step -1")
+        co = CoefficientFamily.constant_scalar([1.0])
+        grid = TimeGrid(0.0, 1.0, 4)
+        with pytest.raises(ShapeError, match="^y0 has non-finite entries$"):
+            simulate_direct(co, np.array([bad]), sample_path(grid, 1, seed=0))
+        with pytest.raises(ShapeError, match="^y0 has non-finite entries$"):
+            simulate_direct(co, np.array([[0.1], [bad]]), sample_paths(grid, 1, 0, 2))
 
     def test_blowup_reports_step(self):
         co = CoefficientFamily.constant_scalar([0.0, 1e200])

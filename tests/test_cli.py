@@ -589,6 +589,25 @@ class TestStrictConfig:
         assert self.run(tmp_path, subcommand, dict(cfg, **fields)) == 2
         assert f"error: invalid config or shapes: {message}\n" == capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand, fields, message",
+        [
+            # these said "'float' object is not iterable", "unhashable type: 'list'"
+            # and "'int' object is not iterable"
+            ("convergence", {"dt_values": 0.1}, "dt_values must be a list of numbers, got float"),
+            ("convergence", {"problem": {"kind": [1]}}, "problem kind must be one of 'gbm', 'quadratic', got [1]"),
+            ("convergence", {"problem": {"kind": "x"}}, "problem kind must be one of 'gbm', 'quadratic', got 'x'"),
+            ("formula-check", {"degrees": 3}, "degrees must be a list of integers, got int"),
+            ("taylor-check", {"y0": {"x": 1}}, "y0 must be a list of numbers, got dict"),
+        ],
+    )
+    def test_list_options_are_named(self, tmp_path, capsys, subcommand, fields, message):
+        cfg = {"dy": 1, "order": 3, "n_steps": 8, "drift": [scalar_tensor(2, 0.5)]}
+        if subcommand == "convergence":
+            cfg = {"problem": {"kind": "gbm"}, "dt_values": [0.5, 0.25, 0.125]}
+        assert self.run(tmp_path, subcommand, dict(cfg, **fields)) == 2
+        assert f"error: invalid config or shapes: {message}\n" == capsys.readouterr().err
+
     def test_unknown_problem_key_is_rejected(self, tmp_path, capsys):
         cfg = {"n_paths": 1, "problem": {"kind": "gbm", "gamma": 0.5}, "dt_values": [0.5, 0.25, 0.125]}
         assert self.run(tmp_path, "convergence", cfg) == 2
