@@ -8,9 +8,10 @@ Times, on fixed seeds and sizes:
   - contract_hot: one `_contract` call on the hottest operands of the
     order-6 Euler step, (1, 3, 3^6) x (1, 3, 3);
   - compose_o6d3: `compose` of two dense order-6, d = 3 mappings;
-  - schedule_matmuls_o6d3: the 120 matmuls of one order-6, d = 3 Euler
-    step with every component nonzero, run on the views of an
-    `algebra._Runner` and nothing else: the floor of that step;
+  - horner_products_o6d3: the 56 matrix products of one order-6, d = 3
+    Euler step with every component nonzero, run on the views of an
+    `algebra._Runner` and nothing else (not its 35 additions): the floor
+    of that step;
   - euler_step_o6d3 / euler_loop_o6d3: the solve-o6d3 benchmark config
     (order 6, d 3, m 2, P 1, 512 steps, config seed 1), per step and for
     the whole loop of `chain._euler_states`;
@@ -24,7 +25,9 @@ Times, on fixed seeds and sizes:
   - cli_solve_o6d3: `cli.main solve` on that config, end to end.
 
 Each timing is repeated --repeats times; the file holds the minimum and the
-median, in seconds, with the seed, the sizes, the numpy and orjson
+median, in seconds.  The layers that compose also record the products,
+additions and flops of their runner's op list.  The file holds the seed,
+the sizes, the numpy and orjson
 versions, the core count, the commit and a digest of the sources.  The same
 script runs on any checkout whose functions keep these names, so two
 commits can be compared.
@@ -84,6 +87,13 @@ def timed(fn, repeats: int, number: int = 1) -> dict:
     return {"min_s": min(runs), "median_s": statistics.median(runs)}
 
 
+def plan_counts(run: _Runner) -> dict:
+    """The products, additions and flops of a runner's op list."""
+    kinds = [f for f, *_ in run.ops]
+    flops = sum(2 * z.size * x.shape[-1] if f is np.matmul else z.size for f, x, _, z in run.ops)
+    return {"products": kinds.count(np.matmul), "additions": kinds.count(np.add), "flops": flops}
+
+
 def euler_loop(coeffs, grid, start, dw):
     for _ in _euler_states(coeffs, grid, start, dw):
         pass
@@ -124,21 +134,30 @@ def measure(repeats: int) -> dict:
         return FormalMapping(order, d, d, comps)
 
     outer, inner = dense(6, 3), dense(6, 3)
+    composed = _Runner(
+        [c.slots_first for c in outer.components],
+        [c.entries for c in inner.components],
+        [(3,) * (n + 1) for n in range(1, 7)],
+    )
     out["compose_o6d3"] = dict(
-        timed(lambda: compose(outer, inner), repeats, 20), sizes="order 6, d 3"
+        timed(lambda: compose(outer, inner), repeats, 20), sizes="order 6, d 3", **plan_counts(composed)
     )
 
     # one Euler step's operands: Psi slots-first and the state, a path axis of 1 each
     psi = [rng.standard_normal((1,) + (3,) * (k + 1)) for k in range(1, 7)]
     state = [rng.standard_normal((1,) + (3,) * (k + 1)) for k in range(1, 7)]
     run = _Runner(psi, state, [(1,) + (3,) * (n + 1) for n in range(1, 7)], batch=1)
+    products = [op for op in run.ops if op[0] is np.matmul]
 
     def matmuls():
-        for lhs, rhs, product in run.ops:
-            np.matmul(lhs, rhs, product)
+        for f, x, y, z in products:
+            f(x, y, z)
 
-    out["schedule_matmuls_o6d3"] = dict(
-        timed(matmuls, repeats, 200), sizes=f"{len(run.ops)} ops, order 6, d 3, P 1, every component nonzero"
+    out["horner_products_o6d3"] = dict(
+        timed(matmuls, repeats, 200),
+        sizes="order 6, d 3, P 1, every component nonzero, products only",
+        products=len(products),
+        flops=sum(2 * z.size * x.shape[-1] for _, x, _, z in products),
     )
 
     cfg = workload_config("solve-o6d3")
@@ -148,7 +167,7 @@ def measure(repeats: int) -> dict:
     steps = path.grid.n_steps
     out["euler_loop_o6d3"] = dict(loop, sizes=f"order 6, d 3, m 2, P 1, {steps} steps")
     out["euler_step_o6d3"] = dict(
-        {k: v / steps for k, v in loop.items()}, sizes="order 6, d 3, m 2, P 1, per step"
+        {k: v / steps for k, v in loop.items()}, sizes="order 6, d 3, m 2, P 1, per step", **plan_counts(run)
     )
 
     gbm = CoefficientFamily.constant_scalar([1.0], [0.5])

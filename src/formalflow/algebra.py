@@ -6,7 +6,9 @@ output index slowest and the k argument indices following in argument order.
 The contraction kernel reads the outer operand slots-first, (dY, ..., dY, dZ),
 a layout each map builds once, on first use.  Composition is the
 Faa-di-Bruno-type double sum over ordered integer compositions of the target
-degree, compiled once per zero pattern into a flat list of contractions.
+degree, evaluated by Horner's rule: partial terms of one shape are summed
+before the next slot is filled, compiled once per zero pattern into a flat
+list of contractions and additions.
 """
 
 from __future__ import annotations
@@ -237,99 +239,92 @@ def enumerate_compositions(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache
-def _plan(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The composition plan of component n: its terms (k, parts) in summation order."""
-    return tuple((k, parts) for k in range(1, n + 1) for parts in enumerate_compositions(n, k))
-
-
-@lru_cache
-def _schedule(
+def _classes(
     order: int, b_nonzero: tuple[bool, ...], a_nonzero: tuple[bool, ...], first: int = 1
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-    """The plan terms of components first..order, compiled for one zero pattern.
+) -> tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]:
+    """Horner's rule for components first..order, compiled for one zero pattern.
 
-    b_nonzero[k-1] and a_nonzero[j-1] tell whether b_k and a_j are nonzero;
-    a term with a zero operand is dropped.  Values 0..order-1 are b_1..b_order,
-    and op i, (source, j), makes value order + i by plugging a_j into the
-    leading slot of value source.  Each prefix (k, j_1..j_i) of a kept term
-    is one op, shared by every term that starts with it.  terms[n - first]
-    lists the values that component n sums, in plan order.
+    Class (r, s) sums the partial terms b_k(a_j1, ..., a_ji, ...) with
+    r = k - i slots open and s = j_1 + ... + j_i, which share a shape and
+    completions.  (k, 0) is b_k and (0, n) is component n.  Entry ((r, t),
+    sources), r descending, makes class (r, t) as the sum over its sources
+    (s, j), s ascending, of class (r + 1, s) with a_j in its leading slot.
+    A product is kept if it is a prefix of a term of components first..order
+    with no zero operand, as b_nonzero[k-1] and a_nonzero[j-1] tell.
     """
-    made: dict = {}
-    ops, terms = [], []
+    sources: dict = {}
     for n in range(first, order + 1):
-        kept = []
-        for k, parts in _plan(n):
-            if not (b_nonzero[k - 1] and all(a_nonzero[j - 1] for j in parts)):
-                continue
-            v = k - 1
-            for i, j in enumerate(parts, start=1):
-                if (k, parts[:i]) not in made:
-                    made[k, parts[:i]] = order + len(ops)
-                    ops.append((v, j))
-                v = made[k, parts[:i]]
-            kept.append(v)
-        terms.append(tuple(kept))
-    return tuple(ops), tuple(terms)
+        for k in range(1, n + 1):
+            for parts in enumerate_compositions(n, k):
+                if b_nonzero[k - 1] and all(a_nonzero[j - 1] for j in parts):
+                    for i, j in enumerate(parts):
+                        s = sum(parts[:i])
+                        sources.setdefault((k - i - 1, s + j), set()).add((s, j))
+    targets = sorted(sources, key=lambda c: (-c[0], c[1]))
+    return tuple(((r, t), tuple(sorted(sources[r, t]))) for r, t in targets)
 
 
 class _Runner:
-    """A `_schedule` run on operands b and a as `_compose_entries` takes them,
-    keeping each op's (lhs, rhs, out) views and each component's term views.
-    `rerun` copies operands of the same shapes and zero pattern into b and a,
-    which must be contiguous and held by nothing else, and reruns each op as
-    np.matmul(lhs, rhs, out=out): the same bits, with no reshape or
-    allocation per op.  `sums` returns fresh arrays."""
+    """Components first.. of b after a, one per shape, by `_classes`.
+
+    b lists entries by degree in slots-first layout, a in the usual layout,
+    each None where zero.  The last `tail` axes of b's entries are not slots;
+    they stay last in the results.  The first `batch` axes of every entry are
+    path axes (see `_contract`); the shapes include them.  A runner holds a
+    buffer per class and a flat list of ops (ufunc, x, y, out) on views,
+    np.matmul of a source's `_operands` and np.add into its class.  `rerun`
+    copies operands of the same shapes and zero pattern into b and a, which
+    must be contiguous and held by nothing else (none: keep them), and runs
+    the ops with no reshape or allocation.  `components` returns fresh arrays.
+    """
 
     def __init__(self, b: list, a: list, shapes: list, batch: int = 0, tail: int = 0, first: int = 1):
         order = first + len(shapes) - 1
         self.batch, self.tail = batch, tail
-        b_nonzero = tuple(e is not None for e in b[:order])
-        a_nonzero = tuple(j < len(a) and a[j] is not None for j in range(order))
-        ops, terms = _schedule(order, b_nonzero, a_nonzero, first)
         self.b = b[:order]
         self.a = [None if e is None else e.reshape(e.shape[: batch + 1] + (-1,)) for e in a[:order]]
-        values, self.ops = list(self.b), []
-        for source, j in ops:
-            lhs, rhs = _operands(values[source], self.a[j - 1], batch)
-            values.append(lhs @ rhs)
-            self.ops.append((lhs, rhs, values[-1]))
-        self.terms = []
-        for shape, term in zip(shapes, terms):
-            # the terms come out (out, trailing..., inputs...), see _contract
+        b_nonzero = tuple(e is not None for e in self.b)
+        a_nonzero = tuple(j < len(self.a) and self.a[j] is not None for j in range(order))
+        values = {(k, 0): e for k, e in enumerate(self.b, start=1) if e is not None}
+        self.ops = []
+        for (r, t), sources in _classes(order, b_nonzero, a_nonzero, first):
+            pairs = [_operands(values[r + 1, s], self.a[j - 1], batch) for s, j in sources]
+            # path axes are 1 or the path count long, so they broadcast to their maximum
+            lead = tuple(map(max, *(x.shape[:-2] for pair in pairs for x in pair)))
+            acc = values[r, t] = np.empty(lead + (pairs[0][0].shape[-2] * pairs[0][1].shape[-1],))
+            scratch = np.empty(acc.size) if len(pairs) > 1 else None
+            for i, (x, y) in enumerate(pairs):
+                out = acc.reshape(lead + (x.shape[-2], y.shape[-1]))
+                shape = tuple(map(max, x.shape[:-2], y.shape[:-2])) + out.shape[-2:]
+                product = scratch[: math.prod(shape)].reshape(shape) if i else out
+                self.ops.append((np.matmul, x, y, product))
+                if i:
+                    self.ops.append((np.add, out, product, out))
+        self.outs = []
+        for n, shape in enumerate(shapes, start=first):
+            # component n comes out (out, trailing..., inputs...), see _contract
             cut = len(shape) - tail
             raw = shape[: batch + 1] + shape[cut:] + shape[batch + 1 : cut]
-            self.terms.append((raw, [values[v].reshape(values[v].shape[:batch] + raw[batch:]) for v in term]))
+            v = values.get((0, n))
+            if v is not None:
+                # a component that no path's operands vary has one row: give it every path
+                v = np.broadcast_to(v.reshape(v.shape[:batch] + raw[batch:]), raw)
+            self.outs.append((raw, v))
+        self.rerun([], [])
 
     def rerun(self, b: list, a: list) -> None:
         for buf, e in [*zip(self.b, b), *zip(self.a, a)]:
             if buf is not None:
                 np.copyto(buf, e.reshape(buf.shape))
-        for lhs, rhs, out in self.ops:
-            np.matmul(lhs, rhs, out)
+        for f, x, y, z in self.ops:
+            f(x, y, z)
 
-    def sums(self) -> list[np.ndarray]:
+    def components(self) -> list[np.ndarray]:
         out = []
-        for raw, views in self.terms:
-            # from zeros, not a copy of the first term, so that a -0.0 term sums to 0.0
-            acc = np.zeros(raw)
-            for v in views:
-                np.add(acc, v, acc)
-            out.append(_tail_last(acc, self.batch, self.tail))
+        for raw, v in self.outs:
+            # adding 0.0 reads a sum of -0.0 terms as 0.0, as a sum from zeros would
+            out.append(_tail_last(np.zeros(raw) if v is None else np.add(v, 0.0), self.batch, self.tail))
         return out
-
-
-def _compose_entries(
-    b: list, a: list, shapes: list, batch: int = 0, tail: int = 0, first: int = 1
-) -> list[np.ndarray]:
-    """Components first.. of b after a, one per shape, by their `_schedule`.
-
-    b lists entries by degree in slots-first layout, a in the usual layout,
-    each None where zero.  The last `tail` axes of b's entries are not slots;
-    they stay last in the results.  The first `batch` axes of every entry are
-    path axes (see `_contract`); the shapes include them.
-    """
-    return _Runner(b, a, shapes, batch, tail, first).sums()
 
 
 def _tail_last(t: np.ndarray, batch: int, tail: int) -> np.ndarray:
@@ -391,9 +386,9 @@ def compose(b: FormalMapping, a: FormalMapping) -> FormalMapping:
     order = min(a.order, b.order)
     tail = b._tail()
     shapes = [(b.dz,) + (a.dy,) * n + tail for n in range(1, order + 1)]
-    entries = _compose_entries(
+    entries = _Runner(
         _nonzero_entries(b, slots_first=True), _nonzero_entries(a), shapes, tail=len(tail)
-    )
+    ).components()
     comps = [b._COMPONENT(n, a.dy, b.dz, *tail, e) for n, e in enumerate(entries, start=1)]
     return b._of(order, comps)
 

@@ -9,7 +9,7 @@ property exact up to floating-point reordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -19,7 +19,6 @@ from .algebra import (
     MultilinearMap,
     NonFiniteError,
     ShapeError,
-    _compose_entries,
     _Runner,
     _nonzero_entries,
     apply_to_tuple,
@@ -46,14 +45,17 @@ class TimeGrid:
     """Uniform grid on [t_start, t_end] with n_steps steps of size dt.
 
     dt defaults to (t_end - t_start) / n_steps.  Sub-grids and coarsened grids
-    pass their parent's step (times the coarsening factor) instead, so that
-    they take exactly the parent's steps, not steps an ulp apart.
+    (`_sub`) take their parent's step (times the coarsening factor) and knot
+    times, bit for bit: knot i lies at t0 + (first + i*stride)*h, where
+    _base = (t0, h, first, stride) holds the start and step of the grid
+    first cut from and this grid's knot indices on it.
     """
 
     t_start: float
     t_end: float
     n_steps: int
     dt: float | None = None
+    _base: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -65,14 +67,27 @@ class TimeGrid:
             object.__setattr__(self, "dt", span / self.n_steps)
         elif not math.isclose(self.dt * self.n_steps, span, rel_tol=1e-9):
             raise ShapeError(f"{self.n_steps} steps of {self.dt} do not span {span}")
+        object.__setattr__(self, "_base", (self.t_start, self.dt, 0, 1))
+
+    def knot(self, i: int) -> float:
+        """The time of knot i (or an array of them), as on the grid this one was cut from."""
+        t0, h, first, stride = self._base
+        return t0 + (first + i * stride) * h
 
     def knots(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(self.n_steps + 1)
+        return self.knot(np.arange(self.n_steps + 1))
+
+    def _sub(self, first: int, n_steps: int, stride: int = 1) -> "TimeGrid":
+        """The grid of knots first, first + stride, ..., first + n_steps*stride of this one."""
+        t0, h, i0, s = self._base
+        grid = TimeGrid(self.knot(first), self.knot(first + n_steps * stride), n_steps, stride * self.dt)
+        object.__setattr__(grid, "_base", (t0, h, i0 + first * s, s * stride))
+        return grid
 
     def knot_index(self, t: float, tol: float = 1e-9) -> int:
         """Index of the knot equal to t; ShapeError if t is not a knot."""
         idx = round((t - self.t_start) / self.dt)
-        if 0 <= idx <= self.n_steps and abs(self.t_start + idx * self.dt - t) <= tol:
+        if 0 <= idx <= self.n_steps and abs(self.knot(idx) - t) <= tol:
             return idx
         raise ShapeError(f"t={t} is not a knot of the grid")
 
@@ -122,13 +137,7 @@ class BrownianPath:
         """Sub-path over knots [i_start, i_stop], same step size."""
         if not 0 <= i_start < i_stop <= self.grid.n_steps:
             raise ShapeError(f"bad knot range [{i_start}, {i_stop}]")
-        dt = self.grid.dt
-        sub = TimeGrid(
-            self.grid.t_start + i_start * dt,
-            self.grid.t_start + i_stop * dt,
-            i_stop - i_start,
-            dt,
-        )
+        sub = self.grid._sub(i_start, i_stop - i_start)
         return BrownianPath(sub, self.noise_dim, self.increments[i_start:i_stop], self.seed, self.path_index)
 
     def coarsen(self, factor: int) -> "BrownianPath":
@@ -187,7 +196,7 @@ def _coarsen(grid: TimeGrid, increments: np.ndarray, factor: int) -> tuple[TimeG
         raise ShapeError(f"factor {factor} does not divide {grid.n_steps} steps")
     n = grid.n_steps // factor
     coarse = increments.reshape(increments.shape[:-2] + (n, factor, increments.shape[-1])).sum(axis=-2)
-    return TimeGrid(grid.t_start, grid.t_end, n, factor * grid.dt), coarse
+    return grid._sub(0, n, factor), coarse
 
 
 def sample_path(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> BrownianPath:
@@ -398,18 +407,17 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
     A state lists its entries by degree, each with a leading path axis;
     the initial one may have a single row shared by all paths.  dw holds
     the increments, shape (P, n_steps, m).  Each step composes Psi with the
-    previous state, path by path, by the `_schedule` of the zero pattern: a
-    term is skipped when its coefficient is zero or its state component is
-    zero on every path.  One `_Runner` per zero pattern and operand shapes
-    lives as long as this generator, which yields fresh arrays.  Psi's
-    deterministic part is rebuilt only when drift_at returns a new object.
+    previous state, path by path, by the Horner `_classes` of the zero
+    pattern: a product is skipped when its coefficient is zero or its state
+    component is zero on every path.  One `_Runner` per zero pattern and
+    operand shapes lives as long as this generator, which yields fresh
+    arrays.  Psi's deterministic part is rebuilt when drift_at is new.
     """
     n_paths, dt, d = dw.shape[0], grid.dt, coeffs.dy
     shapes = [(n_paths, d) + (d,) * n for n in range(1, coeffs.order + 1)]
     a_t = drift = None
     runners = {}
-    for i in range(grid.n_steps):
-        t_i = grid.t_start + i * dt
+    for i, t_i in enumerate(grid.knots()[:-1].tolist()):
         if (a_next := coeffs.drift_at(t_i)) is not a_t:
             a_t, drift = a_next, _drift_part(a_next, dt)
         psi = _step_entries(a_t, drift, coeffs.diffusion_at(t_i), dw[:, i])
@@ -420,7 +428,7 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
             run = runners[key] = _Runner(psi, prev, shapes, batch=1)
         else:
             run.rerun(psi, prev)
-        yield (state := run.sums())
+        yield (state := run.components())
 
 
 def _check_chain_shapes(coeffs: CoefficientFamily, initial: FormalMapping, paths) -> None:
@@ -512,8 +520,7 @@ def simulate_direct(
     dt = grid.dt
     out = np.empty((grid.n_steps + 1, n_paths, coeffs.dy))
     out[0] = y
-    for i in range(grid.n_steps):
-        t_i = grid.t_start + i * dt
+    for i, t_i in enumerate(grid.knots()[:-1].tolist()):
         # the noise matrix b(t_i, y) of each path, (P, dy, m), times its increment
         noise = evaluate(coeffs.diffusion_at(t_i), y) @ dw[:, i, :, None]
         y = y + (dt * evaluate(coeffs.drift_at(t_i), y) + noise[..., 0])
@@ -539,12 +546,12 @@ def _forcing(
     shape = (J, dz) + (dy,)*n; g keeps b's noise axis last, shape
     (J, dz) + (dy,)*n + (m,), and is None when b_2..b_n are None.
     """
-    (f,) = _compose_entries([None] + a[1:n], state, [shape], batch=1, first=n)
+    (f,) = _Runner([None] + a[1:n], state, [shape], batch=1, first=n).components()
     b = [None] + b[1:n]
     if all(e is None for e in b):
         return f, None
     m = next(e for e in b if e is not None).shape[-1]
-    (g,) = _compose_entries(b, state, [shape + (m,)], batch=1, tail=1, first=n)
+    (g,) = _Runner(b, state, [shape + (m,)], batch=1, tail=1, first=n).components()
     return f, g
 
 

@@ -322,7 +322,7 @@ def _cmd_evolution_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = cfg.grid()
     split = cfg.options.get("split_knot")
     if split is None:
-        split = grid.t_start + (grid.n_steps // 2) * grid.dt
+        split = grid.knot(grid.n_steps // 2)
     tol = _number("tolerance", cfg.options.get("tolerance", 1e-10))
     report = evolution_check(coeffs, grid, cfg.path(), _number("split_knot", split))
     passed = bool(report.max_discrepancy <= tol)

@@ -38,8 +38,7 @@ def fundamental(coeffs: CoefficientFamily, path: BrownianPath) -> FundamentalSol
     d = coeffs.dy
     eye = np.eye(d)
     factors = []
-    for i in range(grid.n_steps):
-        t_i = grid.t_start + i * dt
+    for i, t_i in enumerate(grid.knots()[:-1].tolist()):
         f = eye + dt * coeffs.drift_at(t_i).component(1).entries
         b1 = coeffs.diffusion_at(t_i).component(1)
         if not b1.is_zero:
@@ -71,7 +70,7 @@ def _loads(n: int, coeffs: CoefficientFamily, chain_states, path: BrownianPath) 
     Raises UnsupportedCaseError if b_1 is nonzero at some step.
     """
     grid = path.grid
-    times = [grid.t_start + j * grid.dt for j in range(grid.n_steps)]
+    times = grid.knots()[:-1].tolist()
     drifts = [coeffs.drift_at(t).components for t in times]
     diffusions = [coeffs.diffusion_at(t).components for t in times]
     if any(not b[0].is_zero for b in diffusions):

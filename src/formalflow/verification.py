@@ -215,9 +215,8 @@ def truncation_scaling(
     """
     if halvings < 1:
         raise ShapeError(f"need at least one halving for a ratio, got {halvings}")
-    dt = grid.dt
-    for i in range(grid.n_steps):
-        if any(not b.is_zero for b in coeffs.diffusion_at(grid.t_start + i * dt).components):
+    for t in grid.knots()[:-1].tolist():
+        if any(not b.is_zero for b in coeffs.diffusion_at(t).components):
             raise ShapeError("truncation scaling requires zero diffusion")
     path = BrownianPath.from_increments(
         grid, np.zeros((grid.n_steps, coeffs.noise_dim)), seed=0

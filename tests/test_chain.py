@@ -68,6 +68,33 @@ class TestTimeGrid:
                 if n % factor == 0:
                     assert path.coarsen(factor).grid.dt == factor * grid.dt
 
+    @given(
+        t_start=st.floats(-10.0, 10.0), span=st.floats(1e-3, 100.0), n=st.integers(1, 64), data=st.data()
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sub_grids_keep_the_parent_knots_bit_for_bit(self, t_start, span, n, data):
+        # t_start + i*dt of a sub-grid can be an ulp off its parent's knot
+        grid = TimeGrid(t_start, t_start + span, n)
+        knots = grid.knots()
+        assert np.array([grid.knot(i) for i in range(n + 1)]).tobytes() == knots.tobytes()
+
+        def divisor(m):
+            return data.draw(st.sampled_from([f for f in range(1, m + 1) if m % f == 0]))
+
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(i + 1, n))
+        path = BrownianPath.from_increments(grid, np.zeros((n, 1)))
+        sub, f = path.restrict(i, j), divisor(n)
+        coarse = sample_paths(grid, 1, 0, 2).coarsen(f) if data.draw(st.booleans()) else path.coarsen(f)
+        g = divisor(j - i)
+        cases = [(sub, knots[i : j + 1]), (coarse, knots[::f]), (sub.coarsen(g), knots[i : j + 1 : g])]
+        if isinstance(coarse, BrownianPath):
+            k = data.draw(st.integers(0, n // f - 1))
+            cases.append((coarse.restrict(k, n // f), knots[::f][k:]))
+        for p, want in cases:
+            assert p.grid.knots().tobytes() == want.tobytes()
+            assert np.array([p.grid.knot(s) for s in range(p.grid.n_steps + 1)]).tobytes() == want.tobytes()
+
 
 class TestSamplePath:
     def test_bit_identical_regeneration(self):
@@ -469,6 +496,16 @@ class TestEvolutionCheck:
         path = sample_path(grid, 2, seed=13)
         rep = evolution_check(co, grid, path, 0.25)
         assert rep.max_discrepancy <= 1e-10
+
+    def test_coefficients_that_switch_at_a_knot(self):
+        # the sub-path from knot 1 used to take step 5 at 0.1 + 5*0.1 = 0.6, an
+        # ulp below the full path's step 6 at 6*0.1, and switch a step late
+        a1, a2 = FormalMapping.from_scalar_coeffs([0.5, 0.3]), FormalMapping.from_scalar_coeffs([-0.4, 0.2])
+        b = DiffusionFamily.from_scalar_coeffs([0.3, 0.1])
+        co = CoefficientFamily(2, 1, 1, lambda t: a1 if t < 6 * 0.1 else a2, lambda t: b)
+        grid = TimeGrid(0.0, 1.0, 10)
+        rep = evolution_check(co, grid, sample_path(grid, 1, seed=0), 0.1)
+        assert rep.max_discrepancy <= 1e-14
 
     def test_split_knot_must_be_a_knot(self, rng):
         co = random_coefficients(rng, 2, 2, 2)
