@@ -18,10 +18,10 @@ Times, on fixed seeds and sizes:
   - euler_step_o1d1_p64: GBM (order 1, d 1, P 64, 512 steps), per step;
   - variation_of_constants_o3d2: degrees 2 and 3 of the formula-o3d2
     benchmark config (config seed 1);
-  - json_floats_o6d3: `cli._json_floats` of every component of the
-    solve-o6d3 states, the bulk float encoder alone;
+  - json_floats_o6d3: `cli._json_floats` of each of the solve-o6d3 states,
+    one call per state as the solve makes it: the encoder alone;
   - report_write_o6d3: `cli._write_report` of those states, each written
-    as the solve writes it (`cli._state_json`);
+    by that encoder;
   - cli_solve_o6d3: `cli.main solve` on that config, end to end.
 
 Each timing is repeated --repeats times; the file holds the minimum and the
@@ -194,15 +194,18 @@ def measure(repeats: int) -> dict:
     sol = solve_chain(cfg.coefficients(), cfg.initial_mapping(), cfg.path())
     n_floats = len(sol.states) * sum(c.entries.size for c in sol.initial.components)
     sizes = f"{len(sol.states)} states of order 6, d 3, {n_floats} floats"
+    entries = [[c.entries for c in s.components] for s in sol.states]
+    frame = cli._state_frame(sol.initial)
+
+    def texts():
+        return (cli._json_floats(*state, frame=frame) for state in entries)
 
     def json_floats():
-        for s in sol.states:
-            for c in s.components:
-                cli._json_floats(c.entries)
+        for _ in texts():
+            pass
 
     def write(out_dir):
-        states = map(cli._state_json, sol.states)
-        cli._write_report(out_dir, "solve", cfg, cli._solve_results(cfg.grid().knots(), states))
+        cli._write_report(out_dir, "solve", cfg, cli._solve_results(cfg.grid().knots(), texts()))
 
     out["json_floats_o6d3"] = dict(timed(json_floats, repeats), sizes=sizes)
     with tempfile.TemporaryDirectory() as tmp:

@@ -272,10 +272,10 @@ class _Runner:
     they stay last in the results.  The first `batch` axes of every entry are
     path axes (see `_contract`); the shapes include them.  A runner holds a
     buffer per class and a flat list of ops (ufunc, x, y, out) on views,
-    np.matmul of a source's `_operands` and np.add into its class.  `rerun`
-    copies operands of the same shapes and zero pattern into b and a, which
-    must be contiguous and held by nothing else (none: keep them), and runs
-    the ops with no reshape or allocation.  `components` returns fresh arrays.
+    np.matmul of a source's `_operands` and np.add into its class.  b and a
+    are its contiguous operand buffers: a caller may write entries of the
+    same shapes and zero pattern into b, and `rerun` copies them into a and
+    runs the ops with no reshape or allocation.  `components` returns fresh arrays.
     """
 
     def __init__(self, b: list, a: list, shapes: list, batch: int = 0, tail: int = 0, first: int = 1):
@@ -310,10 +310,10 @@ class _Runner:
                 # a component that no path's operands vary has one row: give it every path
                 v = np.broadcast_to(v.reshape(v.shape[:batch] + raw[batch:]), raw)
             self.outs.append((raw, v))
-        self.rerun([], [])
+        self.rerun([])
 
-    def rerun(self, b: list, a: list) -> None:
-        for buf, e in [*zip(self.b, b), *zip(self.a, a)]:
+    def rerun(self, a: list) -> None:
+        for buf, e in zip(self.a, a):
             if buf is not None:
                 np.copyto(buf, e.reshape(buf.shape))
         for f, x, y, z in self.ops:

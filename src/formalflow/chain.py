@@ -347,36 +347,13 @@ def _noise(b_k: np.ndarray, dw: np.ndarray, batch: int = 0) -> np.ndarray:
     return out.reshape((p,) + b_k.shape[batch:-1])
 
 
-def _drift_part(a_t: FormalMapping, dt: float) -> list[np.ndarray]:
-    """The deterministic part of Psi by degree, slots-first with a leading
-    axis of length 1: id + a_1*dt, then a_k*dt (zero where a_k is zero)."""
-    d = a_t.dy
-    out = []
-    for k, ak in enumerate(a_t.components, start=1):
-        entries = np.eye(d) if k == 1 else np.zeros((d,) * (k + 1))
+def _drift_part(a_t: FormalMapping, dt: float, out: list[np.ndarray]) -> None:
+    """Write Psi's deterministic part into out by degree, slots-first with a
+    leading axis of 1: id + a_1*dt, then a_k*dt (zero where a_k is zero)."""
+    for k, (ak, e) in enumerate(zip(a_t.components, out), start=1):
+        e[0] = np.eye(a_t.dy) if k == 1 else 0.0
         if not ak.is_zero:
-            entries = entries + dt * ak.slots_first
-        out.append(entries[None])
-    return out
-
-
-def _step_entries(
-    a_t: FormalMapping, drift: list[np.ndarray], b_t: DiffusionFamily, dw: np.ndarray
-) -> list[np.ndarray | None]:
-    """Entries of the one-step mapping Psi by degree, for each row of dw (P, m).
-
-    Psi_1 = id + a_1*dt + b_1(., dw); Psi_k = a_k*dt + b_k(..., dw) for k >= 2,
-    and None where a_k and b_k are both zero.  drift is `_drift_part(a_t, dt)`.
-    Each entry is slots-first (see `_contract`) with a leading path axis: P
-    where it has noise, else 1, shared by all paths.
-    """
-    out = []
-    for k, (ak, entries, bk) in enumerate(zip(a_t.components, drift, b_t.components), start=1):
-        if bk.is_zero:
-            out.append(None if k > 1 and ak.is_zero else entries)
-        else:
-            out.append(entries + _noise(bk.slots_first, dw))
-    return out
+            e[0] += dt * ak.slots_first
 
 
 def one_step_map(
@@ -393,11 +370,12 @@ def one_step_map(
     if dw.shape != (b_t.noise_dim,):
         raise ShapeError(f"dw has shape {dw.shape}, expected ({b_t.noise_dim},)")
     d = a_t.dy
-    psi = _step_entries(a_t, _drift_part(a_t, dt), b_t, dw[None])
-    comps = tuple(
-        MultilinearMap(k, d, d, np.zeros((d,) + (d,) * k) if e is None else np.moveaxis(e[0], k, 0))
-        for k, e in enumerate(psi, start=1)
-    )
+    psi = [np.empty((1,) + (d,) * (k + 1)) for k in range(1, a_t.order + 1)]
+    _drift_part(a_t, dt, psi)
+    for e, bk in zip(psi, b_t.components):
+        if not bk.is_zero:
+            e += _noise(bk.slots_first, dw[None])
+    comps = tuple(MultilinearMap(k, d, d, np.moveaxis(e[0], k, 0)) for k, e in enumerate(psi, start=1))
     return FormalMapping(a_t.order, d, d, comps)
 
 
@@ -409,25 +387,44 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
     the increments, shape (P, n_steps, m).  Each step composes Psi with the
     previous state, path by path, by the Horner `_classes` of the zero
     pattern: a product is skipped when its coefficient is zero or its state
-    component is zero on every path.  One `_Runner` per zero pattern and
-    operand shapes lives as long as this generator, which yields fresh
-    arrays.  Psi's deterministic part is rebuilt when drift_at is new.
+    component is zero on every path.  One `_Runner` per zero pattern of Psi
+    and the state lives as long as this generator, which yields fresh
+    arrays.  Psi is written in place: its degrees without noise are this
+    generator's drift part, and those with noise the runner's buffers.
     """
-    n_paths, dt, d = dw.shape[0], grid.dt, coeffs.dy
+    n_paths, dt, d, m = dw.shape[0], grid.dt, coeffs.dy, coeffs.noise_dim
     shapes = [(n_paths, d) + (d,) * n for n in range(1, coeffs.order + 1)]
-    a_t = drift = None
+    drift = [np.empty((1, d) + (d,) * k) for k in range(1, coeffs.order + 1)]
+    dw = dw[..., None]
+    a_t = b_t = None
     runners = {}
     for i, t_i in enumerate(grid.knots()[:-1].tolist()):
-        if (a_next := coeffs.drift_at(t_i)) is not a_t:
-            a_t, drift = a_next, _drift_part(a_next, dt)
-        psi = _step_entries(a_t, drift, coeffs.diffusion_at(t_i), dw[:, i])
+        a_next, b_next = coeffs.drift_at(t_i), coeffs.diffusion_at(t_i)
+        if a_next is not a_t or b_next is not b_t:
+            a_t, b_t = a_next, b_next
+            _drift_part(a_t, dt, drift)
+            # b_k as `_noise` multiplies it, None where zero
+            noise = [None if bk.is_zero else bk.slots_first.reshape(1, -1, m) for bk in b_t.components]
+            # Psi_k is zero (None), its drift part alone (False) or noisy (True)
+            kinds = tuple(
+                None if k > 1 and ak.is_zero and b_k is None else b_k is not None
+                for k, (ak, b_k) in enumerate(zip(a_t.components, noise), start=1)
+            )
         prev = [e if e.any() else None for e in state]
-        key = tuple(None if e is None else e.shape for e in psi + prev)
-        if (run := runners.get(key)) is None:
-            psi, prev = ([None if e is None else e.copy() for e in x] for x in (psi, prev))
-            run = runners[key] = _Runner(psi, prev, shapes, batch=1)
+        key = (kinds, tuple(None if e is None else e.shape for e in prev))
+        if run := runners.get(key):
+            psi = run.b
         else:
-            run.rerun(psi, prev)
+            psi = [e if not kind else np.empty((n_paths,) + e.shape[1:]) for kind, e in zip(kinds, drift)]
+            psi = [None if kind is None else e for kind, e in zip(kinds, psi)]
+        for e, drift_k, b_k in zip(psi, drift, noise):
+            if b_k is not None:  # Psi_k = drift_k + b_k(..., dw) on each path
+                np.matmul(b_k, dw[:, i], out=e.reshape(n_paths, -1, 1))
+                np.add(e, drift_k, out=e)
+        if run:
+            run.rerun(prev)
+        else:
+            run = runners[key] = _Runner(psi, [None if e is None else e.copy() for e in prev], shapes, batch=1)
         yield (state := run.components())
 
 
@@ -435,6 +432,15 @@ def _check_chain_shapes(coeffs: CoefficientFamily, initial: FormalMapping, paths
     coeffs._checked("initial condition", paths.grid.t_start, initial, ())
     if paths.noise_dim != coeffs.noise_dim:
         raise ShapeError(f"path noise_dim {paths.noise_dim} != coefficients {coeffs.noise_dim}")
+
+
+def _path_states(coeffs: CoefficientFamily, initial: FormalMapping, path: BrownianPath):
+    """The chain states along one Brownian path, initial's first, as
+    `_euler_states` yields them: entries by degree with a path axis of 1."""
+    _check_chain_shapes(coeffs, initial, path)
+    start = [c.entries[None] for c in initial.components]
+    yield start
+    yield from _euler_states(coeffs, path.grid, start, path.increments[None])
 
 
 def chain_states(
@@ -449,11 +455,8 @@ def chain_states(
     caller's numpy error state: a generator runs in its consumer's context,
     so wrap the iteration, not the call, in np.errstate.
     """
-    _check_chain_shapes(coeffs, initial, path)
     d = coeffs.dy
-    yield initial
-    start = [c.entries[None] for c in initial.components]
-    for i, state in enumerate(_euler_states(coeffs, path.grid, start, path.increments[None])):
+    for i, state in enumerate(_path_states(coeffs, initial, path), -1):
         try:
             comps = tuple(MultilinearMap(n, d, d, e[0]) for n, e in enumerate(state, start=1))
         except NonFiniteError as exc:

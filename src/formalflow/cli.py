@@ -42,7 +42,7 @@ from .chain import (
     DiffusionMap,
     PathBatch,
     TimeGrid,
-    chain_states,
+    _path_states,
     evolution_check,
     sample_path,
     simulate_direct,
@@ -106,9 +106,12 @@ class ExperimentConfig:
         out.update(self.options)
         return out
 
+    def config_text(self) -> str:
+        """The config as canonical JSON text: sorted keys, no whitespace."""
+        return json.dumps(self.to_dict(), **_JSON_OPTIONS)
+
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return hashlib.sha256(self.config_text().encode()).hexdigest()
 
     def grid(self) -> TimeGrid:
         return TimeGrid(0.0, float(self.t_end), self.n_steps)
@@ -198,18 +201,19 @@ def _write_report(
     the pieces of its JSON text (as `_solve_results` makes them)."""
     if isinstance(results, dict):
         results = [json.dumps(results, **_JSON_OPTIONS)]
+    config = cfg.config_text()
     provenance = {
         "subcommand": subcommand,
-        "config_hash": cfg.config_hash(),
+        "config_hash": hashlib.sha256(config.encode()).hexdigest(),
         "seed": cfg.seed,
         "version": __version__,
-        "config": cfg.to_dict(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     report_path = out_dir / "report.json"
     with _replacing(report_path) as tmp, open(tmp, "w") as fh:
-        fh.write('{"provenance": ')
-        fh.write(json.dumps(provenance, sort_keys=True))
+        # the canonical text the hash is of; "config" sorts before the other keys
+        fh.writelines(['{"provenance": {"config": ', config, ", ", json.dumps(provenance, sort_keys=True)[1:]])
+        del config  # not held while the results are made
         fh.write(', "results": ')
         fh.writelines(results)
         fh.write("}\n")
@@ -225,45 +229,54 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Iterable[float]
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _json_floats(x: np.ndarray) -> str:
-    """json.dumps(x.ravel().tolist(), **_JSON_OPTIONS) for a float64 array x,
-    in bulk; a NaN or Inf in x raises ValueError.
+def _json_floats(*parts: np.ndarray, frame: str = "null") -> str:
+    """frame, a JSON text, with its k-th null replaced by the JSON list of
+    the float64 array parts[k]: for one array x and the default frame,
+    json.dumps(x.ravel().tolist(), **_JSON_OPTIONS).  A NaN or Inf in
+    parts[k] raises NonFiniteError(k + 1).
 
     orjson prints each float as its shortest round-trip digits, as repr
     does, about 10 times faster.  It writes the same text for 0, -0 and
     every 1e-4 <= |v| < 1e16, and only formats the other magnitudes
-    differently (0.00007 for 7e-05, 1e16 for 1e+16), so those entries are
-    written with repr, between runs that orjson writes.
-    """
+    differently (0.00007 for 7e-05, 1e16 for 1e+16).  One pass over all
+    parts finds those and the non-finite entries; the former are written
+    with repr, between runs that orjson writes."""
     import orjson
 
     def numbers(a: np.ndarray) -> str:  # a's JSON list without its brackets
         return orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
 
-    flat = x.ravel()
-    if not np.isfinite(flat).all():
-        raise ValueError("a non-finite float has no JSON number")
+    flat = np.concatenate([x.ravel() for x in parts])
     mag = np.abs(flat)
-    pieces, start = [], 0
-    for i in np.flatnonzero(((mag < 1e-4) & (mag > 0)) | (mag >= 1e16)).tolist():
-        pieces += [numbers(flat[start:i]), repr(float(flat[i]))]
-        start = i + 1
-    pieces.append(numbers(flat[start:]))
-    return "[" + ",".join(filter(None, pieces)) + "]"  # an empty run is ""
+    # the comparisons agree where 0 < |v| < 1e-4 or v is NaN; Inf is >= 1e16
+    off = np.flatnonzero(((mag < 1e-4) == (mag > 0)) | (mag >= 1e16))
+    ends = np.cumsum([x.size for x in parts])
+    stops, off, values = np.searchsorted(off, ends).tolist(), off.tolist(), flat[off].tolist()
+    pieces = frame.split("null")
+    text, start, j = [pieces[0]], 0, 0
+    for k, (end, stop, piece) in enumerate(zip(ends.tolist(), stops, pieces[1:])):
+        items = []
+        for i, v in zip(off[j:stop], values[j:stop]):
+            if not math.isfinite(v):
+                raise NonFiniteError(k + 1, "a non-finite float has no JSON number")
+            items += [numbers(flat[start:i]), repr(v)]
+            start = i + 1
+        items.append(numbers(flat[start:end]))
+        text += ["[" + ",".join(filter(None, items)) + "]", piece]  # an empty run is ""
+        start, j = end, stop
+    return "".join(text)
 
 
-def _state_json(state: FormalMapping) -> str:
-    """json.dumps(state.to_dict(), **_JSON_OPTIONS), its entries by `_json_floats`."""
-    components = ",".join(
-        f'{{"degree":{c.degree},"dy":{c.dy},"dz":{c.dz},"entries":{_json_floats(c.entries)}}}'
-        for c in state.components
-    )
-    return f'{{"components":[{components}],"order":{state.order}}}'
+def _state_frame(state: FormalMapping) -> str:
+    """json.dumps(state.to_dict(), **_JSON_OPTIONS) with null for each
+    component's entries: `_json_floats` fills it with any such state's."""
+    d = state.to_dict()
+    return json.dumps(dict(d, components=[dict(c, entries=None) for c in d["components"]]), **_JSON_OPTIONS)
 
 
 def _solve_results(knots: np.ndarray, states: Iterable[str]) -> Iterator[str]:
     """The JSON text of a solve's results block, in pieces: the knots, then
-    the states, one `_state_json` text at a time.  Joined, it is what
+    the states, one text at a time.  Joined, it is what
     json.dumps(..., **_JSON_OPTIONS) writes for the same dict."""
     yield '{"knots":' + json.dumps(knots.tolist(), **_JSON_OPTIONS) + ',"states":['
     for i, state in enumerate(states):
@@ -274,16 +287,20 @@ def _solve_results(knots: np.ndarray, states: Iterable[str]) -> Iterator[str]:
 
 
 def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
-    coeffs = cfg.coefficients()
-    path = cfg.path()
+    coeffs, initial, path = cfg.coefficients(), cfg.initial_mapping(), cfg.path()
     knots = cfg.grid().knots()
+    frame = _state_frame(initial)
     norms = []
 
-    def states():
-        # the trajectory norms are taken as each state passes to the report
-        for s in chain_states(coeffs, cfg.initial_mapping(), path):
-            norms.append([np.linalg.norm(c.entries) for c in s.components])
-            yield _state_json(s)
+    def states() -> Iterator[str]:
+        for i, state in enumerate(_path_states(coeffs, initial, path), -1):  # after step i; initial -1
+            # the trajectory norms, as np.linalg.norm computes them, without its overhead
+            norms.append([math.sqrt(v @ v) for v in (e.ravel() for e in state)])
+            try:
+                text = _json_floats(*state, frame=frame)
+            except NonFiniteError as exc:
+                raise BlowupError(step=i, component=exc.degree) from exc
+            yield text
 
     _write_report(out_dir, "solve", cfg, _solve_results(knots, states()))
     header = ["knot"] + [f"frobenius_norm_degree_{k}" for k in range(1, cfg.order + 1)]

@@ -32,6 +32,7 @@ from formalflow import (
     solve_chain,
 )
 from formalflow.algebra import _contract
+from formalflow import chain
 from formalflow.chain import _euler_states, _noise
 from conftest import mapping_equal, random_coefficients, random_mapping
 
@@ -357,6 +358,41 @@ class TestBufferDiscipline:
         for states, expected in zip(got, serial):
             assert len(states) == len(expected) == grid.n_steps + 1
             assert all(map(mapping_equal, states, expected))
+
+
+class TestRunnerReuse:
+    """The Euler loop builds one runner per zero pattern of Psi and the
+    state, however many steps it takes and whatever objects the
+    coefficient providers return."""
+
+    @pytest.mark.parametrize("provider, patterns", [("constant", 2), ("new object", 2), ("switch", 3)])
+    def test_runners_built_equal_the_zero_patterns(self, rng, monkeypatch, provider, patterns):
+        built = []
+
+        class Runner(chain._Runner):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(chain, "_Runner", Runner)
+        order, d, m = 3, 2, 2
+        co = random_coefficients(rng, order, d, m)
+        a, b = co.drift_at(0.0), co.diffusion_at(0.0)
+        if provider == "new object":
+            co = CoefficientFamily(
+                order, d, m, lambda t: a._of(order, a.components), lambda t: b._of(order, b.components)
+            )
+        elif provider == "switch":
+            # from t = 0.5 on, a_2 and b_3 are zero: a pattern of its own
+            a2 = a._of(order, (a.components[0], MultilinearMap.zero(2, d, d), a.components[2]))
+            b2 = b._of(order, b.components[:2] + (DiffusionMap.zero(3, d, d, m),))
+            co = CoefficientFamily(order, d, m, lambda t: a if t < 0.5 else a2, lambda t: b if t < 0.5 else b2)
+        grid = TimeGrid(0.0, 1.0, 24)
+        start = [c.entries[None] for c in identity(order, d).components]
+        # from the identity, the first step has a pattern of its own
+        states = list(_euler_states(co, grid, start, sample_paths(grid, m, 1, 2).increments))
+        assert len(states) == grid.n_steps
+        assert len(built) == patterns
 
 
 class TestSimulateDirect:

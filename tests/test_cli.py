@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from formalflow import MultilinearMap, TimeGrid, chain_states, cli, sample_path
+from formalflow import FormalMapping, MultilinearMap, TimeGrid, chain_states, cli, sample_path
+from formalflow.algebra import NonFiniteError
 from formalflow.cli import ExperimentConfig, main
 from conftest import random_coefficients, random_mapping
 
@@ -140,6 +142,63 @@ class TestSolve:
             assert main(["solve", "--config", path, "--out", str(out), "--seed", seed]) == 0
             outs.append(read_report(out)["results"])
         assert outs[0] != outs[1]
+
+    def test_blowup_names_the_lowest_degree_of_the_first_bad_step(self, tmp_path, capsys):
+        # dt = 0.5: component 2 is 7.5e307 after step 0, 1.5e308 after step 1
+        # and overflows at step 2, while component 1 stays 1
+        cfg = {"dy": 1, "order": 2, "t_end": 4.0, "n_steps": 8, "drift": [scalar_tensor(2, 1.5e308)]}
+        out = tmp_path / "o"
+        assert main(["solve", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 3
+        assert "numerical blowup at step 2, component 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_multilinear_map_per_state(self, tmp_path, monkeypatch):
+        # the states pass from the Euler loop to the report as arrays
+        built = []
+        post_init = MultilinearMap.__post_init__
+
+        def counted(self):
+            built.append(self.degree)
+            post_init(self)
+
+        monkeypatch.setattr(MultilinearMap, "__post_init__", counted)
+        config = str(SCRIPTS / "solve_o4d2.json")
+        counts = []
+        for steps in (64, 256):
+            built.clear()
+            out = tmp_path / f"o{steps}"
+            assert main(["solve", "--config", config, "--out", str(out), "--steps", str(steps)]) == 0
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
+
+    def test_trajectory_norms_are_the_report_states_norms(self, tmp_path, rng):
+        # bit for bit what np.linalg.norm gives on each state's entries
+        for order, d, m in ((1, 1, 1), (3, 2, 2), (4, 3, 1)):
+            co = random_coefficients(rng, order, d, m)
+            cfg = {
+                "dy": d, "noise_dim": m, "order": order, "n_steps": 12, "seed": order,
+                "drift": [c.to_dict() for c in co.drift(0.0).components],
+                "diffusion": [c.to_dict() for c in co.diffusion(0.0).components],
+            }
+            out = tmp_path / f"o{order}"
+            assert main(["solve", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+            states = read_report(out)["results"]["states"]
+            with open(out / "trajectory.csv") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert len(rows) == len(states) == 13
+            for row, state in zip(rows, states):
+                want = [np.linalg.norm(np.array(c["entries"])) for c in state["components"]]
+                assert [float(x) for x in row[1:]] == want
+
+    def test_provenance_embeds_the_hashed_config_text(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(SCRIPTS / "solve_o4d2.json"), "--out", str(out), "--steps", "4"]) == 0
+        text = (out / "report.json").read_text()
+        config = text[text.index('{"provenance": {"config": ') + 26 : text.index(', "config_hash": ')]
+        provenance = read_report(out)["provenance"]
+        cfg = ExperimentConfig.from_dict(provenance["config"])
+        assert config == cfg.config_text() == dumps(provenance["config"])
+        assert provenance["config_hash"] == hashlib.sha256(config.encode()).hexdigest() == cfg.config_hash()
 
 
 class TestComposeCheck:
@@ -803,10 +862,41 @@ class TestJsonFloats:
         initial = random_mapping(rng, 3, 2, 2, start)
         path = sample_path(TimeGrid(0.0, 1.0, 16), 2, 7)
         states = list(chain_states(coeffs, initial, path))
+        frame = cli._state_frame(initial)
         for s in states:
-            assert cli._state_json(s) == dumps(s.to_dict())
+            assert cli._json_floats(*(c.entries for c in s.components), frame=frame) == dumps(s.to_dict())
         entries = np.concatenate([c.entries.ravel() for s in states for c in s.components])
         assert off_format(entries).sum() >= 100
+
+    @given(
+        order=st.integers(1, 4),
+        d=st.integers(1, 3),
+        data=st.data(),
+        special=st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-5, -1e-5, 1e16, -3e17, 1.7e308]),
+        bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_state_text_is_json_dumps(self, order, d, data, special, bad):
+        """The encoder writes a whole state in one pass, each component's
+        entries in runs between the entries orjson formats differently; a
+        non-finite entry names the lowest degree that has one."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        parts = []
+        for k in range(1, order + 1):
+            e = rng.standard_normal((d,) + (d,) * k) * 10.0 ** rng.integers(-6, 18)
+            e.ravel()[rng.random(e.size) < data.draw(st.floats(0, 1))] = special
+            parts.append(e)
+        state = FormalMapping(order, d, d, tuple(MultilinearMap(k, d, d, e) for k, e in enumerate(parts, 1)))
+        frame = cli._state_frame(state)
+        if bad is None:
+            assert cli._json_floats(*parts, frame=frame) == dumps(state.to_dict())
+            return
+        degrees = data.draw(st.sets(st.integers(1, order), min_size=1))
+        for k in degrees:
+            parts[k - 1].ravel()[rng.integers(parts[k - 1].size)] = bad
+        with pytest.raises(NonFiniteError) as exc:
+            cli._json_floats(*parts, frame=frame)
+        assert exc.value.degree == min(degrees)
 
 
 class TestSolveSmokeConfig:

@@ -11,6 +11,8 @@ move entry by entry against a running-error bound (Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3).
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,9 +93,10 @@ def ref_noise(b_k, dw):
     return out.reshape((p,) + b_k.shape[:-1])
 
 
-def ref_euler_states(a, b, grid, state, dw):
-    n_paths, dt, d = dw.shape[0], grid.dt, a.dy
-    for i in range(grid.n_steps):
+def ref_euler_states(coeffs, grid, state, dw):
+    n_paths, dt, d = dw.shape[0], grid.dt, coeffs.dy
+    for i, t in enumerate(grid.knots()[:-1].tolist()):
+        a, b = coeffs.drift(t), coeffs.diffusion(t)
         psi = []
         for k, (ak, bk) in enumerate(zip(a.components, b.components), start=1):
             if k > 1 and ak.is_zero and bk.is_zero:
@@ -202,12 +205,52 @@ def test_euler_states_match_the_reference_bitwise(order, d, m, seed, n_paths, sh
     for k in range(2, order + 1):
         shape = (lead, d) + (d,) * k
         start.append(filled(draw_entries(data, rng, shape, 0.5), shape))
+    assert_states_match_the_reference(coeffs, grid, start, dw)
+
+
+def assert_states_match_the_reference(coeffs, grid, start, dw):
     got = list(_euler_states(coeffs, grid, start, dw))
-    want = list(ref_euler_states(a, b, grid, start, dw))
-    assert len(got) == len(want) == steps
+    want = list(ref_euler_states(coeffs, grid, start, dw))
+    assert len(got) == len(want) == grid.n_steps
     for state_got, state_want in zip(got, want):
         for x, y in zip(state_got, state_want):
             assert same_bits(x, y)
+
+
+@given(**_dims, n_paths=st.integers(1, 3), switch=st.booleans(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_time_dependent_coefficients_match_the_reference_bitwise(order, d, m, seed, n_paths, switch, data):
+    """Psi is written into reused runners' buffers in place.  Coefficients
+    that switch to another zero pattern at a knot, or that are a new object
+    at every step, must still give the reference's bits."""
+    rng = np.random.default_rng(seed)
+    steps = data.draw(st.integers(2, 6))
+    grid = TimeGrid(0.0, 0.5, steps)
+
+    def family(kind, tail):
+        shapes = [(d,) + (d,) * k + tail for k in range(1, order + 1)]
+        return [
+            kind(k, d, d, *tail, filled(draw_entries(data, rng, shape, 0.3), shape))
+            for k, shape in enumerate(shapes, start=1)
+        ]
+
+    a = [FormalMapping(order, d, d, tuple(family(MultilinearMap, ()))) for _ in range(2)]
+    b = [DiffusionFamily(order, d, m, family(DiffusionMap, (m,))) for _ in range(2)]
+    if switch:
+        knot = grid.knot(data.draw(st.integers(1, steps - 1)))
+        coeffs = CoefficientFamily(order, d, m, lambda t: a[t >= knot], lambda t: b[t >= knot])
+    else:
+
+        def scaled(mapping, scale):
+            """A new mapping of mapping's type: scale times mapping."""
+            return mapping._of(order, [replace(c, entries=scale * c.entries) for c in mapping.components])
+
+        coeffs = CoefficientFamily(
+            order, d, m, lambda t: scaled(a[0], 1.0 + t), lambda t: scaled(b[0], 1.0 - t)
+        )
+    dw = np.sqrt(grid.dt) * rng.standard_normal((n_paths, steps, m))
+    start = [np.eye(d)[None]] + [np.zeros((1, d) + (d,) * k) for k in range(2, order + 1)]
+    assert_states_match_the_reference(coeffs, grid, start, dw)
 
 
 def ref_evaluate(a, y, entries=lambda c: c.entries):
