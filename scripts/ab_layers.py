@@ -69,12 +69,14 @@ def layers(name: str) -> dict:
     outer, inner = dense(6, 3), dense(6, 3)
     cfg = cli.ExperimentConfig.from_dict(json.loads(config_bytes("solve-o6d3", CONFIG_SEED)))
     coeffs, path = cfg.coefficients(), cfg.path()
+    # (1, n_steps, m) whether a path's increments carry the path axis or not
+    dw = path.increments.reshape(-1, *path.increments.shape[-2:])
     start = [c.entries[None] for c in cfg.initial_mapping().components]
     gbm = chain.CoefficientFamily.constant_scalar([1.0], [0.5])
     paths = chain.sample_paths(chain.TimeGrid(0.0, 1.0, 512), 1, SEED, 64)
     one = [c.entries[None] for c in algebra.identity(1, 1).components]
     return {
-        "euler_loop_o6d3": (lambda: loop(coeffs, path.grid, start, path.increments[None]), 1, 1),
+        "euler_loop_o6d3": (lambda: loop(coeffs, path.grid, start, dw), 1, 1),
         "compose_o6d3": (lambda: algebra.compose(outer, inner), 20, 1),
         "euler_step_o1d1_p64": (lambda: loop(gbm, paths.grid, one, paths.increments), 1, 512),
     }

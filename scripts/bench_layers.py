@@ -163,7 +163,9 @@ def measure(repeats: int) -> dict:
     cfg = workload_config("solve-o6d3")
     coeffs, path = cfg.coefficients(), cfg.path()
     start = [c.entries[None] for c in cfg.initial_mapping().components]
-    loop = timed(lambda: euler_loop(coeffs, path.grid, start, path.increments[None]), repeats)
+    # (1, n_steps, m) whether a path's increments carry the path axis or not
+    dw = path.increments.reshape(-1, *path.increments.shape[-2:])
+    loop = timed(lambda: euler_loop(coeffs, path.grid, start, dw), repeats)
     steps = path.grid.n_steps
     out["euler_loop_o6d3"] = dict(loop, sizes=f"order 6, d 3, m 2, P 1, {steps} steps")
     out["euler_step_o6d3"] = dict(

@@ -22,7 +22,6 @@ from .chain import (
     DiffusionFamily,
     DiffusionMap,
     EvolutionReport,
-    PathBatch,
     TimeGrid,
     chain_states,
     evolution_check,

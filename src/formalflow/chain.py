@@ -94,12 +94,14 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class BrownianPath:
-    """Per-step Gaussian increments of an m-dimensional Wiener process.
+    """Per-step Gaussian increments of P paths of an m-dimensional Wiener
+    process on one grid; a single path is a BrownianPath of one row.
 
-    Increments are generated from a Philox counter-based stream keyed by
-    (seed, path_index): standard normals drawn row by row (numpy ziggurat)
-    and scaled by sqrt(dt).  Regeneration from the same key is bit-identical,
-    and the first j rows agree with any longer draw on the same step size.
+    increments has shape (P, n_steps, m).  Row p is drawn from the Philox
+    counter-based stream keyed by (seed, path_index + p): standard normals
+    drawn row by row (numpy ziggurat) and scaled by sqrt(dt).  Regeneration
+    from the same key is bit-identical, and the first j steps agree with any
+    longer draw on the same step size.
     """
 
     grid: TimeGrid
@@ -111,55 +113,6 @@ class BrownianPath:
     def __post_init__(self):
         if self.noise_dim < 1:
             raise ShapeError(f"noise_dim must be >= 1, got {self.noise_dim}")
-        arr = np.asarray(self.increments, dtype=np.float64)
-        if arr.shape != (self.grid.n_steps, self.noise_dim):
-            raise ShapeError(
-                f"increments shape {arr.shape} != ({self.grid.n_steps}, {self.noise_dim})"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "increments", arr)
-
-    @classmethod
-    def from_increments(
-        cls, grid: TimeGrid, increments: np.ndarray, seed: int = 0, path_index: int = 0
-    ) -> "BrownianPath":
-        increments = np.asarray(increments, dtype=np.float64)
-        if increments.ndim == 1:
-            increments = increments[:, None]
-        return cls(grid, increments.shape[1], increments, seed, path_index)
-
-    def cumulative(self) -> np.ndarray:
-        """w at every knot (w(t_start) = 0), shape (n_steps + 1, m)."""
-        return _cumulative(self.increments)
-
-    def restrict(self, i_start: int, i_stop: int) -> "BrownianPath":
-        """Sub-path over knots [i_start, i_stop], same step size."""
-        if not 0 <= i_start < i_stop <= self.grid.n_steps:
-            raise ShapeError(f"bad knot range [{i_start}, {i_stop}]")
-        sub = self.grid._sub(i_start, i_stop - i_start)
-        return BrownianPath(sub, self.noise_dim, self.increments[i_start:i_stop], self.seed, self.path_index)
-
-    def coarsen(self, factor: int) -> "BrownianPath":
-        """Sum groups of `factor` increments: the same path on a coarser grid."""
-        grid, coarse = _coarsen(self.grid, self.increments, factor)
-        return BrownianPath(grid, self.noise_dim, coarse, self.seed, self.path_index)
-
-
-@dataclass(frozen=True)
-class PathBatch:
-    """P Brownian paths on one grid: the leading path axis of a batched solve.
-
-    increments has shape (P, n_steps, m); row p holds the increments of path
-    (seed, p), bitwise equal to sample_path(grid, m, seed, p).increments.
-    """
-
-    grid: TimeGrid
-    noise_dim: int
-    increments: np.ndarray
-    seed: int
-
-    def __post_init__(self):
         arr = np.asarray(self.increments, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1:] != (self.grid.n_steps, self.noise_dim):
             raise ShapeError(
@@ -173,34 +126,51 @@ class PathBatch:
     def n_paths(self) -> int:
         return self.increments.shape[0]
 
+    @classmethod
+    def from_increments(
+        cls, grid: TimeGrid, increments: np.ndarray, seed: int = 0, path_index: int = 0
+    ) -> "BrownianPath":
+        """The path with these increments: (n_steps,) for one noise dimension,
+        (n_steps, m) for one path, or (P, n_steps, m)."""
+        increments = np.asarray(increments, dtype=np.float64)
+        if increments.ndim == 1:
+            increments = increments[:, None]
+        if increments.ndim == 2:
+            increments = increments[None]
+        return cls(grid, increments.shape[-1], increments, seed, path_index)
+
     def cumulative(self) -> np.ndarray:
-        """w of every path at every knot, shape (P, n_steps + 1, m)."""
-        return _cumulative(self.increments)
+        """w of every path at every knot (w(t_start) = 0), shape (P, n_steps + 1, m)."""
+        out = np.zeros((self.n_paths, self.grid.n_steps + 1, self.noise_dim))
+        np.cumsum(self.increments, axis=1, out=out[:, 1:])
+        return out
 
-    def coarsen(self, factor: int) -> "PathBatch":
-        """Every path coarsened as by BrownianPath.coarsen."""
-        grid, coarse = _coarsen(self.grid, self.increments, factor)
-        return PathBatch(grid, self.noise_dim, coarse, self.seed)
+    def restrict(self, i_start: int, i_stop: int) -> "BrownianPath":
+        """Every path over knots [i_start, i_stop], same step size."""
+        if not 0 <= i_start < i_stop <= self.grid.n_steps:
+            raise ShapeError(f"bad knot range [{i_start}, {i_stop}]")
+        sub = self.grid._sub(i_start, i_stop - i_start)
+        return BrownianPath(sub, self.noise_dim, self.increments[:, i_start:i_stop], self.seed, self.path_index)
+
+    def coarsen(self, factor: int) -> "BrownianPath":
+        """Sum groups of `factor` increments: the same paths on a coarser grid."""
+        if factor < 1 or self.grid.n_steps % factor != 0:
+            raise ShapeError(f"factor {factor} does not divide {self.grid.n_steps} steps")
+        n = self.grid.n_steps // factor
+        coarse = self.increments.reshape(self.n_paths, n, factor, self.noise_dim).sum(axis=2)
+        return BrownianPath(self.grid._sub(0, n, factor), self.noise_dim, coarse, self.seed, self.path_index)
 
 
-def _cumulative(increments: np.ndarray) -> np.ndarray:
-    """Running sums of increments (..., n_steps, m) from 0, shape (..., n_steps + 1, m)."""
-    out = np.zeros(increments.shape[:-2] + (increments.shape[-2] + 1, increments.shape[-1]))
-    np.cumsum(increments, axis=-2, out=out[..., 1:, :])
-    return out
-
-
-def _coarsen(grid: TimeGrid, increments: np.ndarray, factor: int) -> tuple[TimeGrid, np.ndarray]:
-    """The coarser grid and the sums of `factor` consecutive increments (..., n_steps, m)."""
-    if factor < 1 or grid.n_steps % factor != 0:
-        raise ShapeError(f"factor {factor} does not divide {grid.n_steps} steps")
-    n = grid.n_steps // factor
-    coarse = increments.reshape(increments.shape[:-2] + (n, factor, increments.shape[-1])).sum(axis=-2)
-    return grid._sub(0, n, factor), coarse
+def _one_path(path: BrownianPath) -> np.ndarray:
+    """The (n_steps, m) increments of a one-row path.  A consumer of one
+    path does not pick a row of several: that would be another experiment."""
+    if path.n_paths != 1:
+        raise ShapeError(f"expected a single path, got {path.n_paths} rows")
+    return path.increments[0]
 
 
 def sample_path(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> BrownianPath:
-    """Draw a Brownian path; deterministic in (grid, m, seed, path_index).
+    """Draw the one-row path (seed, path_index); deterministic in (grid, m, seed, path_index).
 
     seed and path_index must lie in [0, 2**64): they are the two words of
     the Philox key.
@@ -215,15 +185,16 @@ def sample_path(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> Brown
     key = np.array([seed, path_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     increments = rng.standard_normal((grid.n_steps, m)) * math.sqrt(grid.dt)
-    return BrownianPath(grid, m, increments, seed, path_index)
+    return BrownianPath(grid, m, increments[None], seed, path_index)
 
 
-def sample_paths(grid: TimeGrid, m: int, seed: int, n_paths: int) -> PathBatch:
-    """Draw paths 0..n_paths-1 of seed, one Philox key (seed, p) at a time."""
+def sample_paths(grid: TimeGrid, m: int, seed: int, n_paths: int) -> BrownianPath:
+    """Draw paths 0..n_paths-1 of seed as the rows of one BrownianPath,
+    one Philox key (seed, p) at a time."""
     if n_paths < 1:
         raise ShapeError(f"n_paths must be >= 1, got {n_paths}")
-    increments = np.stack([sample_path(grid, m, seed, p).increments for p in range(n_paths)])
-    return PathBatch(grid, m, increments, seed)
+    increments = np.concatenate([sample_path(grid, m, seed, p).increments for p in range(n_paths)])
+    return BrownianPath(grid, m, increments, seed)
 
 
 @dataclass(frozen=True, init=False)
@@ -428,25 +399,30 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
         yield (state := run.components())
 
 
-def _check_chain_shapes(coeffs: CoefficientFamily, initial: FormalMapping, paths) -> None:
-    coeffs._checked("initial condition", paths.grid.t_start, initial, ())
-    if paths.noise_dim != coeffs.noise_dim:
-        raise ShapeError(f"path noise_dim {paths.noise_dim} != coefficients {coeffs.noise_dim}")
+def _check_noise_dim(coeffs: CoefficientFamily, path: BrownianPath) -> None:
+    if path.noise_dim != coeffs.noise_dim:
+        raise ShapeError(f"path noise_dim {path.noise_dim} != coefficients {coeffs.noise_dim}")
+
+
+def _check_chain_shapes(coeffs: CoefficientFamily, initial: FormalMapping, path: BrownianPath) -> None:
+    coeffs._checked("initial condition", path.grid.t_start, initial, ())
+    _check_noise_dim(coeffs, path)
 
 
 def _path_states(coeffs: CoefficientFamily, initial: FormalMapping, path: BrownianPath):
-    """The chain states along one Brownian path, initial's first, as
+    """The chain states along a one-row Brownian path, initial's first, as
     `_euler_states` yields them: entries by degree with a path axis of 1."""
     _check_chain_shapes(coeffs, initial, path)
+    dw = _one_path(path)[None]
     start = [c.entries[None] for c in initial.components]
     yield start
-    yield from _euler_states(coeffs, path.grid, start, path.increments[None])
+    yield from _euler_states(coeffs, path.grid, start, dw)
 
 
 def chain_states(
     coeffs: CoefficientFamily, initial: FormalMapping, path: BrownianPath
 ) -> Iterator[FormalMapping]:
-    """Yield the chain states S(t_i, s) along one Brownian path, initial state first.
+    """Yield the chain states S(t_i, s) along a one-row Brownian path, initial state first.
 
     Each state is obtained by composing the one-step mapping with the
     previous state; component n therefore depends only on coefficients and
@@ -471,22 +447,22 @@ def solve_chain(
     initial: FormalMapping,
     path: BrownianPath,
 ) -> ChainSolution:
-    """Integrate the triangular chain along one Brownian path: every state
-    of `chain_states`, kept."""
+    """Integrate the triangular chain along a one-row Brownian path: every
+    state of `chain_states`, kept."""
     states = tuple(chain_states(coeffs, initial, path))
     return ChainSolution(path.grid, initial, states, path.seed, path.path_index)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def solve_chain_batch(
-    coeffs: CoefficientFamily, initial: FormalMapping, paths: PathBatch
+    coeffs: CoefficientFamily, initial: FormalMapping, paths: BrownianPath
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Integrate the chain along every path of a batch in one loop over steps.
+    """Integrate the chain along every row of paths in one loop over steps.
 
     Returns the terminal entries by degree k, each of shape (P, d) + (d,)*k,
     and a mask of shape (P,) that is False for a path whose state was not
     finite after some step.  Row p of a finite path is bitwise equal to the final
-    state of solve_chain on path p.
+    state of solve_chain on row p alone.
     """
     _check_chain_shapes(coeffs, initial, paths)
     finite = np.ones(paths.n_paths, dtype=bool)
@@ -498,42 +474,27 @@ def solve_chain_batch(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def simulate_direct(
-    coeffs: CoefficientFamily, y0: np.ndarray, path: BrownianPath | PathBatch
-) -> np.ndarray:
+def simulate_direct(coeffs: CoefficientFamily, y0: np.ndarray, path: BrownianPath) -> np.ndarray:
     """Euler-Maruyama on the underlying nonlinear SDE, same grid and noise.
 
-    On a BrownianPath, y0 has shape (dy,) and the trajectory at every knot
-    has shape (n_steps + 1, dy); a non-finite value raises BlowupError naming
-    the step.  On a PathBatch of P paths, y0 has shape (P, dy), the
-    trajectory has shape (n_steps + 1, P, dy), and a path that blows up is
-    left non-finite.  Each path is bitwise the same either way.
+    y0 has shape (P, dy), row p the start of path p, and the trajectory at
+    every knot has shape (n_steps + 1, P, dy).  A path that blows up is left
+    non-finite; it does not change the others.
     """
-    batched = isinstance(path, PathBatch)
-    dw = path.increments if batched else path.increments[None]
-    n_paths = dw.shape[0]
+    _check_noise_dim(coeffs, path)
     y = np.asarray(y0, dtype=np.float64)
-    expected = (n_paths, coeffs.dy) if batched else (coeffs.dy,)
-    if y.shape != expected:
-        raise ShapeError(f"y0 has shape {y.shape}, expected {expected}")
+    if y.shape != (path.n_paths, coeffs.dy):
+        raise ShapeError(f"y0 has shape {y.shape}, expected {(path.n_paths, coeffs.dy)}")
     if not np.isfinite(y).all():
         raise ShapeError("y0 has non-finite entries")
-    y = y.reshape(n_paths, coeffs.dy)
-    grid = path.grid
-    dt = grid.dt
-    out = np.empty((grid.n_steps + 1, n_paths, coeffs.dy))
+    grid, dw = path.grid, path.increments
+    out = np.empty((grid.n_steps + 1,) + y.shape)
     out[0] = y
     for i, t_i in enumerate(grid.knots()[:-1].tolist()):
         # the noise matrix b(t_i, y) of each path, (P, dy, m), times its increment
         noise = evaluate(coeffs.diffusion_at(t_i), y) @ dw[:, i, :, None]
-        y = y + (dt * evaluate(coeffs.drift_at(t_i), y) + noise[..., 0])
+        y = y + (grid.dt * evaluate(coeffs.drift_at(t_i), y) + noise[..., 0])
         out[i + 1] = y
-    if batched:
-        return out
-    out = out[:, 0]
-    blown = np.flatnonzero(~np.isfinite(out).all(axis=1))
-    if blown.size:
-        raise BlowupError(step=int(blown[0]) - 1)
     return out
 
 

@@ -40,7 +40,6 @@ from .chain import (
     CoefficientFamily,
     DiffusionFamily,
     DiffusionMap,
-    PathBatch,
     TimeGrid,
     _path_states,
     evolution_check,
@@ -195,28 +194,29 @@ def _replacing(path: Path) -> Iterator[Path]:
 
 
 def _write_report(
-    out_dir: Path, subcommand: str, cfg: ExperimentConfig, results: dict | Iterable[str]
+    out_dir: Path, subcommand: str, cfg: ExperimentConfig, results: dict | Iterable[bytes]
 ) -> Path:
     """Write out_dir/report.json: the provenance, then results, a dict or
-    the pieces of its JSON text (as `_solve_results` makes them)."""
+    the pieces of its JSON text in bytes (as `_solve_results` makes them)."""
     if isinstance(results, dict):
-        results = [json.dumps(results, **_JSON_OPTIONS)]
-    config = cfg.config_text()
+        results = [json.dumps(results, **_JSON_OPTIONS).encode()]
+    config = cfg.config_text().encode()
     provenance = {
         "subcommand": subcommand,
-        "config_hash": hashlib.sha256(config.encode()).hexdigest(),
+        "config_hash": hashlib.sha256(config).hexdigest(),
         "seed": cfg.seed,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     report_path = out_dir / "report.json"
-    with _replacing(report_path) as tmp, open(tmp, "w") as fh:
+    with _replacing(report_path) as tmp, open(tmp, "wb") as fh:
         # the canonical text the hash is of; "config" sorts before the other keys
-        fh.writelines(['{"provenance": {"config": ', config, ", ", json.dumps(provenance, sort_keys=True)[1:]])
+        head = json.dumps(provenance, sort_keys=True)[1:].encode()
+        fh.writelines([b'{"provenance": {"config": ', config, b", ", head])
         del config  # not held while the results are made
-        fh.write(', "results": ')
+        fh.write(b', "results": ')
         fh.writelines(results)
-        fh.write("}\n")
+        fh.write(b"}\n")
     return report_path
 
 
@@ -229,11 +229,11 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Iterable[float]
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _json_floats(*parts: np.ndarray, frame: str = "null") -> str:
-    """frame, a JSON text, with its k-th null replaced by the JSON list of
-    the float64 array parts[k]: for one array x and the default frame,
-    json.dumps(x.ravel().tolist(), **_JSON_OPTIONS).  A NaN or Inf in
-    parts[k] raises NonFiniteError(k + 1).
+def _json_floats(*parts: np.ndarray, frame: bytes = b"null") -> bytes:
+    """frame, a JSON text in bytes, with its k-th null replaced by the JSON
+    list of the float64 array parts[k]: for one array x and the default
+    frame, json.dumps(x.ravel().tolist(), **_JSON_OPTIONS).encode().  A NaN
+    or Inf in parts[k] raises NonFiniteError(k + 1).
 
     orjson prints each float as its shortest round-trip digits, as repr
     does, about 10 times faster.  It writes the same text for 0, -0 and
@@ -243,8 +243,8 @@ def _json_floats(*parts: np.ndarray, frame: str = "null") -> str:
     with repr, between runs that orjson writes."""
     import orjson
 
-    def numbers(a: np.ndarray) -> str:  # a's JSON list without its brackets
-        return orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    def numbers(a: np.ndarray) -> bytes:  # a's JSON list without its brackets
+        return orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
 
     flat = np.concatenate([x.ravel() for x in parts])
     mag = np.abs(flat)
@@ -252,38 +252,39 @@ def _json_floats(*parts: np.ndarray, frame: str = "null") -> str:
     off = np.flatnonzero(((mag < 1e-4) == (mag > 0)) | (mag >= 1e16))
     ends = np.cumsum([x.size for x in parts])
     stops, off, values = np.searchsorted(off, ends).tolist(), off.tolist(), flat[off].tolist()
-    pieces = frame.split("null")
+    pieces = frame.split(b"null")
     text, start, j = [pieces[0]], 0, 0
     for k, (end, stop, piece) in enumerate(zip(ends.tolist(), stops, pieces[1:])):
         items = []
         for i, v in zip(off[j:stop], values[j:stop]):
             if not math.isfinite(v):
                 raise NonFiniteError(k + 1, "a non-finite float has no JSON number")
-            items += [numbers(flat[start:i]), repr(v)]
+            items += [numbers(flat[start:i]), repr(v).encode()]
             start = i + 1
         items.append(numbers(flat[start:end]))
-        text += ["[" + ",".join(filter(None, items)) + "]", piece]  # an empty run is ""
+        text += [b"[" + b",".join(filter(None, items)) + b"]", piece]  # an empty run is b""
         start, j = end, stop
-    return "".join(text)
+    return b"".join(text)
 
 
-def _state_frame(state: FormalMapping) -> str:
+def _state_frame(state: FormalMapping) -> bytes:
     """json.dumps(state.to_dict(), **_JSON_OPTIONS) with null for each
-    component's entries: `_json_floats` fills it with any such state's."""
+    component's entries, in bytes: `_json_floats` fills it with any such state's."""
     d = state.to_dict()
-    return json.dumps(dict(d, components=[dict(c, entries=None) for c in d["components"]]), **_JSON_OPTIONS)
+    comps = [dict(c, entries=None) for c in d["components"]]
+    return json.dumps(dict(d, components=comps), **_JSON_OPTIONS).encode()
 
 
-def _solve_results(knots: np.ndarray, states: Iterable[str]) -> Iterator[str]:
-    """The JSON text of a solve's results block, in pieces: the knots, then
-    the states, one text at a time.  Joined, it is what
+def _solve_results(knots: np.ndarray, states: Iterable[bytes]) -> Iterator[bytes]:
+    """The JSON text of a solve's results block in bytes, in pieces: the
+    knots, then the states, one text at a time.  Joined, it is what
     json.dumps(..., **_JSON_OPTIONS) writes for the same dict."""
-    yield '{"knots":' + json.dumps(knots.tolist(), **_JSON_OPTIONS) + ',"states":['
+    yield b'{"knots":' + json.dumps(knots.tolist(), **_JSON_OPTIONS).encode() + b',"states":['
     for i, state in enumerate(states):
         if i:
-            yield ","
+            yield b","
         yield state
-    yield "]}"
+    yield b"]}"
 
 
 def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -292,7 +293,7 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     frame = _state_frame(initial)
     norms = []
 
-    def states() -> Iterator[str]:
+    def states() -> Iterator[bytes]:
         for i, state in enumerate(_path_states(coeffs, initial, path), -1):  # after step i; initial -1
             # the trajectory norms, as np.linalg.norm computes them, without its overhead
             norms.append([math.sqrt(v @ v) for v in (e.ravel() for e in state)])
@@ -417,11 +418,11 @@ def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         beta = number("beta", 0.5)
         coeffs = CoefficientFamily.constant_scalar([alpha], [beta])
 
-        def simulate(paths: PathBatch) -> np.ndarray:
+        def simulate(paths: BrownianPath) -> np.ndarray:
             entries, finite = solve_chain_batch(coeffs, identity(1, 1), paths)
             return np.where(finite[:, None], entries[0].reshape(paths.n_paths, 1), np.nan)
 
-        def exact(paths: PathBatch) -> np.ndarray:
+        def exact(paths: BrownianPath) -> np.ndarray:
             w_t = paths.cumulative()[:, -1, 0]
             return np.array([[gbm_closed_form(alpha, beta, cfg.t_end, float(w))] for w in w_t])
 
@@ -431,10 +432,10 @@ def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         y0 = number("y0", 0.1)
         coeffs = CoefficientFamily.constant_scalar([alpha, gamma])
 
-        def simulate(paths: PathBatch) -> np.ndarray:
+        def simulate(paths: BrownianPath) -> np.ndarray:
             return simulate_direct(coeffs, np.full((paths.n_paths, 1), y0), paths)[-1]
 
-        def exact(paths: PathBatch) -> np.ndarray:
+        def exact(paths: BrownianPath) -> np.ndarray:
             return np.full((paths.n_paths, 1), bernoulli_closed_form(alpha, gamma, cfg.t_end, y0))
 
     report = estimate_order(

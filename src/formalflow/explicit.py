@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FormalMapping, MultilinearMap, ShapeError, _contract
-from .chain import BrownianPath, CoefficientFamily, _forcing, _noise
+from .chain import BrownianPath, CoefficientFamily, _forcing, _noise, _one_path
 
 
 class UnsupportedCaseError(ValueError):
@@ -32,8 +32,8 @@ class FundamentalSolution:
 
 
 def fundamental(coeffs: CoefficientFamily, path: BrownianPath) -> FundamentalSolution:
-    """Per-step propagator factors of the degree-1 equation along one path."""
-    grid = path.grid
+    """Per-step propagator factors of the degree-1 equation along a one-row path."""
+    dw, grid = _one_path(path), path.grid
     dt = grid.dt
     d = coeffs.dy
     eye = np.eye(d)
@@ -42,7 +42,7 @@ def fundamental(coeffs: CoefficientFamily, path: BrownianPath) -> FundamentalSol
         f = eye + dt * coeffs.drift_at(t_i).component(1).entries
         b1 = coeffs.diffusion_at(t_i).component(1)
         if not b1.is_zero:
-            f = f + b1.entries @ path.increments[i]
+            f = f + b1.entries @ dw[i]
         factors.append(f)
     return FundamentalSolution(tuple(factors))
 
@@ -69,7 +69,7 @@ def _loads(n: int, coeffs: CoefficientFamily, chain_states, path: BrownianPath) 
     from forcing_terms at step j, with noise term g_n.entries @ dw_j.
     Raises UnsupportedCaseError if b_1 is nonzero at some step.
     """
-    grid = path.grid
+    dw, grid = _one_path(path), path.grid
     times = grid.knots()[:-1].tolist()
     drifts = [coeffs.drift_at(t).components for t in times]
     diffusions = [coeffs.diffusion_at(t).components for t in times]
@@ -86,7 +86,7 @@ def _loads(n: int, coeffs: CoefficientFamily, chain_states, path: BrownianPath) 
     )
     loads = grid.dt * f
     if g is not None:
-        loads = loads + _noise(g, path.increments, batch=1)
+        loads = loads + _noise(g, dw, batch=1)
     return loads
 
 

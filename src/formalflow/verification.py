@@ -15,7 +15,6 @@ from .chain import (
     BlowupError,
     BrownianPath,
     CoefficientFamily,
-    PathBatch,
     TimeGrid,
     sample_paths,
     simulate_direct,
@@ -109,8 +108,8 @@ class ConvergenceReport:
 
 
 def estimate_order(
-    simulate: Callable[[PathBatch], np.ndarray],
-    exact: Callable[[PathBatch], np.ndarray],
+    simulate: Callable[[BrownianPath], np.ndarray],
+    exact: Callable[[BrownianPath], np.ndarray],
     *,
     t_end: float,
     noise_dim: int,
@@ -121,9 +120,9 @@ def estimate_order(
     """Strong error E|X_dt(T) - X(T)| on nested grids sharing one batch of fine paths.
 
     Coarse increments are sums of fine ones, so every level sees the same
-    Brownian paths.  `simulate` integrates every path of the given (coarse)
-    batch; `exact` evaluates the reference terminal values from the fine
-    batch.  Both return shape (P, d), row p for path p.  A path with a
+    Brownian paths.  `simulate` integrates every row of the given (coarse)
+    paths; `exact` evaluates the reference terminal values from the fine
+    ones.  Both return shape (P, d), row p for path p.  A path with a
     non-finite row in either is excluded; more than 1% exclusions is an error.
     """
     if len(dt_values) < 3:
@@ -234,8 +233,11 @@ def truncation_scaling(
     y0_norms, gaps = [], []
     for i in range(halvings + 1):
         y0 = y0_base / 2.0**i
-        direct = simulate_direct(coeffs, y0, path)[-1]
-        gap = float(np.linalg.norm(evaluate(s_final, y0) - direct))
+        direct = simulate_direct(coeffs, y0[None], path)[:, 0]
+        blown = np.flatnonzero(~np.isfinite(direct).all(axis=1))
+        if blown.size:
+            raise BlowupError(step=int(blown[0]) - 1)
+        gap = float(np.linalg.norm(evaluate(s_final, y0) - direct[-1]))
         y0_norms.append(float(np.linalg.norm(y0)))
         gaps.append(gap)
     eps = np.finfo(np.float64).eps

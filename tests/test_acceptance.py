@@ -145,7 +145,7 @@ def test_criterion_4_uniqueness_and_adaptedness(report):
         assert mapping_equal(a, b)
     cut = 20
     tampered = path.increments.copy()
-    tampered[cut:] -= 2.5
+    tampered[:, cut:] -= 2.5
     got = solve_chain(co, identity(3, 2), BrownianPath.from_increments(grid, tampered, seed=44))
     for i in range(cut + 1):
         assert mapping_equal(got.states[i], s1.states[i])

@@ -1,5 +1,7 @@
 """The path-batched solvers against their per-path counterparts, bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,14 +15,18 @@ from formalflow import (
     DiffusionMap,
     FormalMapping,
     MultilinearMap,
-    PathBatch,
+    ShapeError,
     TimeGrid,
+    chain_states,
+    evolution_check,
+    fundamental,
     identity,
     sample_path,
     sample_paths,
     simulate_direct,
     solve_chain,
     solve_chain_batch,
+    variation_of_constants,
 )
 from conftest import random_coefficients, random_mapping
 
@@ -55,19 +61,39 @@ class TestSamplePaths:
         assert batch.n_paths == 4
         for p in range(4):
             path = sample_path(grid, 2, seed=7, path_index=p)
-            assert same_bits(batch.increments[p], path.increments)
-            assert same_bits(batch.cumulative()[p], path.cumulative())
+            assert path.n_paths == 1
+            assert same_bits(batch.increments[p], path.increments[0])
+            assert same_bits(batch.cumulative()[p], path.cumulative()[0])
+            assert same_bits(batch.restrict(5, 20).increments[p], path.restrict(5, 20).increments[0])
             for factor in (1, 2, 4, 32):
                 coarse = batch.coarsen(factor)
                 assert coarse.grid == path.coarsen(factor).grid
-                assert same_bits(coarse.increments[p], path.coarsen(factor).increments)
+                assert same_bits(coarse.increments[p], path.coarsen(factor).increments[0])
+
+    def test_one_row_is_the_philox_draw(self):
+        # the draw a single path has always had: standard normals of the
+        # Philox key (seed, path_index), scaled by sqrt(dt)
+        grid = TimeGrid(0.0, 1.0, 32)
+        rng = np.random.Generator(np.random.Philox(key=np.array([7, 3], dtype=np.uint64)))
+        want = rng.standard_normal((32, 2)) * math.sqrt(grid.dt)
+        assert same_bits(sample_path(grid, 2, seed=7, path_index=3).increments, want[None])
+
+    def test_from_increments_takes_one_path_or_several(self):
+        grid = TimeGrid(0.0, 1.0, 4)
+        dw = np.arange(8.0).reshape(2, 4, 1)
+        for given, rows in ((dw[0, :, 0], dw[:1]), (dw[0], dw[:1]), (dw, dw)):
+            path = BrownianPath.from_increments(grid, given)
+            assert (path.n_paths, path.noise_dim) == (len(rows), 1)
+            assert same_bits(path.increments, rows)
 
     def test_rejects_bad_shapes(self):
         grid = TimeGrid(0.0, 1.0, 4)
         with pytest.raises(ValueError):
-            PathBatch(grid, 1, np.zeros((4, 1)), seed=0)
+            BrownianPath(grid, 1, np.zeros((4, 1)), seed=0)
         with pytest.raises(ValueError):
-            PathBatch(grid, 1, np.zeros((0, 4, 1)), seed=0)
+            BrownianPath(grid, 1, np.zeros((0, 4, 1)), seed=0)
+        with pytest.raises(ValueError):
+            BrownianPath(grid, 1, np.zeros((2, 4, 2)), seed=0)
         with pytest.raises(ValueError):
             sample_paths(grid, 1, seed=0, n_paths=0)
 
@@ -108,13 +134,8 @@ def test_batch_is_bitwise_the_per_path_solve(
             assert finite[p]
             for k in range(order):
                 assert same_bits(terminal[k][p], final.components[k].entries)
-        try:
-            expected = simulate_direct(co, y0[p], path)
-        except BlowupError as exc:
-            assert np.isfinite(trajectories[: exc.step + 1, p]).all()
-            assert not np.isfinite(trajectories[exc.step + 1, p]).all()
-        else:
-            assert same_bits(trajectories[:, p], expected)
+        # a path that blows up alone is left non-finite in the same bits
+        assert same_bits(trajectories[:, p], simulate_direct(co, y0[p : p + 1], path)[:, 0])
 
 
 def test_overflowing_path_is_masked_and_neighbours_unchanged():
@@ -122,7 +143,7 @@ def test_overflowing_path_is_masked_and_neighbours_unchanged():
     grid = TimeGrid(0.0, 1.0, 8)
     increments = 0.1 * np.random.default_rng(3).standard_normal((3, 8, 1))
     increments[1, 3:5] = 1e200  # path 1 overflows at step 4
-    batch = PathBatch(grid, 1, increments, seed=0)
+    batch = BrownianPath(grid, 1, increments, seed=0)
     paths = [BrownianPath.from_increments(grid, increments[p]) for p in range(3)]
 
     terminal, finite = solve_chain_batch(co, identity(2, 1), batch)
@@ -133,8 +154,33 @@ def test_overflowing_path_is_masked_and_neighbours_unchanged():
         final = solve_chain(co, identity(2, 1), paths[p]).states[-1]
         for k in range(2):
             assert same_bits(terminal[k][p], final.components[k].entries)
-        assert same_bits(trajectories[:, p], simulate_direct(co, np.array([0.1]), paths[p]))
+        assert same_bits(trajectories[:, p], simulate_direct(co, np.array([[0.1]]), paths[p])[:, 0])
     with pytest.raises(BlowupError):
         solve_chain(co, identity(2, 1), paths[1])
-    with pytest.raises(BlowupError):
-        simulate_direct(co, np.array([0.1]), paths[1])
+    alone = simulate_direct(co, np.array([[0.1]]), paths[1])
+    assert np.isfinite(alone[:4]).all() and not np.isfinite(alone[-1]).all()
+    assert same_bits(trajectories[:, 1], alone[:, 0])
+
+
+def solve_states(co, paths):
+    """The chain states along path 0 of paths' seed, as many as paths has knots."""
+    return solve_chain(co, identity(2, 1), sample_path(paths.grid, 1, paths.seed)).states
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        lambda co, paths: solve_chain(co, identity(2, 1), paths),
+        lambda co, paths: list(chain_states(co, identity(2, 1), paths)),
+        lambda co, paths: fundamental(co, paths),
+        lambda co, paths: variation_of_constants(2, co, solve_states(co, paths), paths),
+        lambda co, paths: evolution_check(co, paths.grid, paths, 0.5),
+    ],
+    ids=["solve_chain", "chain_states", "fundamental", "variation_of_constants", "evolution_check"],
+)
+def test_single_path_consumers_reject_several_rows(consumer):
+    # using row 0 of two would be another experiment than the one asked for
+    co = CoefficientFamily.constant_scalar([0.5, 0.3], [0.0, 0.2])
+    paths = sample_paths(TimeGrid(0.0, 1.0, 8), 1, seed=3, n_paths=2)
+    with pytest.raises(ShapeError, match="expected a single path, got 2 rows"):
+        consumer(co, paths)

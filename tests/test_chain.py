@@ -17,7 +17,6 @@ from formalflow import (
     DiffusionMap,
     FormalMapping,
     MultilinearMap,
-    PathBatch,
     ShapeError,
     TimeGrid,
     chain_states,
@@ -30,6 +29,7 @@ from formalflow import (
     sample_paths,
     simulate_direct,
     solve_chain,
+    truncation_scaling,
 )
 from formalflow.algebra import _contract
 from formalflow import chain
@@ -87,11 +87,9 @@ class TestTimeGrid:
         path = BrownianPath.from_increments(grid, np.zeros((n, 1)))
         sub, f = path.restrict(i, j), divisor(n)
         coarse = sample_paths(grid, 1, 0, 2).coarsen(f) if data.draw(st.booleans()) else path.coarsen(f)
-        g = divisor(j - i)
+        g, k = divisor(j - i), data.draw(st.integers(0, n // f - 1))
         cases = [(sub, knots[i : j + 1]), (coarse, knots[::f]), (sub.coarsen(g), knots[i : j + 1 : g])]
-        if isinstance(coarse, BrownianPath):
-            k = data.draw(st.integers(0, n // f - 1))
-            cases.append((coarse.restrict(k, n // f), knots[::f][k:]))
+        cases.append((coarse.restrict(k, n // f), knots[::f][k:]))
         for p, want in cases:
             assert p.grid.knots().tobytes() == want.tobytes()
             assert np.array([p.grid.knot(s) for s in range(p.grid.n_steps + 1)]).tobytes() == want.tobytes()
@@ -114,7 +112,7 @@ class TestSamplePath:
         # same step size, longer horizon: leading increments are identical
         fine = sample_path(TimeGrid(0.0, 2.0, 64), 3, seed=11)
         short = sample_path(TimeGrid(0.0, 1.0, 32), 3, seed=11)
-        assert np.array_equal(fine.increments[:32], short.increments)
+        assert np.array_equal(fine.increments[:, :32], short.increments)
 
     def test_increment_moments(self):
         # pool 10^5 increments: mean within the CLT band, variance within 5%
@@ -140,14 +138,16 @@ class TestSamplePath:
     def test_cumulative_starts_at_zero(self):
         path = sample_path(TimeGrid(0.0, 1.0, 8), 2, seed=1)
         w = path.cumulative()
-        assert np.array_equal(w[0], np.zeros(2))
-        assert np.allclose(w[-1], path.increments.sum(axis=0))
+        assert w.shape == (1, 9, 2)
+        assert np.array_equal(w[:, 0], np.zeros((1, 2)))
+        assert np.allclose(w[:, -1], path.increments.sum(axis=1))
 
     def test_coarsen_sums_increments(self):
         path = sample_path(TimeGrid(0.0, 1.0, 8), 1, seed=2)
         coarse = path.coarsen(4)
         assert coarse.grid.n_steps == 2
-        assert np.allclose(coarse.increments[0], path.increments[:4].sum(axis=0))
+        assert coarse.increments.shape == (1, 2, 1)
+        assert np.allclose(coarse.increments[:, 0], path.increments[:, :4].sum(axis=1))
 
 
 class TestOneStepMap:
@@ -191,7 +191,7 @@ class TestSolveChain:
         sol = solve_chain(co, identity(1, 1), path)
         prod = 1.0
         for i in range(grid.n_steps):
-            prod = (1.0 + alpha * grid.dt + beta * path.increments[i, 0]) * prod
+            prod = (1.0 + alpha * grid.dt + beta * path.increments[0, i, 0]) * prod
         assert sol.states[-1].component(1).entries.ravel()[0] == prod
 
     def test_deterministic_quadratic_s2_closed_form(self):
@@ -249,7 +249,7 @@ class TestSolveChain:
         ref = solve_chain(co, identity(3, 2), path)
         cut = 10
         tampered_increments = path.increments.copy()
-        tampered_increments[cut:] += 3.0
+        tampered_increments[:, cut:] += 3.0
         tampered = BrownianPath.from_increments(grid, tampered_increments, seed=8)
         got = solve_chain(co, identity(3, 2), tampered)
         for i in range(cut + 1):
@@ -399,7 +399,7 @@ class TestSimulateDirect:
     def test_zero_initial_condition_stays_zero(self, rng):
         co = random_coefficients(rng, 3, 2, 2)
         path = sample_path(TimeGrid(0.0, 1.0, 16), 2, seed=6)
-        traj = simulate_direct(co, np.zeros(2), path)
+        traj = simulate_direct(co, np.zeros((1, 2)), path)
         assert np.array_equal(traj, np.zeros_like(traj))
 
     def test_degree_one_matches_chain_flow(self, rng):
@@ -412,7 +412,7 @@ class TestSimulateDirect:
         path = sample_path(TimeGrid(0.0, 1.0, 32), 2, seed=5)
         sol = solve_chain(co, identity(1, 2), path)
         y0 = rng.standard_normal(2)
-        traj = simulate_direct(co, y0, path)
+        traj = simulate_direct(co, y0[None], path)[:, 0]
         for i, s in enumerate(sol.states):
             assert np.allclose(traj[i], evaluate(s, y0), rtol=1e-12, atol=1e-14)
 
@@ -426,7 +426,7 @@ class TestSimulateDirect:
         for n_steps in (64, 128, 256):
             grid = TimeGrid(0.0, 1.0, n_steps)
             path = BrownianPath.from_increments(grid, np.zeros((n_steps, 1)))
-            got = simulate_direct(co, np.array([y0]), path)[-1, 0]
+            got = simulate_direct(co, np.array([[y0]]), path)[-1, 0, 0]
             errs.append(abs(got - target))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.15)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.15)
@@ -437,17 +437,38 @@ class TestSimulateDirect:
         co = CoefficientFamily.constant_scalar([1.0])
         grid = TimeGrid(0.0, 1.0, 4)
         with pytest.raises(ShapeError, match="^y0 has non-finite entries$"):
-            simulate_direct(co, np.array([bad]), sample_path(grid, 1, seed=0))
+            simulate_direct(co, np.array([[bad]]), sample_path(grid, 1, seed=0))
         with pytest.raises(ShapeError, match="^y0 has non-finite entries$"):
             simulate_direct(co, np.array([[0.1], [bad]]), sample_paths(grid, 1, 0, 2))
 
     def test_blowup_reports_step(self):
+        # simulate_direct leaves the blown-up path non-finite; its one
+        # single-path caller, truncation_scaling, names the step
         co = CoefficientFamily.constant_scalar([0.0, 1e200])
         grid = TimeGrid(0.0, 1.0, 4)
         path = BrownianPath.from_increments(grid, np.zeros((4, 1)))
+        traj = simulate_direct(co, np.array([[1.0]]), path)
+        assert traj.shape == (5, 1, 1)
+        knot = int(np.flatnonzero(~np.isfinite(traj[:, 0, 0]))[0])
+        assert np.isfinite(traj[:knot]).all() and not np.isfinite(traj[knot:]).any()
         with pytest.raises(BlowupError) as exc:
-            simulate_direct(co, np.array([1.0]), path)
+            truncation_scaling(co, grid, np.array([1.0]), 1)
+        assert exc.value.step == knot - 1
         assert 0 <= exc.value.step < 4
+
+    def test_noise_dim_must_match_the_coefficients(self):
+        # this was numpy's "matmul: Input operand 1 has a mismatch in its core dimension"
+        co = CoefficientFamily.constant_scalar([0.5, 0.3], [0.2, 0.0])
+        paths = sample_paths(TimeGrid(0.0, 1.0, 4), 2, 0, 3)
+        with pytest.raises(ShapeError, match="^path noise_dim 2 != coefficients 1$"):
+            simulate_direct(co, np.full((3, 1), 0.1), paths)
+
+    def test_y0_needs_one_row_per_path(self):
+        co = CoefficientFamily.constant_scalar([1.0])
+        path = sample_path(TimeGrid(0.0, 1.0, 4), 1, seed=0)
+        for y0 in (np.array([0.1]), np.full((2, 1), 0.1)):
+            with pytest.raises(ShapeError, match=r"expected \(1, 1\)"):
+                simulate_direct(co, y0, path)
 
     @given(
         order=st.integers(1, 4),
@@ -470,7 +491,7 @@ class TestSimulateDirect:
         co = random_coefficients(rng, order, d, m, magnitude=0.2)
         grid = TimeGrid(0.0, 0.5, 6)
         dw = np.sqrt(grid.dt) * rng.standard_normal((paths, grid.n_steps, m))
-        traj = simulate_direct(co, 0.3 * rng.standard_normal((paths, d)), PathBatch(grid, m, dw, seed))
+        traj = simulate_direct(co, 0.3 * rng.standard_normal((paths, d)), BrownianPath(grid, m, dw, seed))
         a, b = co.drift(0.0), co.diffusion(0.0)
         abs_a, abs_b = absolute(a), absolute(b)
         eps = np.finfo(float).eps

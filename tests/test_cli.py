@@ -308,6 +308,15 @@ class TestTaylorCheck:
         assert not any(results["reliable"])
         assert rc == 4 and results["passed"] is False
 
+    def test_direct_overflow_is_blowup(self, tmp_path, capsys):
+        # the chain stays finite; the direct simulation y' = 1e200*y^2 from 1.0 overflows
+        cfg = {"dy": 1, "order": 2, "n_steps": 4, "drift": [scalar_tensor(2, 1e200)], "y0": [1.0]}
+        out = tmp_path / "o"
+        rc = main(["taylor-check", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert rc == 3
+        assert "numerical blowup at step" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFormulaCheck:
     def test_scalar_quadratic_passes(self, tmp_path):
@@ -456,6 +465,13 @@ class TestConvergence:
         rc = main(["convergence", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert problem in capsys.readouterr().err
+
+    def test_path_noise_dim_must_match_the_problem(self, tmp_path, capsys):
+        # the quadratic problem has one noise column; this was numpy's raw matmul error
+        cfg = {"noise_dim": 2, "n_paths": 1, "problem": {"kind": "quadratic"}, "dt_values": [0.5, 0.25, 0.125]}
+        rc = main(["convergence", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "path noise_dim 2 != coefficients 1" in capsys.readouterr().err
 
     def test_closed_form_overflow_is_blowup(self, tmp_path, capsys):
         # exp(800) overflows a float; this used to end in an OverflowError traceback
@@ -820,7 +836,7 @@ class TestReportStream:
 
 
 class TestJsonFloats:
-    """cli._json_floats writes a float array as json.dumps writes its list."""
+    """cli._json_floats writes a float array as json.dumps writes its list, in bytes."""
 
     @given(
         arrays(
@@ -831,7 +847,7 @@ class TestJsonFloats:
     )
     @settings(max_examples=300, deadline=None)
     def test_equals_json_dumps(self, x):
-        assert cli._json_floats(x) == json.dumps(x.ravel().tolist(), separators=(",", ":"))
+        assert cli._json_floats(x) == json.dumps(x.ravel().tolist(), separators=(",", ":")).encode()
 
     def test_equals_json_dumps_at_the_format_edges(self):
         # orjson writes 0.00001 for 1e-05 and 1e16 for 1e+16: those take repr
@@ -841,7 +857,7 @@ class TestJsonFloats:
         values += [-v for v in values]
         x = np.array(values)
         for arr in (x, x[::-1], x.reshape(2, -1), *x[:, None]):
-            assert cli._json_floats(arr) == json.dumps(arr.ravel().tolist(), separators=(",", ":"))
+            assert cli._json_floats(arr) == json.dumps(arr.ravel().tolist(), separators=(",", ":")).encode()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises(self, value):
@@ -864,7 +880,7 @@ class TestJsonFloats:
         states = list(chain_states(coeffs, initial, path))
         frame = cli._state_frame(initial)
         for s in states:
-            assert cli._json_floats(*(c.entries for c in s.components), frame=frame) == dumps(s.to_dict())
+            assert cli._json_floats(*(c.entries for c in s.components), frame=frame) == dumps(s.to_dict()).encode()
         entries = np.concatenate([c.entries.ravel() for s in states for c in s.components])
         assert off_format(entries).sum() >= 100
 
@@ -889,7 +905,7 @@ class TestJsonFloats:
         state = FormalMapping(order, d, d, tuple(MultilinearMap(k, d, d, e) for k, e in enumerate(parts, 1)))
         frame = cli._state_frame(state)
         if bad is None:
-            assert cli._json_floats(*parts, frame=frame) == dumps(state.to_dict())
+            assert cli._json_floats(*parts, frame=frame) == dumps(state.to_dict()).encode()
             return
         degrees = data.draw(st.sets(st.integers(1, order), min_size=1))
         for k in degrees:

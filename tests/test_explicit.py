@@ -208,7 +208,7 @@ def loop_quadrature(n, co, states, path):
         f_n, g_n = forcing_terms(n, states[j], co.drift_at(t_j), co.diffusion_at(t_j))
         q = grid.dt * f_n.entries
         if not g_n.is_zero:
-            q = q + g_n.entries @ path.increments[j]
+            q = q + g_n.entries @ path.increments[0, j]
         loads.append(q)
     factors = fundamental(co, path).factors
     trajectory, scales = [np.zeros_like(loads[0])], [0.0]
