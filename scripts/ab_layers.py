@@ -15,7 +15,10 @@ shared machine out of the ratio, which back-to-back runs of
   - euler_loop_o6d3: the whole `chain._euler_states` loop of the solve-o6d3
     benchmark config (order 6, d 3, m 2, P 1, 512 steps, config seed 1);
   - compose_o6d3: `compose` of two dense order-6, d = 3 mappings;
-  - euler_step_o1d1_p64: GBM (order 1, d 1, P 64, 512 steps), per step.
+  - euler_step_o1d1_p64: GBM (order 1, d 1, P 64, 512 steps), per step;
+  - formula_check_o3d2: `cli._cmd_formula_check` on the formula-o3d2
+    benchmark config (order 3, d 2, m 2, 512 steps, config seed 1), report
+    write included.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import importlib.util
 import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,8 +54,9 @@ def load(root: Path, name: str):
     return module
 
 
-def layers(name: str) -> dict:
-    """Each layer's (callable, calls per repeat, divisor) on the package `name`."""
+def layers(name: str, out_dir: Path) -> dict:
+    """Each layer's (callable, calls per repeat, divisor) on the package
+    `name`; the formula check writes its report to out_dir."""
     algebra, chain, cli = (importlib.import_module(f"{name}.{m}") for m in ("algebra", "chain", "cli"))
     rng = np.random.default_rng(SEED)
 
@@ -75,10 +80,12 @@ def layers(name: str) -> dict:
     gbm = chain.CoefficientFamily.constant_scalar([1.0], [0.5])
     paths = chain.sample_paths(chain.TimeGrid(0.0, 1.0, 512), 1, SEED, 64)
     one = [c.entries[None] for c in algebra.identity(1, 1).components]
+    formula = cli.ExperimentConfig.from_dict(json.loads(config_bytes("formula-o3d2", CONFIG_SEED)))
     return {
         "euler_loop_o6d3": (lambda: loop(coeffs, path.grid, start, dw), 1, 1),
         "compose_o6d3": (lambda: algebra.compose(outer, inner), 20, 1),
         "euler_step_o1d1_p64": (lambda: loop(gbm, paths.grid, one, paths.increments), 1, 512),
+        "formula_check_o3d2": (lambda: cli._cmd_formula_check(formula, out_dir), 1, 1),
     }
 
 
@@ -100,14 +107,16 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=None, help="write the JSON here, not to stdout")
     args = parser.parse_args()
     sides = {}
-    for side, root in (("parent", args.parent), ("change", args.change)):
-        load(root.resolve(), f"formalflow_{side}")
-        sides[side] = layers(f"formalflow_{side}")
-    times = {layer: {"parent": [], "change": []} for layer in sides["parent"]}
-    for r in range(args.rounds):
-        for layer, record in times.items():
-            for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-                record[side].append(seconds(*sides[side][layer]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, root in (("parent", args.parent), ("change", args.change)):
+            load(root.resolve(), f"formalflow_{side}")
+            (Path(tmp) / side).mkdir()
+            sides[side] = layers(f"formalflow_{side}", Path(tmp) / side)
+        times = {layer: {"parent": [], "change": []} for layer in sides["parent"]}
+        for r in range(args.rounds):
+            for layer, record in times.items():
+                for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+                    record[side].append(seconds(*sides[side][layer]))
     result = {}
     for layer, record in times.items():
         parent, change = (statistics.median(record[s]) for s in ("parent", "change"))

@@ -182,11 +182,11 @@ def measure(repeats: int) -> dict:
 
     cfg = workload_config("formula-o3d2")
     coeffs, path = cfg.coefficients(), cfg.path()
-    states = solve_chain(coeffs, identity(cfg.order, cfg.dy), path).states
+    sol = solve_chain(coeffs, identity(cfg.order, cfg.dy), path)
 
     def voc():
         for n in range(2, cfg.order + 1):
-            variation_of_constants(n, coeffs, states, path)
+            variation_of_constants(n, coeffs, sol, path)
 
     out["variation_of_constants_o3d2"] = dict(
         timed(voc, repeats), sizes=f"order 3, d 2, m 2, {cfg.n_steps} steps, degrees 2 and 3"
@@ -194,9 +194,9 @@ def measure(repeats: int) -> dict:
 
     cfg = workload_config("solve-o6d3")
     sol = solve_chain(cfg.coefficients(), cfg.initial_mapping(), cfg.path())
-    n_floats = len(sol.states) * sum(c.entries.size for c in sol.initial.components)
-    sizes = f"{len(sol.states)} states of order 6, d 3, {n_floats} floats"
-    entries = [[c.entries for c in s.components] for s in sol.states]
+    n_floats = sum(e.size for e in sol.entries)
+    sizes = f"{len(sol.entries[0])} states of order 6, d 3, {n_floats} floats"
+    entries = list(zip(*sol.entries))  # each state's arrays by degree
     frame = cli._state_frame(sol.initial)
 
     def texts():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -161,9 +162,11 @@ class BrownianPath:
         return BrownianPath(self.grid._sub(0, n, factor), self.noise_dim, coarse, self.seed, self.path_index)
 
 
-def _one_path(path: BrownianPath) -> np.ndarray:
-    """The (n_steps, m) increments of a one-row path.  A consumer of one
-    path does not pick a row of several: that would be another experiment."""
+def _one_path(coeffs: CoefficientFamily, path: BrownianPath) -> np.ndarray:
+    """The (n_steps, m) increments of a one-row path with the coefficients'
+    noise dimension.  A consumer of one path does not pick a row of several:
+    that would be another experiment."""
+    _check_noise_dim(coeffs, path)
     if path.n_paths != 1:
         raise ShapeError(f"expected a single path, got {path.n_paths} rows")
     return path.increments[0]
@@ -296,13 +299,30 @@ class CoefficientFamily:
 
 @dataclass(frozen=True)
 class ChainSolution:
-    """Chain states S(t_i, s) on a grid, with reproducibility provenance."""
+    """Chain states S(t_i, s) at every knot of a grid, with reproducibility provenance.
+
+    entries[k-1] holds component k of every state, shape (n_steps + 1, d) +
+    (d,)*k, row i at knot i (the initial state is row 0); the arrays are
+    finite and read-only.  `state(i)` and `states` wrap rows as
+    FormalMappings, built on demand.
+    """
 
     grid: TimeGrid
     initial: FormalMapping
-    states: tuple[FormalMapping, ...]
+    entries: tuple[np.ndarray, ...]
     seed: int
     path_index: int
+
+    def state(self, i: int) -> FormalMapping:
+        """The state at knot i (negative i counts from the end)."""
+        d = self.initial.dy
+        comps = tuple(MultilinearMap(k, d, d, e[i]) for k, e in enumerate(self.entries, start=1))
+        return FormalMapping(len(comps), d, d, comps)
+
+    @cached_property
+    def states(self) -> tuple[FormalMapping, ...]:
+        """The state at every knot, initial first."""
+        return tuple(map(self.state, range(self.grid.n_steps + 1)))
 
 
 def _noise(b_k: np.ndarray, dw: np.ndarray, batch: int = 0) -> np.ndarray:
@@ -404,16 +424,11 @@ def _check_noise_dim(coeffs: CoefficientFamily, path: BrownianPath) -> None:
         raise ShapeError(f"path noise_dim {path.noise_dim} != coefficients {coeffs.noise_dim}")
 
 
-def _check_chain_shapes(coeffs: CoefficientFamily, initial: FormalMapping, path: BrownianPath) -> None:
-    coeffs._checked("initial condition", path.grid.t_start, initial, ())
-    _check_noise_dim(coeffs, path)
-
-
 def _path_states(coeffs: CoefficientFamily, initial: FormalMapping, path: BrownianPath):
     """The chain states along a one-row Brownian path, initial's first, as
     `_euler_states` yields them: entries by degree with a path axis of 1."""
-    _check_chain_shapes(coeffs, initial, path)
-    dw = _one_path(path)[None]
+    coeffs._checked("initial condition", path.grid.t_start, initial, ())
+    dw = _one_path(coeffs, path)[None]
     start = [c.entries[None] for c in initial.components]
     yield start
     yield from _euler_states(coeffs, path.grid, start, dw)
@@ -447,10 +462,23 @@ def solve_chain(
     initial: FormalMapping,
     path: BrownianPath,
 ) -> ChainSolution:
-    """Integrate the triangular chain along a one-row Brownian path: every
-    state of `chain_states`, kept."""
-    states = tuple(chain_states(coeffs, initial, path))
-    return ChainSolution(path.grid, initial, states, path.seed, path.path_index)
+    """Integrate the triangular chain along a one-row Brownian path and keep
+    every state, as `chain_states` yields them, one array per degree.
+
+    The whole path is integrated first; then one finiteness pass per degree
+    raises BlowupError naming the first non-finite step and its lowest
+    non-finite degree, as `chain_states` would.
+    """
+    rows = list(_path_states(coeffs, initial, path))
+    entries = tuple(np.concatenate(col) for col in zip(*rows))
+    # finite[k, i]: degree k + 1 is finite at knot i (step i - 1)
+    finite = np.array([np.isfinite(e).reshape(len(e), -1).all(axis=1) for e in entries])
+    if not finite.all():
+        knot = int(np.flatnonzero(~finite.all(axis=0))[0])
+        raise BlowupError(step=knot - 1, component=int(np.flatnonzero(~finite[:, knot])[0]) + 1)
+    for e in entries:
+        e.setflags(write=False)
+    return ChainSolution(path.grid, initial, entries, path.seed, path.path_index)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -464,7 +492,8 @@ def solve_chain_batch(
     finite after some step.  Row p of a finite path is bitwise equal to the final
     state of solve_chain on row p alone.
     """
-    _check_chain_shapes(coeffs, initial, paths)
+    coeffs._checked("initial condition", paths.grid.t_start, initial, ())
+    _check_noise_dim(coeffs, paths)
     finite = np.ones(paths.n_paths, dtype=bool)
     start = [c.entries[None] for c in initial.components]
     for state in _euler_states(coeffs, paths.grid, start, paths.increments):
@@ -551,7 +580,28 @@ class EvolutionReport:
 
     @property
     def max_discrepancy(self) -> float:
-        return max(self.component_discrepancies)
+        """The largest discrepancy; NaN if any is NaN, so that a check on it fails."""
+        return float(np.max(self.component_discrepancies))
+
+
+def _relative_errors(got: np.ndarray, ref: np.ndarray) -> list[float]:
+    """|got[i] - ref[i]| / |ref[i]| in the Frobenius norm, for each row i of
+    the leading axis; |got[i] - ref[i]| where ref[i] is zero.
+
+    Both rows are first scaled by 2^-e, e the exponent (np.frexp) of
+    ref[i]'s largest magnitude, so that no norm overflows.  Scaling by a
+    power of two is exact: where no square overflows or underflows, each
+    ratio has the bits of np.linalg.norm(got[i] - ref[i]) / np.linalg.norm(ref[i]).
+    """
+    rows = len(ref)
+    got, ref = got.reshape(rows, -1), ref.reshape(rows, -1)
+    scale = -np.frexp(np.abs(ref).max(axis=1))[1][:, None]
+    out = []
+    # the norms as np.linalg.norm computes them, sqrt(v @ v), without its overhead
+    for d, r in zip(np.ldexp(got - ref, scale), np.ldexp(ref, scale)):
+        diff, norm = math.sqrt(d @ d), math.sqrt(r @ r)
+        out.append(diff / norm if norm > 0 else diff)
+    return out
 
 
 def evolution_check(
@@ -571,11 +621,8 @@ def evolution_check(
     full = solve_chain(coeffs, ident, path)
     left = solve_chain(coeffs, ident, path.restrict(0, i_tau))
     right = solve_chain(coeffs, ident, path.restrict(i_tau, grid.n_steps))
-    glued = compose(right.states[-1], left.states[-1])
-    target = full.states[-1]
-    discrepancies = []
-    for k in range(1, coeffs.order + 1):
-        diff = np.linalg.norm(glued.component(k).entries - target.component(k).entries)
-        ref = np.linalg.norm(target.component(k).entries)
-        discrepancies.append(diff / ref if ref > 0 else diff)
+    glued = compose(right.state(-1), left.state(-1))
+    discrepancies = [
+        _relative_errors(c.entries[None], e[-1:])[0] for c, e in zip(glued.components, full.entries)
+    ]
     return EvolutionReport(split_knot, tuple(discrepancies))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FormalMapping, MultilinearMap, ShapeError, _contract
-from .chain import BrownianPath, CoefficientFamily, _forcing, _noise, _one_path
+from .algebra import NonFiniteError, ShapeError
+from .chain import BrownianPath, ChainSolution, CoefficientFamily, _forcing, _noise, _one_path
 
 
 class UnsupportedCaseError(ValueError):
@@ -33,7 +33,7 @@ class FundamentalSolution:
 
 def fundamental(coeffs: CoefficientFamily, path: BrownianPath) -> FundamentalSolution:
     """Per-step propagator factors of the degree-1 equation along a one-row path."""
-    dw, grid = _one_path(path), path.grid
+    dw, grid = _one_path(coeffs, path), path.grid
     dt = grid.dt
     d = coeffs.dy
     eye = np.eye(d)
@@ -47,43 +47,34 @@ def fundamental(coeffs: CoefficientFamily, path: BrownianPath) -> FundamentalSol
     return FundamentalSolution(tuple(factors))
 
 
-def _stacked(components_by_step, top: int, slots_first: bool = False) -> list[np.ndarray | None]:
-    """Entries of degrees 1..top stacked along a leading step axis, in
-    slots-first layout if asked.  A degree is None only when it is zero at
-    every step.
-    """
+def _stacked(components_by_step, top: int) -> list[np.ndarray | None]:
+    """Slots-first entries of degrees 1..top stacked along a leading step
+    axis, None for a degree that is zero at every step."""
     out = []
     for k in range(top):
         comps = [c[k] for c in components_by_step]
-        if all(c.is_zero for c in comps):
-            out.append(None)
-        else:
-            out.append(np.stack([c.slots_first if slots_first else c.entries for c in comps]))
+        out.append(None if all(c.is_zero for c in comps) else np.stack([c.slots_first for c in comps]))
     return out
 
 
-def _loads(n: int, coeffs: CoefficientFamily, chain_states, path: BrownianPath) -> np.ndarray:
+def _loads(n: int, coeffs: CoefficientFamily, solution: ChainSolution, path: BrownianPath) -> np.ndarray:
     """The load f_n(t_j)*dt + g_n(t_j)(..., dw_j) of every step j, shape (N, d) + (d,)*n.
 
-    One batched composition over all steps; row j is bitwise the load built
-    from forcing_terms at step j, with noise term g_n.entries @ dw_j.
-    Raises UnsupportedCaseError if b_1 is nonzero at some step.
+    One batched composition over all steps, on the solution's arrays; row j
+    is bitwise the load built from forcing_terms at step j, with noise term
+    g_n.entries @ dw_j.  Raises UnsupportedCaseError if b_1 is nonzero at
+    some step.
     """
-    dw, grid = _one_path(path), path.grid
+    dw, grid = _one_path(coeffs, path), path.grid
     times = grid.knots()[:-1].tolist()
     drifts = [coeffs.drift_at(t).components for t in times]
     diffusions = [coeffs.diffusion_at(t).components for t in times]
     if any(not b[0].is_zero for b in diffusions):
         raise UnsupportedCaseError("degree-1 diffusion must vanish for the explicit formula")
-    state = _stacked([s.components for s in chain_states[:-1]], n - 1)
+    # the states before each step, None where zero at every one of them
+    state = [e[:-1] if e[:-1].any() else None for e in solution.entries[: n - 1]]
     d = coeffs.dy
-    f, g = _forcing(
-        n,
-        state,
-        _stacked(drifts, n, slots_first=True),
-        _stacked(diffusions, n, slots_first=True),
-        (grid.n_steps, d) + (d,) * n,
-    )
+    f, g = _forcing(n, state, _stacked(drifts, n), _stacked(diffusions, n), (grid.n_steps, d) + (d,) * n)
     loads = grid.dt * f
     if g is not None:
         loads = loads + _noise(g, dw, batch=1)
@@ -91,38 +82,47 @@ def _loads(n: int, coeffs: CoefficientFamily, chain_states, path: BrownianPath) 
 
 
 def variation_of_constants(
-    n: int,
-    coeffs: CoefficientFamily,
-    chain_states: tuple[FormalMapping, ...] | list[FormalMapping],
-    path: BrownianPath,
-) -> list[MultilinearMap]:
-    """Degree-n trajectory from the explicit integral formula.
+    n: int, coeffs: CoefficientFamily, solution: ChainSolution, path: BrownianPath
+) -> np.ndarray:
+    """Degree-n trajectory from the explicit integral formula, shape (N + 1, d) + (d,)*n.
 
     S_n(t_i) = sum over j < i of Phi(t_i, t_{j+1}) applied to
     f_n(t_j)*dt + g_n(t_j)(..., dw_j), with Phi the deterministic
     fundamental solution.  Requires zero degree-1 diffusion; otherwise the
-    integral would be anticipative.
+    integral would be anticipative.  A non-finite entry raises
+    NonFiniteError(n).
 
-    The loads of all steps come from one batched composition.  At knot i,
-    Phi(t_i, t_{j+1}) for every j < i is one (i, d, d) stack, advanced from
-    knot i-1 by one product with the factor of step i-1; all i terms are one
-    batched contraction, summed in ascending j.
+    The loads of all steps come from one batched composition on the
+    solution's arrays.  The sweep over knots allocates nothing: Phi(t_i,
+    t_{j+1}) for every j < i lies in one (d, N*d) buffer, column block j,
+    advanced from knot i-1 by one product F_{i-1} @ (blocks 0..i-2) into
+    the other of two buffers whose every block starts as I; the i terms are
+    one batched product into a buffer of terms, summed in ascending j by
+    an in-place cumsum.
     """
     if n < 2 or n > coeffs.order:
         raise ShapeError(f"degree must satisfy 2 <= n <= {coeffs.order}, got {n}")
-    grid = path.grid
-    if len(chain_states) != grid.n_steps + 1:
+    n_steps = path.grid.n_steps
+    if len(solution.entries[0]) != n_steps + 1:
         raise ShapeError("need one chain state per grid knot")
-    loads = _loads(n, coeffs, chain_states, path)
+    loads = _loads(n, coeffs, solution, path)
     factors = fundamental(coeffs, path).factors
     d = coeffs.dy
-    eye = np.eye(d)[None]
-    phi = np.empty((0, d, d))
-    trajectory = [MultilinearMap(n, d, d, np.zeros((d,) + (d,) * n))]
-    for i in range(1, grid.n_steps + 1):
-        phi = np.concatenate((factors[i - 1] @ phi, eye))
-        # Phi's slot is its column axis; the transposed view is slots-first
-        terms = _contract(phi.swapaxes(1, 2), loads[:i].reshape(i, d, -1), batch=1)
-        # cumsum adds in order; sum() would add pairwise
-        trajectory.append(MultilinearMap(n, d, d, np.cumsum(terms, axis=0)[-1]))
-    return trajectory
+    loads = loads.reshape(n_steps, d, -1)
+    terms = np.empty_like(loads)
+    phi = [np.tile(np.eye(d), n_steps) for _ in range(2)]
+    out = np.empty((n_steps + 1,) + loads.shape[1:])
+    out[0] = 0.0
+    for i in range(1, n_steps + 1):
+        prev, cur = phi[i % 2], phi[1 - i % 2]
+        np.matmul(factors[i - 1], prev[:, : (i - 1) * d], out=cur[:, : (i - 1) * d])
+        # Phi(t_i, t_{j+1}) for j < i as an (i, d, d) stack: a view of the buffer
+        stack = cur[:, : i * d].reshape(d, i, d).swapaxes(0, 1)
+        np.matmul(stack, loads[:i], out=terms[:i])
+        # cumsum adds in ascending j; np.add.reduce would add pairwise where
+        # the terms are contiguous (d = 1), and round differently
+        np.cumsum(terms[:i], axis=0, out=terms[:i])
+        out[i] = terms[i - 1]
+    if not np.isfinite(out).all():
+        raise NonFiniteError(n)
+    return out.reshape((n_steps + 1, d) + (d,) * n)

@@ -221,7 +221,7 @@ def truncation_scaling(
         grid, np.zeros((grid.n_steps, coeffs.noise_dim)), seed=0
     )
     sol = solve_chain(coeffs, identity(coeffs.order, coeffs.dy), path)
-    s_final = sol.states[-1]
+    s_final = sol.state(-1)
     eval_order = coeffs.order if evaluation_order is None else int(evaluation_order)
     if not 1 <= eval_order <= coeffs.order:
         raise ShapeError(f"evaluation_order must be in 1..{coeffs.order}")

@@ -224,10 +224,10 @@ def test_criterion_7_explicit_formula(report):
         sol = solve_chain(co, identity(co.order, co.dy), path)
         out = 0.0
         for n in degrees:
-            traj = variation_of_constants(n, co, sol.states, path)
+            traj = variation_of_constants(n, co, sol, path)
             for v, s in zip(traj, sol.states):
                 ref = max(np.linalg.norm(s.component(n).entries), 1.0)
-                out = max(out, np.linalg.norm(v.entries - s.component(n).entries) / ref)
+                out = max(out, np.linalg.norm(v - s.component(n).entries) / ref)
         return out
 
     grid = TimeGrid(0.0, 1.0, 256)

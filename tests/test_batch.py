@@ -162,9 +162,9 @@ def test_overflowing_path_is_masked_and_neighbours_unchanged():
     assert same_bits(trajectories[:, 1], alone[:, 0])
 
 
-def solve_states(co, paths):
-    """The chain states along path 0 of paths' seed, as many as paths has knots."""
-    return solve_chain(co, identity(2, 1), sample_path(paths.grid, 1, paths.seed)).states
+def path0_solution(co, paths):
+    """The chain solution along path 0 of paths' seed, one state per knot of paths."""
+    return solve_chain(co, identity(2, 1), sample_path(paths.grid, 1, paths.seed))
 
 
 @pytest.mark.parametrize(
@@ -173,7 +173,7 @@ def solve_states(co, paths):
         lambda co, paths: solve_chain(co, identity(2, 1), paths),
         lambda co, paths: list(chain_states(co, identity(2, 1), paths)),
         lambda co, paths: fundamental(co, paths),
-        lambda co, paths: variation_of_constants(2, co, solve_states(co, paths), paths),
+        lambda co, paths: variation_of_constants(2, co, path0_solution(co, paths), paths),
         lambda co, paths: evolution_check(co, paths.grid, paths, 0.5),
     ],
     ids=["solve_chain", "chain_states", "fundamental", "variation_of_constants", "evolution_check"],

@@ -295,6 +295,31 @@ class TestSolveChain:
         assert len(streamed) == len(solved) == 17
         assert all(mapping_equal(a, b) for a, b in zip(streamed, solved))
 
+    def test_solution_holds_one_read_only_array_per_degree(self, rng):
+        co = random_coefficients(rng, 3, 2, 2)
+        path = sample_path(TimeGrid(0.0, 1.0, 16), 2, seed=3)
+        sol = solve_chain(co, identity(3, 2), path)
+        streamed = list(chain_states(co, identity(3, 2), path))
+        for k, e in enumerate(sol.entries, start=1):
+            assert e.shape == (17, 2) + (2,) * k and not e.flags.writeable
+            for i, s in enumerate(streamed):
+                assert e[i].tobytes() == s.component(k).entries.tobytes()
+        assert mapping_equal(sol.state(-1), streamed[-1])
+
+    @pytest.mark.parametrize(
+        "drift", [[1e160], [1.2e17], [0.0, 1.5e308], [5.0, 1e300, 1e300], [1e160, 1e160, 1e160]]
+    )
+    def test_blowup_is_where_chain_states_stops(self, drift):
+        # the first non-finite step and its lowest non-finite degree
+        co = CoefficientFamily.constant_scalar(drift)
+        path = BrownianPath.from_increments(TimeGrid(0.0, 4.0, 40), np.zeros((40, 1)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError) as streamed:
+            list(chain_states(co, identity(len(drift), 1), path))
+        with pytest.raises(BlowupError) as solved:
+            solve_chain(co, identity(len(drift), 1), path)
+        got, want = solved.value, streamed.value
+        assert (got.step, got.component) == (want.step, want.component)
+
     def test_initial_condition_shape_checked(self, rng):
         co = random_coefficients(rng, 3, 2, 2)
         path = sample_path(TimeGrid(0.0, 1.0, 4), 2, seed=0)

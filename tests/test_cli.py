@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from formalflow import FormalMapping, MultilinearMap, TimeGrid, chain_states, cli, sample_path
+from formalflow import FormalMapping, MultilinearMap, TimeGrid, chain, chain_states, cli, sample_path
 from formalflow.algebra import NonFiniteError
 from formalflow.cli import ExperimentConfig, main
 from conftest import random_coefficients, random_mapping
@@ -363,6 +365,95 @@ class TestFormulaCheck:
             ]
         )
         assert rc == 2
+
+
+    def test_no_multilinear_map_per_knot(self, tmp_path, monkeypatch):
+        # the chain states and the trajectories pass to the comparison as arrays
+        built = []
+        post_init = MultilinearMap.__post_init__
+
+        def counted(self):
+            built.append(self.degree)
+            post_init(self)
+
+        monkeypatch.setattr(MultilinearMap, "__post_init__", counted)
+        config = str(SCRIPTS / "formula_check.json")
+        counts = []
+        for steps in (64, 256):
+            built.clear()
+            out = tmp_path / f"o{steps}"
+            assert main(["formula-check", "--config", config, "--out", str(out), "--steps", str(steps)]) == 0
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
+
+    def test_non_finite_trajectory_is_blowup(self, tmp_path, capsys, monkeypatch):
+        solve_chain = cli.solve_chain
+
+        def huge(coeffs, initial, path):
+            # degree-1 states of 1e160 make the load a_2(S_1, S_1)*dt overflow
+            sol = solve_chain(coeffs, initial, path)
+            return dataclasses.replace(sol, entries=(np.full_like(sol.entries[0], 1e160),) + sol.entries[1:])
+
+        monkeypatch.setattr(cli, "solve_chain", huge)
+        cfg = {"dy": 1, "order": 2, "n_steps": 4, "drift": [scalar_tensor(2, 1.0)]}
+        out = tmp_path / "o"
+        assert main(["formula-check", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 3
+        assert "non-finite entries in degree-2 tensor" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def overflow_config(exponent):
+    """dy 2, order 2, 8 steps, seed 3, with a_2 and b_2 scaled by 2**exponent:
+    degree 2 of the states, the loads and the trajectories scales by the same
+    power of two, exactly, and their relative errors keep their bits."""
+    return {
+        "dy": 2, "noise_dim": 1, "order": 2, "n_steps": 8, "seed": 3,
+        "drift": [
+            {"degree": 1, "dy": 2, "dz": 2, "entries": [-0.5, 1.0, -1.0, -0.5]},
+            {"degree": 2, "dy": 2, "dz": 2,
+             "entries": [math.ldexp(x, exponent) for x in (0.3, -0.2, 0.1, 0.4, -0.3, 0.25, 0.2, -0.1)]},
+        ],
+        "diffusion": [
+            {"degree": 2, "dy": 2, "dz": 2, "m": 1,
+             "entries": [math.ldexp(x, exponent) for x in (0.2, 0.1, -0.1, 0.3, 0.15, -0.2, 0.1, 0.05)]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, module",
+    [
+        ("formula-check", "max_relative_error_by_degree", cli),
+        ("evolution-check", "component_discrepancies", chain),
+    ],
+)
+class TestRelativeErrors:
+    def test_entries_near_1e160_do_not_overflow(self, tmp_path, subcommand, key, module):
+        # 2**530 is about 3.5e159: the squares of the states' entries overflow,
+        # and the relative errors used to read 0.0
+        results = []
+        for exponent in (0, 530):
+            out = tmp_path / f"o{exponent}"
+            path = write_config(tmp_path, "c.json", overflow_config(exponent))
+            assert main([subcommand, "--config", path, "--out", str(out)]) == 0
+            errors = read_report(out)["results"][key]
+            results.append(list(errors.values()) if isinstance(errors, dict) else errors)
+        assert results[0] == results[1] and max(results[1]) > 0
+
+    def test_a_nan_error_fails_the_check(self, tmp_path, subcommand, key, module, monkeypatch):
+        relative_errors = module._relative_errors
+
+        def nan_last(got, ref):
+            # NaN in the last row of degree 2, the last error compared: a
+            # max that drops NaN would pass the check
+            errors = relative_errors(got, ref)
+            return errors[:-1] + [math.nan] if ref[0].ndim == 3 else errors
+
+        monkeypatch.setattr(module, "_relative_errors", nan_last)
+        out = tmp_path / "o"
+        path = write_config(tmp_path, "c.json", overflow_config(0))
+        assert main([subcommand, "--config", path, "--out", str(out)]) == 4
+        assert read_report(out)["results"]["passed"] is False
 
 
 class TestConvergence:

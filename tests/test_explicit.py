@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formalflow import (
@@ -12,6 +13,7 @@ from formalflow import (
     DiffusionMap,
     FormalMapping,
     MultilinearMap,
+    NonFiniteError,
     ShapeError,
     TimeGrid,
     UnsupportedCaseError,
@@ -22,6 +24,7 @@ from formalflow import (
     solve_chain,
     variation_of_constants,
 )
+from formalflow.algebra import _contract
 from formalflow.explicit import _loads
 from conftest import random_coefficients, random_diffusion, random_mapping
 
@@ -63,6 +66,13 @@ class TestFundamental:
         first, second = (fundamental(co, path).factors for _ in range(2))
         assert np.array_equal(propagator(first, 30, 5), propagator(second, 30, 5))
 
+    def test_path_noise_dim_must_match(self):
+        # with b_1 nonzero this used to fail inside numpy's matmul
+        co = CoefficientFamily.constant_scalar([0.5, 0.3], [0.4, 0.2])
+        path = sample_path(TimeGrid(0.0, 1.0, 8), 2, seed=0)
+        with pytest.raises(ShapeError, match="path noise_dim 2 != coefficients 1"):
+            fundamental(co, path)
+
     def test_evolution_identity_at_tolerance(self, rng):
         co = random_coefficients(rng, 2, 3, 2)
         grid = TimeGrid(0.0, 1.0, 64)
@@ -80,8 +90,8 @@ class TestVariationOfConstants:
         path = deterministic_path(grid)
         sol = solve_chain(co, identity(3, 1), path)
         for n in (2, 3):
-            traj = variation_of_constants(n, co, sol.states, path)
-            assert all(t.is_zero for t in traj)
+            traj = variation_of_constants(n, co, sol, path)
+            assert not traj.any()
 
     def test_pure_noise_forcing_is_brownian_sum(self):
         beta2 = 0.25
@@ -89,11 +99,11 @@ class TestVariationOfConstants:
         grid = TimeGrid(0.0, 1.0, 128)
         path = sample_path(grid, 1, seed=33)
         sol = solve_chain(co, identity(2, 1), path)
-        traj = variation_of_constants(2, co, sol.states, path)
+        traj = variation_of_constants(2, co, sol, path)
         # chain and quadrature accumulate the same loads in the same order
         for v, s in zip(traj, sol.states):
-            assert np.array_equal(v.entries, s.component(2).entries)
-        got = traj[-1].entries.ravel()[0]
+            assert np.array_equal(v, s.component(2).entries)
+        got = traj[-1].ravel()[0]
         assert got == pytest.approx(beta2 * path.increments.sum(), rel=1e-13)
 
     def test_scalar_quadratic_matches_chain(self):
@@ -101,10 +111,10 @@ class TestVariationOfConstants:
         grid = TimeGrid(0.0, 1.0, 256)
         path = deterministic_path(grid)
         sol = solve_chain(co, identity(2, 1), path)
-        traj = variation_of_constants(2, co, sol.states, path)
+        traj = variation_of_constants(2, co, sol, path)
         for v, s in zip(traj, sol.states):
             ref = np.linalg.norm(s.component(2).entries)
-            assert np.linalg.norm(v.entries - s.component(2).entries) <= 1e-9 * max(1.0, ref)
+            assert np.linalg.norm(v - s.component(2).entries) <= 1e-9 * max(1.0, ref)
 
     def test_scalar_quadratic_converges_to_closed_form(self):
         from formalflow import quadratic_chain_s2_closed_form
@@ -117,8 +127,8 @@ class TestVariationOfConstants:
             grid = TimeGrid(0.0, 1.0, n_steps)
             path = deterministic_path(grid)
             sol = solve_chain(co, identity(2, 1), path)
-            traj = variation_of_constants(2, co, sol.states, path)
-            errs.append(abs(traj[-1].entries.ravel()[0] - target))
+            traj = variation_of_constants(2, co, sol, path)
+            errs.append(abs(traj[-1].ravel()[0] - target))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.15)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.15)
 
@@ -140,10 +150,10 @@ class TestVariationOfConstants:
         path = sample_path(grid, m, seed=12)
         sol = solve_chain(co, identity(order, dy), path)
         for n in (2, 3):
-            traj = variation_of_constants(n, co, sol.states, path)
+            traj = variation_of_constants(n, co, sol, path)
             for v, s in zip(traj, sol.states):
                 ref = np.linalg.norm(s.component(n).entries)
-                assert np.linalg.norm(v.entries - s.component(n).entries) <= 1e-9 * max(1.0, ref)
+                assert np.linalg.norm(v - s.component(n).entries) <= 1e-9 * max(1.0, ref)
 
     def test_rejects_degree_one_noise(self, rng):
         co = CoefficientFamily.constant_scalar([1.0, 0.5], [0.5, 0.0])
@@ -151,7 +161,26 @@ class TestVariationOfConstants:
         path = sample_path(grid, 1, seed=0)
         sol = solve_chain(co, identity(2, 1), path)
         with pytest.raises(UnsupportedCaseError):
-            variation_of_constants(2, co, sol.states, path)
+            variation_of_constants(2, co, sol, path)
+
+    def test_path_noise_dim_must_match(self):
+        # with b_2 nonzero this used to fail inside numpy's reshape
+        co = CoefficientFamily.constant_scalar([0.5, 0.3], [0.0, 0.2])
+        grid = TimeGrid(0.0, 1.0, 8)
+        sol = solve_chain(co, identity(2, 1), sample_path(grid, 1, seed=0))
+        with pytest.raises(ShapeError, match="path noise_dim 2 != coefficients 1"):
+            variation_of_constants(2, co, sol, sample_path(grid, 2, seed=0))
+
+    def test_non_finite_trajectory_raises(self):
+        co = CoefficientFamily.constant_scalar([0.0, 1.0])
+        grid = TimeGrid(0.0, 1.0, 4)
+        path = deterministic_path(grid)
+        sol = solve_chain(co, identity(2, 1), path)
+        # degree-1 states of 1e160 make the load a_2(S_1, S_1)*dt overflow
+        huge = dataclasses.replace(sol, entries=(np.full_like(sol.entries[0], 1e160), sol.entries[1]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as exc:
+            variation_of_constants(2, co, huge, path)
+        assert exc.value.degree == 2
 
     def test_rejects_degree_below_two(self):
         co = CoefficientFamily.constant_scalar([1.0, 0.5])
@@ -159,7 +188,7 @@ class TestVariationOfConstants:
         path = deterministic_path(grid)
         sol = solve_chain(co, identity(2, 1), path)
         with pytest.raises(ShapeError):
-            variation_of_constants(1, co, sol.states, path)
+            variation_of_constants(1, co, sol, path)
 
 
 def time_dependent_coefficients(rng, order, d, m, drift_on, diffusion_on, flat):
@@ -226,11 +255,25 @@ def loop_quadrature(n, co, states, path):
     return trajectory, loads, scales
 
 
+def concatenate_sweep(loads, factors):
+    """The sweep over knots as variation_of_constants made it before it ran
+    in place: Phi(t_i, t_{j+1}) for j < i as an (i, d, d) stack grown by
+    concatenate, the i terms as one contraction, and the cumsum of all i
+    of them, of which the last partial sum is kept.
+    """
+    n_steps, d = loads.shape[:2]
+    eye = np.eye(d)[None]
+    phi = np.empty((0, d, d))
+    trajectory = [np.zeros(loads.shape[1:])]
+    for i in range(1, n_steps + 1):
+        phi = np.concatenate((factors[i - 1] @ phi, eye))
+        terms = _contract(phi.swapaxes(1, 2), loads[:i].reshape(i, d, -1), batch=1)
+        trajectory.append(np.cumsum(terms, axis=0)[-1].reshape(loads.shape[1:]))
+    return np.stack(trajectory)
+
+
 switch_times = st.lists(st.sampled_from([0.0, 0.0, 0.3, 0.7, 2.0]), min_size=4, max_size=4)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
+time_dependent_cases = given(
     order=st.integers(2, 4),
     d=st.integers(1, 3),
     m=st.integers(1, 2),
@@ -240,6 +283,30 @@ switch_times = st.lists(st.sampled_from([0.0, 0.0, 0.3, 0.7, 2.0]), min_size=4, 
     diffusion_on=switch_times,
     flat=st.booleans(),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@time_dependent_cases
+@example(order=3, d=1, m=1, n_steps=24, seed=5, drift_on=[0.0] * 4, diffusion_on=[0.0] * 4, flat=False)
+@example(order=2, d=1, m=2, n_steps=24, seed=6, drift_on=[0.0] * 4, diffusion_on=[0.3] * 4, flat=True)
+def test_sweep_is_the_concatenate_loop_bit_for_bit(
+    order, d, m, n_steps, seed, drift_on, diffusion_on, flat
+):
+    # the in-place sweep makes the same products and sums in the same order;
+    # at d = 1 a pairwise sum over the terms would round differently
+    rng = np.random.default_rng(seed)
+    co = time_dependent_coefficients(rng, order, d, m, drift_on, diffusion_on, flat)
+    path = sample_path(TimeGrid(0.0, 1.0, n_steps), m, seed)
+    sol = solve_chain(co, identity(order, d), path)
+    factors = fundamental(co, path).factors
+    for n in range(2, order + 1):
+        got = variation_of_constants(n, co, sol, path)
+        want = concatenate_sweep(_loads(n, co, sol, path), factors)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@time_dependent_cases
 def test_quadrature_matches_the_step_by_step_loop(
     order, d, m, n_steps, seed, drift_on, diffusion_on, flat
 ):
@@ -249,23 +316,23 @@ def test_quadrature_matches_the_step_by_step_loop(
     path = sample_path(grid, m, seed)
     sol = solve_chain(co, identity(order, d), path)
     for n in range(2, order + 1):
-        traj = variation_of_constants(n, co, sol.states, path)
+        traj = variation_of_constants(n, co, sol, path)
         ref, loads, scales = loop_quadrature(n, co, sol.states, path)
         # one batched composition gives every step's load, bit for bit
-        batched = _loads(n, co, sol.states, path)
+        batched = _loads(n, co, sol, path)
         for j, q in enumerate(loads):
             assert batched[j].shape == q.shape and batched[j].tobytes() == q.tobytes()
         # Phi is F_{i-1} @ (F_{i-2} @ ...) here but (... @ F_{i-2}) @ F_{i-1} in
         # the loop: the products associate in a different order, so the
         # trajectories agree to rounding, relative to the size of the terms
         for v, r, scale in zip(traj, ref, scales):
-            assert np.linalg.norm(v.entries - r) <= 1e-13 * scale
+            assert np.linalg.norm(v - r) <= 1e-13 * scale
         if flat:
             # with every factor I, each knot is the running sum of the loads
             running = np.cumsum(loads, axis=0)
             for i in range(1, n_steps + 1):
-                assert np.array_equal(traj[i].entries, running[i - 1])
+                assert np.array_equal(traj[i], running[i - 1])
             if n == 2:
                 # one forcing term, so the chain adds the same load in the same order
                 for v, s in zip(traj, sol.states):
-                    assert np.array_equal(v.entries, s.component(2).entries)
+                    assert np.array_equal(v, s.component(2).entries)
