@@ -16,8 +16,10 @@ Times, on fixed seeds and sizes:
     (order 6, d 3, m 2, P 1, 512 steps, config seed 1), per step and for
     the whole loop of `chain._euler_states`;
   - euler_step_o1d1_p64: GBM (order 1, d 1, P 64, 512 steps), per step;
-  - variation_of_constants_o3d2: degrees 2 and 3 of the formula-o3d2
-    benchmark config (config seed 1);
+  - variation_of_constants_o3d2: the one call for degrees 2 and 3 of the
+    formula-o3d2 benchmark config (config seed 1);
+  - fundamental_o3d2: `explicit.fundamental` on that config, its coefficient
+    pass included;
   - json_floats_o6d3: `cli._json_floats` of each of the solve-o6d3 states,
     one call per state as the solve makes it: the encoder alone;
   - report_write_o6d3: `cli._write_report` of those states, each written
@@ -69,7 +71,7 @@ from formalflow.chain import (  # noqa: E402
     sample_paths,
     solve_chain,
 )
-from formalflow.explicit import variation_of_constants  # noqa: E402
+from formalflow.explicit import fundamental, variation_of_constants  # noqa: E402
 from workloads import config_bytes  # noqa: E402
 
 SEED = 20261018
@@ -184,12 +186,13 @@ def measure(repeats: int) -> dict:
     coeffs, path = cfg.coefficients(), cfg.path()
     sol = solve_chain(coeffs, identity(cfg.order, cfg.dy), path)
 
-    def voc():
-        for n in range(2, cfg.order + 1):
-            variation_of_constants(n, coeffs, sol, path)
-
+    degrees = list(range(2, cfg.order + 1))
     out["variation_of_constants_o3d2"] = dict(
-        timed(voc, repeats), sizes=f"order 3, d 2, m 2, {cfg.n_steps} steps, degrees 2 and 3"
+        timed(lambda: variation_of_constants(degrees, coeffs, sol, path), repeats),
+        sizes=f"order 3, d 2, m 2, {cfg.n_steps} steps, degrees 2 and 3 in one call",
+    )
+    out["fundamental_o3d2"] = dict(
+        timed(lambda: fundamental(coeffs, path), repeats, 20), sizes=f"d 2, {cfg.n_steps} steps"
     )
 
     cfg = workload_config("solve-o6d3")

@@ -9,6 +9,7 @@ property exact up to floating-point reordering.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -296,6 +297,27 @@ class CoefficientFamily:
             raise ShapeError(f"{what} at t={t} has (order, dy, dz, tail) {got}, expected {want}")
         return mapping
 
+    def on_grid(self, grid: TimeGrid) -> GridCoefficients:
+        """The coefficients at every step of grid, in one pass: the distinct (drift,
+        diffusion) pairs, told apart by identity and each checked once, in order of
+        first use; index[i], step i's pair; and a[k-1] and b[k-1], the pairs' slots-first
+        a_k and b_k stacked (a[k-1][index] is a_k at each step), None where all zero."""
+        values, seen, index, tail = [], {}, [], (self.noise_dim,)
+        for t in grid.knots()[:-1].tolist():
+            a, b = self.drift(t), self.diffusion(t)
+            if (key := (id(a), id(b))) not in seen:
+                seen[key] = len(values)
+                values.append((self._checked("drift", t, a, ()), self._checked("diffusion", t, b, tail)))
+            index.append(seen[key])
+        stacks = [
+            [None if all(c.is_zero for c in cs) else np.stack([c.slots_first for c in cs]) for cs in zip(*side)]
+            for side in zip(*((a.components, b.components) for a, b in values))
+        ]
+        return GridCoefficients(tuple(values), np.array(index), *stacks)
+
+
+GridCoefficients = namedtuple("GridCoefficients", "values index a b")
+
 
 @dataclass(frozen=True)
 class ChainSolution:
@@ -387,12 +409,11 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
     shapes = [(n_paths, d) + (d,) * n for n in range(1, coeffs.order + 1)]
     drift = [np.empty((1, d) + (d,) * k) for k in range(1, coeffs.order + 1)]
     dw = dw[..., None]
-    a_t = b_t = None
+    values, index, _, _ = coeffs.on_grid(grid)
     runners = {}
-    for i, t_i in enumerate(grid.knots()[:-1].tolist()):
-        a_next, b_next = coeffs.drift_at(t_i), coeffs.diffusion_at(t_i)
-        if a_next is not a_t or b_next is not b_t:
-            a_t, b_t = a_next, b_next
+    for i, v in enumerate(index := index.tolist()):
+        if i == 0 or v != index[i - 1]:
+            a_t, b_t = values[v]
             _drift_part(a_t, dt, drift)
             # b_k as `_noise` multiplies it, None where zero
             noise = [None if bk.is_zero else bk.slots_first.reshape(1, -1, m) for bk in b_t.components]
@@ -517,35 +538,38 @@ def simulate_direct(coeffs: CoefficientFamily, y0: np.ndarray, path: BrownianPat
     if not np.isfinite(y).all():
         raise ShapeError("y0 has non-finite entries")
     grid, dw = path.grid, path.increments
+    values, index, _, _ = coeffs.on_grid(grid)
     out = np.empty((grid.n_steps + 1,) + y.shape)
     out[0] = y
-    for i, t_i in enumerate(grid.knots()[:-1].tolist()):
+    for i, v in enumerate(index.tolist()):
+        a_t, b_t = values[v]
         # the noise matrix b(t_i, y) of each path, (P, dy, m), times its increment
-        noise = evaluate(coeffs.diffusion_at(t_i), y) @ dw[:, i, :, None]
-        y = y + (grid.dt * evaluate(coeffs.drift_at(t_i), y) + noise[..., 0])
+        noise = evaluate(b_t, y) @ dw[:, i, :, None]
+        y = y + (grid.dt * evaluate(a_t, y) + noise[..., 0])
         out[i + 1] = y
     return out
 
 
-def _forcing(
-    n: int, state: list, a: list, b: list, shape: tuple
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Entries of f_n and g_n at each of J steps, along a leading step axis.
+def _forcing(first: int, state: list, a: list, b: list, shapes: list) -> tuple[list, list]:
+    """Entries of f_n and g_n for n = first.., one per shape, at each of J
+    steps, along a leading step axis.
 
     f_n and g_n are component n of a after S and of b after S, each with its
     degree-1 coefficient zeroed.  state, a and b list entries by degree, each
     with the leading step axis, None where zero at every step; a and b are
-    slots-first (see `_contract`).  f has shape
-    shape = (J, dz) + (dy,)*n; g keeps b's noise axis last, shape
-    (J, dz) + (dy,)*n + (m,), and is None when b_2..b_n are None.
+    slots-first (see `_contract`).  f_n has shape (J, dz) + (dy,)*n; g_n
+    keeps b's noise axis last, and is None when b_2..b_n are None.  One
+    runner for f and one for g serve every degree, sharing Horner classes.
     """
-    (f,) = _Runner([None] + a[1:n], state, [shape], batch=1, first=n).components()
-    b = [None] + b[1:n]
-    if all(e is None for e in b):
-        return f, None
+    top = first + len(shapes) - 1
+    f = _Runner([None] + a[1:top], state, shapes, batch=1, first=first).components()
+    b = [None] + b[1:top]
+    noisy = [any(e is not None for e in b[:n]) for n in range(first, top + 1)]
+    if not any(noisy):
+        return f, [None] * len(shapes)
     m = next(e for e in b if e is not None).shape[-1]
-    (g,) = _Runner(b, state, [shape + (m,)], batch=1, tail=1, first=n).components()
-    return f, g
+    g = _Runner(b, state, [s + (m,) for s in shapes], batch=1, tail=1, first=first).components()
+    return f, [g_n if is_noisy else None for g_n, is_noisy in zip(g, noisy)]
 
 
 def forcing_terms(
@@ -566,7 +590,7 @@ def forcing_terms(
         [None if e is None else e[None] for e in _nonzero_entries(x, slots_first)]
         for x, slots_first in ((states_at_t, False), (a_t, True), (b_t, True))
     )
-    f, g = _forcing(n, s, a, b, (1, a_t.dz) + (dy,) * n)
+    (f,), (g,) = _forcing(n, s, a, b, [(1, a_t.dz) + (dy,) * n])
     g = DiffusionMap.zero(n, dy, dz, m) if g is None else DiffusionMap(n, dy, dz, m, g[0])
     return MultilinearMap(n, dy, a_t.dz, f[0]), g
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NonFiniteError, ShapeError
-from .chain import BrownianPath, ChainSolution, CoefficientFamily, _forcing, _noise, _one_path
+from .chain import BrownianPath, ChainSolution, CoefficientFamily, GridCoefficients, _forcing, _noise, _one_path
 
 
 class UnsupportedCaseError(ValueError):
@@ -22,93 +22,88 @@ class UnsupportedCaseError(ValueError):
 
 @dataclass(frozen=True)
 class FundamentalSolution:
-    """Two-parameter family of propagator matrices built from per-step factors.
+    """Propagator matrices from per-step factors, read-only of shape (N, d, d):
+    factors[i] = I + a_1(t_i)*dt + b_1(t_i)(., dw_i), and the matrix from knot
+    j to knot i is the ordered product of factors j..i-1."""
 
-    factor[i] = I + a_1(t_i)*dt + b_1(t_i)(., dw_i); the matrix from knot j to
-    knot i is the ordered product of factors j..i-1.
+    factors: np.ndarray
+
+
+def fundamental(
+    coeffs: CoefficientFamily, path: BrownianPath, steps: GridCoefficients | None = None
+) -> FundamentalSolution:
+    """Per-step propagator factors of the degree-1 equation along a one-row
+    path, one batched sum over `steps`, the coefficients on the path's grid
+    (made if not given); row i is bitwise the factor built from step i alone."""
+    dw, dt = _one_path(coeffs, path), path.grid.dt
+    steps = coeffs.on_grid(path.grid) if steps is None else steps
+    factors = np.tile(np.eye(coeffs.dy), (len(steps.index), 1, 1))
+    # degree 1 slots-first is the entries transposed
+    if steps.a[0] is not None:
+        factors += dt * steps.a[0].swapaxes(1, 2)[steps.index]
+    if steps.b[0] is not None:
+        factors += _noise(steps.b[0].swapaxes(1, 2)[steps.index], dw, batch=1)
+    factors.setflags(write=False)
+    return FundamentalSolution(factors)
+
+
+def _loads(degrees: list, steps: GridCoefficients, solution: ChainSolution, dw: np.ndarray) -> list:
+    """For each n of degrees, the load f_n(t_j)*dt + g_n(t_j)(..., dw_j) of every
+    step j, shape (N, d) + (d,)*n: one batched composition over all steps and
+    degrees, on the solution's arrays and the coefficients on its grid (`steps`).
+    Row j is bitwise the load from forcing_terms at step j, noise g_n.entries @ dw_j.
     """
-
-    factors: tuple[np.ndarray, ...]
-
-
-def fundamental(coeffs: CoefficientFamily, path: BrownianPath) -> FundamentalSolution:
-    """Per-step propagator factors of the degree-1 equation along a one-row path."""
-    dw, grid = _one_path(coeffs, path), path.grid
-    dt = grid.dt
-    d = coeffs.dy
-    eye = np.eye(d)
-    factors = []
-    for i, t_i in enumerate(grid.knots()[:-1].tolist()):
-        f = eye + dt * coeffs.drift_at(t_i).component(1).entries
-        b1 = coeffs.diffusion_at(t_i).component(1)
-        if not b1.is_zero:
-            f = f + b1.entries @ dw[i]
-        factors.append(f)
-    return FundamentalSolution(tuple(factors))
-
-
-def _stacked(components_by_step, top: int) -> list[np.ndarray | None]:
-    """Slots-first entries of degrees 1..top stacked along a leading step
-    axis, None for a degree that is zero at every step."""
-    out = []
-    for k in range(top):
-        comps = [c[k] for c in components_by_step]
-        out.append(None if all(c.is_zero for c in comps) else np.stack([c.slots_first for c in comps]))
-    return out
-
-
-def _loads(n: int, coeffs: CoefficientFamily, solution: ChainSolution, path: BrownianPath) -> np.ndarray:
-    """The load f_n(t_j)*dt + g_n(t_j)(..., dw_j) of every step j, shape (N, d) + (d,)*n.
-
-    One batched composition over all steps, on the solution's arrays; row j
-    is bitwise the load built from forcing_terms at step j, with noise term
-    g_n.entries @ dw_j.  Raises UnsupportedCaseError if b_1 is nonzero at
-    some step.
-    """
-    dw, grid = _one_path(coeffs, path), path.grid
-    times = grid.knots()[:-1].tolist()
-    drifts = [coeffs.drift_at(t).components for t in times]
-    diffusions = [coeffs.diffusion_at(t).components for t in times]
-    if any(not b[0].is_zero for b in diffusions):
-        raise UnsupportedCaseError("degree-1 diffusion must vanish for the explicit formula")
+    first, top = min(degrees), max(degrees)
+    n_steps, d = len(steps.index), solution.initial.dy
     # the states before each step, None where zero at every one of them
-    state = [e[:-1] if e[:-1].any() else None for e in solution.entries[: n - 1]]
-    d = coeffs.dy
-    f, g = _forcing(n, state, _stacked(drifts, n), _stacked(diffusions, n), (grid.n_steps, d) + (d,) * n)
-    loads = grid.dt * f
-    if g is not None:
-        loads = loads + _noise(g, dw, batch=1)
-    return loads
+    state = [e[:-1] if e[:-1].any() else None for e in solution.entries[: top - 1]]
+    a, b = ([None if e is None else e[steps.index] for e in x[:top]] for x in (steps.a, steps.b))
+    f, g = _forcing(first, state, a, b, [(n_steps, d) + (d,) * n for n in range(first, top + 1)])
+    loads = [(solution.grid.dt * f[n - first], g[n - first]) for n in degrees]
+    return [q if g_n is None else q + _noise(g_n, dw, batch=1) for q, g_n in loads]
 
 
 def variation_of_constants(
-    n: int, coeffs: CoefficientFamily, solution: ChainSolution, path: BrownianPath
-) -> np.ndarray:
-    """Degree-n trajectory from the explicit integral formula, shape (N + 1, d) + (d,)*n.
+    degrees: list[int], coeffs: CoefficientFamily, solution: ChainSolution, path: BrownianPath
+) -> list[np.ndarray]:
+    """The degree-n trajectory from the explicit integral formula, of shape
+    (N + 1, d) + (d,)*n, for each n of degrees, in their order.
 
-    S_n(t_i) = sum over j < i of Phi(t_i, t_{j+1}) applied to
-    f_n(t_j)*dt + g_n(t_j)(..., dw_j), with Phi the deterministic
-    fundamental solution.  Requires zero degree-1 diffusion; otherwise the
-    integral would be anticipative.  A non-finite entry raises
-    NonFiniteError(n).
+    S_n(t_i) = sum over j < i of Phi(t_i, t_{j+1}) applied to f_n(t_j)*dt +
+    g_n(t_j)(..., dw_j), with Phi the deterministic fundamental solution.
+    Requires zero degree-1 diffusion; otherwise the integral would be
+    anticipative.  solution must be the chain's along path, with S_n(t_0) =
+    0.  A non-finite entry raises NonFiniteError(n), n the first such listed.
 
-    The loads of all steps come from one batched composition on the
-    solution's arrays.  The sweep over knots allocates nothing: Phi(t_i,
-    t_{j+1}) for every j < i lies in one (d, N*d) buffer, column block j,
-    advanced from knot i-1 by one product F_{i-1} @ (blocks 0..i-2) into
-    the other of two buffers whose every block starts as I; the i terms are
-    one batched product into a buffer of terms, summed in ascending j by
-    an in-place cumsum.
+    One pass over the coefficients feeds the factors and the loads.  One sweep
+    over knots serves every degree and allocates nothing: Phi(t_i, t_{j+1})
+    for every j < i is column block j of a (d, N*d) buffer, advanced from knot
+    i-1 by one product F_{i-1} @ (blocks 0..i-2) into the other of two buffers
+    whose every block starts as I; the i terms of all degrees side by side
+    are one batched product, summed in ascending j by an in-place cumsum.
     """
-    if n < 2 or n > coeffs.order:
-        raise ShapeError(f"degree must satisfy 2 <= n <= {coeffs.order}, got {n}")
-    n_steps = path.grid.n_steps
-    if len(solution.entries[0]) != n_steps + 1:
-        raise ShapeError("need one chain state per grid knot")
-    loads = _loads(n, coeffs, solution, path)
-    factors = fundamental(coeffs, path).factors
-    d = coeffs.dy
-    loads = loads.reshape(n_steps, d, -1)
+    degrees = list(degrees)
+    for i, n in enumerate(degrees):
+        if not 2 <= n <= coeffs.order:
+            raise ShapeError(f"degree must satisfy 2 <= n <= {coeffs.order}, got {n}")
+        if n in degrees[:i]:
+            raise ShapeError(f"duplicate degree {n} in 'degrees'")
+        if solution.entries[n - 1][0].any():
+            raise ShapeError(f"the solution's initial degree-{n} component is nonzero")
+    if not degrees:
+        raise ShapeError("need at least one degree in 'degrees'")
+    dw = _one_path(coeffs, path)
+    if solution.grid != path.grid:
+        raise ShapeError(f"solution grid {solution.grid} differs from the path's {path.grid}")
+    if (got := (solution.seed, solution.path_index)) != (want := (path.seed, path.path_index)):
+        raise ShapeError(f"solution (seed, path_index) {got} differs from the path's {want}")
+    steps = coeffs.on_grid(path.grid)
+    if steps.b[0] is not None:
+        raise UnsupportedCaseError("degree-1 diffusion must vanish for the explicit formula")
+    factors = fundamental(coeffs, path, steps).factors
+    n_steps, d = path.grid.n_steps, coeffs.dy
+    # every degree's loads side by side along the last axis
+    loads = np.concatenate([q.reshape(n_steps, d, -1) for q in _loads(degrees, steps, solution, dw)], axis=2)
     terms = np.empty_like(loads)
     phi = [np.tile(np.eye(d), n_steps) for _ in range(2)]
     out = np.empty((n_steps + 1,) + loads.shape[1:])
@@ -123,6 +118,8 @@ def variation_of_constants(
         # the terms are contiguous (d = 1), and round differently
         np.cumsum(terms[:i], axis=0, out=terms[:i])
         out[i] = terms[i - 1]
-    if not np.isfinite(out).all():
-        raise NonFiniteError(n)
-    return out.reshape((n_steps + 1, d) + (d,) * n)
+    parts = np.split(out, np.cumsum([d**n for n in degrees])[:-1], axis=2)
+    for n, part in zip(degrees, parts):
+        if not np.isfinite(part).all():
+            raise NonFiniteError(n)
+    return [part.reshape((n_steps + 1, d) + (d,) * n) for n, part in zip(degrees, parts)]

@@ -223,8 +223,7 @@ def test_criterion_7_explicit_formula(report):
     def max_rel_err(co, path, degrees):
         sol = solve_chain(co, identity(co.order, co.dy), path)
         out = 0.0
-        for n in degrees:
-            traj = variation_of_constants(n, co, sol, path)
+        for n, traj in zip(degrees, variation_of_constants(degrees, co, sol, path)):
             for v, s in zip(traj, sol.states):
                 ref = max(np.linalg.norm(s.component(n).entries), 1.0)
                 out = max(out, np.linalg.norm(v - s.component(n).entries) / ref)

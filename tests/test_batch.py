@@ -173,7 +173,7 @@ def path0_solution(co, paths):
         lambda co, paths: solve_chain(co, identity(2, 1), paths),
         lambda co, paths: list(chain_states(co, identity(2, 1), paths)),
         lambda co, paths: fundamental(co, paths),
-        lambda co, paths: variation_of_constants(2, co, path0_solution(co, paths), paths),
+        lambda co, paths: variation_of_constants([2], co, path0_solution(co, paths), paths),
         lambda co, paths: evolution_check(co, paths.grid, paths, 0.5),
     ],
     ids=["solve_chain", "chain_states", "fundamental", "variation_of_constants", "evolution_check"],

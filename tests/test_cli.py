@@ -347,6 +347,35 @@ class TestFormulaCheck:
         assert rc == 2
         assert "degrees" in capsys.readouterr().err
 
+    def test_duplicate_degree_is_validation_error(self, tmp_path, capsys):
+        # [2, 2] used to check degree 2 twice and report it once
+        cfg = {"dy": 1, "order": 3, "n_steps": 8, "drift": [scalar_tensor(2, 0.5)], "degrees": [2, 3, 2]}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["formula-check", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: invalid config or shapes: duplicate degree 2 in 'degrees'\n"
+
+    def test_coefficients_are_checked_once_per_pass(self, tmp_path, monkeypatch):
+        # formula-o3d2 (config seed 1) made 5 123 checks when each consumer
+        # read the coefficients step by step; now the config, the initial
+        # state, the solve and the formula check each once
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        config = tmp_path / "c.json"
+        config.write_bytes(workloads.config_bytes("formula-o3d2", 1))
+        checked = chain.CoefficientFamily._checked
+        calls = []
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return checked(self, *args)
+
+        monkeypatch.setattr(chain.CoefficientFamily, "_checked", counted)
+        assert main(["formula-check", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) <= 10
+
     def test_degree_one_noise_is_validation_error(self, tmp_path):
         cfg = {
             "dy": 1,

@@ -166,20 +166,24 @@ def test_compose_matches_the_reference_bitwise(order, d, m, seed, noise, data):
 @given(**_dims, steps=st.integers(1, 4), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_batched_forcing_matches_the_reference_bitwise(order, d, m, seed, steps, data):
+    # one runner for degrees first..top gives each degree the bits of a
+    # runner of its own: the degrees share their Horner classes
     rng = np.random.default_rng(seed)
-    n = data.draw(st.integers(2, max(order, 2)))
-    state = [draw_entries(data, rng, (steps, d) + (d,) * k) for k in range(1, n)]
-    a = [draw_entries(data, rng, (steps, d) + (d,) * k) for k in range(1, n + 1)]
-    b = [draw_entries(data, rng, (steps, d) + (d,) * k + (m,)) for k in range(1, n + 1)]
-    shape = (steps, d) + (d,) * n
+    top = data.draw(st.integers(2, max(order, 2)))
+    first = data.draw(st.integers(2, top))
+    state = [draw_entries(data, rng, (steps, d) + (d,) * k) for k in range(1, top)]
+    a = [draw_entries(data, rng, (steps, d) + (d,) * k) for k in range(1, top + 1)]
+    b = [draw_entries(data, rng, (steps, d) + (d,) * k + (m,)) for k in range(1, top + 1)]
+    shapes = [(steps, d) + (d,) * n for n in range(first, top + 1)]
     a_sf, b_sf = ([slots_first(x, k) for k, x in enumerate(c, start=1)] for c in (a, b))
-    f, g = _forcing(n, state, a_sf, b_sf, shape)
-    assert same_bits(f, ref_horner([None] + a[1:n], state, [shape], batch=1, first=n)[0])
-    if all(x is None for x in b[1:n]):
-        assert g is None
-    else:
-        (want,) = ref_horner([None] + b[1:n], state, [shape + (m,)], batch=1, tail=1, first=n)
-        assert same_bits(g, want)
+    f, g = _forcing(first, state, a_sf, b_sf, shapes)
+    for n, f_n, g_n, shape in zip(range(first, top + 1), f, g, shapes, strict=True):
+        assert same_bits(f_n, ref_horner([None] + a[1:n], state[: n - 1], [shape], batch=1, first=n)[0])
+        if all(x is None for x in b[1:n]):
+            assert g_n is None
+        else:
+            (want,) = ref_horner([None] + b[1:n], state[: n - 1], [shape + (m,)], batch=1, tail=1, first=n)
+            assert same_bits(g_n, want)
 
 
 @given(**_dims, n_paths=st.integers(1, 4), shared_start=st.booleans(), data=st.data())
