@@ -23,7 +23,6 @@ from .chain import (
     DiffusionMap,
     EvolutionReport,
     TimeGrid,
-    chain_states,
     evolution_check,
     forcing_terms,
     one_step_map,

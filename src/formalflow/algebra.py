@@ -275,7 +275,8 @@ class _Runner:
     np.matmul of a source's `_operands` and np.add into its class.  b and a
     are its contiguous operand buffers: a caller may write entries of the
     same shapes and zero pattern into b, and `rerun` copies them into a and
-    runs the ops with no reshape or allocation.  `components` returns fresh arrays.
+    runs the ops with no reshape or allocation.  `components` returns fresh
+    arrays; `nonzero` tells, for each, whether a class makes it (zeros if not).
     """
 
     def __init__(self, b: list, a: list, shapes: list, batch: int = 0, tail: int = 0, first: int = 1):
@@ -310,6 +311,7 @@ class _Runner:
                 # a component that no path's operands vary has one row: give it every path
                 v = np.broadcast_to(v.reshape(v.shape[:batch] + raw[batch:]), raw)
             self.outs.append((raw, v))
+        self.nonzero = tuple(v is not None for _, v in self.outs)
         self.rerun([])
 
     def rerun(self, a: list) -> None:

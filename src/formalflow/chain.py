@@ -9,17 +9,16 @@ property exact up to floating-point reordering.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import (
     FormalMapping,
     MultilinearMap,
-    NonFiniteError,
     ShapeError,
     _Runner,
     _nonzero_entries,
@@ -42,6 +41,14 @@ class BlowupError(RuntimeError):
         super().__init__(f"numerical blowup at {where}")
 
 
+def _integer(key: str, value) -> int:
+    """value, if it is an integer (numpy's too); a float or bool in its place
+    is an error, not truncated into another grid or path."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ShapeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [t_start, t_end] with n_steps steps of size dt.
@@ -60,7 +67,7 @@ class TimeGrid:
     _base: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_steps < 1:
+        if _integer("n_steps", self.n_steps) < 1:
             raise ShapeError(f"n_steps must be >= 1, got {self.n_steps}")
         if not self.t_end > self.t_start:
             raise ShapeError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
@@ -113,8 +120,9 @@ class BrownianPath:
     path_index: int = 0
 
     def __post_init__(self):
-        if self.noise_dim < 1:
+        if _integer("noise_dim", self.noise_dim) < 1:
             raise ShapeError(f"noise_dim must be >= 1, got {self.noise_dim}")
+        _integer("seed", self.seed), _integer("path_index", self.path_index)
         arr = np.asarray(self.increments, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1:] != (self.grid.n_steps, self.noise_dim):
             raise ShapeError(
@@ -179,12 +187,12 @@ def sample_path(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> Brown
     seed and path_index must lie in [0, 2**64): they are the two words of
     the Philox key.
     """
-    if m < 1:
+    if _integer("noise_dim", m) < 1:
         raise ShapeError(f"noise_dim must be >= 1, got {m}")
     # the Philox key words are 64 bits wide; a value outside them would wrap
     # onto another value's path
     for name, value in (("seed", seed), ("path_index", path_index)):
-        if not 0 <= value < 2**64:
+        if not 0 <= _integer(name, value) < 2**64:
             raise ShapeError(f"{name} must be in [0, 2**64), got {value}")
     key = np.array([seed, path_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -195,7 +203,7 @@ def sample_path(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> Brown
 def sample_paths(grid: TimeGrid, m: int, seed: int, n_paths: int) -> BrownianPath:
     """Draw paths 0..n_paths-1 of seed as the rows of one BrownianPath,
     one Philox key (seed, p) at a time."""
-    if n_paths < 1:
+    if _integer("n_paths", n_paths) < 1:
         raise ShapeError(f"n_paths must be >= 1, got {n_paths}")
     increments = np.concatenate([sample_path(grid, m, seed, p).increments for p in range(n_paths)])
     return BrownianPath(grid, m, increments, seed)
@@ -325,8 +333,7 @@ class ChainSolution:
 
     entries[k-1] holds component k of every state, shape (n_steps + 1, d) +
     (d,)*k, row i at knot i (the initial state is row 0); the arrays are
-    finite and read-only.  `state(i)` and `states` wrap rows as
-    FormalMappings, built on demand.
+    finite and read-only.  `state(i)` wraps a row as a FormalMapping.
     """
 
     grid: TimeGrid
@@ -340,11 +347,6 @@ class ChainSolution:
         d = self.initial.dy
         comps = tuple(MultilinearMap(k, d, d, e[i]) for k, e in enumerate(self.entries, start=1))
         return FormalMapping(len(comps), d, d, comps)
-
-    @cached_property
-    def states(self) -> tuple[FormalMapping, ...]:
-        """The state at every knot, initial first."""
-        return tuple(map(self.state, range(self.grid.n_steps + 1)))
 
 
 def _noise(b_k: np.ndarray, dw: np.ndarray, batch: int = 0) -> np.ndarray:
@@ -360,13 +362,16 @@ def _noise(b_k: np.ndarray, dw: np.ndarray, batch: int = 0) -> np.ndarray:
     return out.reshape((p,) + b_k.shape[batch:-1])
 
 
-def _drift_part(a_t: FormalMapping, dt: float, out: list[np.ndarray]) -> None:
-    """Write Psi's deterministic part into out by degree, slots-first with a
-    leading axis of 1: id + a_1*dt, then a_k*dt (zero where a_k is zero)."""
-    for k, (ak, e) in enumerate(zip(a_t.components, out), start=1):
-        e[0] = np.eye(a_t.dy) if k == 1 else 0.0
-        if not ak.is_zero:
-            e[0] += dt * ak.slots_first
+def _drift_part(a: list, v: int, dt: float, out: list) -> None:
+    """Write Psi's deterministic part for pair v of the stacks a (see
+    `CoefficientFamily.on_grid`) into out by degree, slots-first with a
+    leading axis of 1: id + a_1*dt, then a_k*dt (zero where a[k-1] is None).
+    Degrees whose entry of out is None are skipped."""
+    for k, (a_k, e) in enumerate(zip(a, out), start=1):
+        if e is not None:
+            e[0] = np.eye(e.shape[-1]) if k == 1 else 0.0
+            if a_k is not None:
+                e[0] += dt * a_k[v]
 
 
 def one_step_map(
@@ -384,7 +389,7 @@ def one_step_map(
         raise ShapeError(f"dw has shape {dw.shape}, expected ({b_t.noise_dim},)")
     d = a_t.dy
     psi = [np.empty((1,) + (d,) * (k + 1)) for k in range(1, a_t.order + 1)]
-    _drift_part(a_t, dt, psi)
+    _drift_part([None if e is None else e[None] for e in _nonzero_entries(a_t, True)], 0, dt, psi)
     for e, bk in zip(psi, b_t.components):
         if not bk.is_zero:
             e += _noise(bk.slots_first, dw[None])
@@ -398,45 +403,44 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
     A state lists its entries by degree, each with a leading path axis;
     the initial one may have a single row shared by all paths.  dw holds
     the increments, shape (P, n_steps, m).  Each step composes Psi with the
-    previous state, path by path, by the Horner `_classes` of the zero
-    pattern: a product is skipped when its coefficient is zero or its state
-    component is zero on every path.  One `_Runner` per zero pattern of Psi
-    and the state lives as long as this generator, which yields fresh
-    arrays.  Psi is written in place: its degrees without noise are this
-    generator's drift part, and those with noise the runner's buffers.
+    previous state, path by path, by the Horner `_classes` of a zero
+    pattern read off structure, never off a step's data.  Psi_k (k > 1) is
+    zero where a_k and b_k are zero at every step, and has a row per path
+    where some b_k is nonzero; the state's pattern is the initial state's,
+    then the components the last runner makes.  A product of data that
+    happens to be zero adds zeros, which leave the bits unchanged.  Psi is
+    one set of buffers, written in place at each step, and one `_Runner`
+    per state pattern and row count lives as long as this generator, which
+    yields fresh arrays.
     """
     n_paths, dt, d, m = dw.shape[0], grid.dt, coeffs.dy, coeffs.noise_dim
     shapes = [(n_paths, d) + (d,) * n for n in range(1, coeffs.order + 1)]
-    drift = [np.empty((1, d) + (d,) * k) for k in range(1, coeffs.order + 1)]
+    _, index, a, b = coeffs.on_grid(grid)
+    psi = []
+    for k, (a_k, b_k) in enumerate(zip(a, b), start=1):
+        zero = k > 1 and a_k is None and b_k is None
+        psi.append(None if zero else np.empty((1 if b_k is None else n_paths,) + (d,) * (k + 1)))
+    # the drift part is Psi_k itself where no b_k is nonzero
+    drift = [e if e is None or b_k is None else np.empty((1,) + e.shape[1:]) for e, b_k in zip(psi, b)]
+    # b_k of each pair as `_noise` multiplies it
+    noise = [None if b_k is None else b_k.reshape(len(b_k), 1, -1, m) for b_k in b]
     dw = dw[..., None]
-    values, index, _, _ = coeffs.on_grid(grid)
+    pattern = tuple(bool(e.any()) for e in state)
     runners = {}
     for i, v in enumerate(index := index.tolist()):
         if i == 0 or v != index[i - 1]:
-            a_t, b_t = values[v]
-            _drift_part(a_t, dt, drift)
-            # b_k as `_noise` multiplies it, None where zero
-            noise = [None if bk.is_zero else bk.slots_first.reshape(1, -1, m) for bk in b_t.components]
-            # Psi_k is zero (None), its drift part alone (False) or noisy (True)
-            kinds = tuple(
-                None if k > 1 and ak.is_zero and b_k is None else b_k is not None
-                for k, (ak, b_k) in enumerate(zip(a_t.components, noise), start=1)
-            )
-        prev = [e if e.any() else None for e in state]
-        key = (kinds, tuple(None if e is None else e.shape for e in prev))
-        if run := runners.get(key):
-            psi = run.b
-        else:
-            psi = [e if not kind else np.empty((n_paths,) + e.shape[1:]) for kind, e in zip(kinds, drift)]
-            psi = [None if kind is None else e for kind, e in zip(kinds, psi)]
+            _drift_part(a, v, dt, drift)
         for e, drift_k, b_k in zip(psi, drift, noise):
             if b_k is not None:  # Psi_k = drift_k + b_k(..., dw) on each path
-                np.matmul(b_k, dw[:, i], out=e.reshape(n_paths, -1, 1))
+                np.matmul(b_k[v], dw[:, i], out=e.reshape(n_paths, -1, 1))
                 np.add(e, drift_k, out=e)
-        if run:
+        prev = [e if nonzero else None for e, nonzero in zip(state, pattern)]
+        key = (pattern, tuple(map(len, state)))
+        if run := runners.get(key):
             run.rerun(prev)
         else:
             run = runners[key] = _Runner(psi, [None if e is None else e.copy() for e in prev], shapes, batch=1)
+        pattern = run.nonzero
         yield (state := run.components())
 
 
@@ -455,27 +459,6 @@ def _path_states(coeffs: CoefficientFamily, initial: FormalMapping, path: Browni
     yield from _euler_states(coeffs, path.grid, start, dw)
 
 
-def chain_states(
-    coeffs: CoefficientFamily, initial: FormalMapping, path: BrownianPath
-) -> Iterator[FormalMapping]:
-    """Yield the chain states S(t_i, s) along a one-row Brownian path, initial state first.
-
-    Each state is obtained by composing the one-step mapping with the
-    previous state; component n therefore depends only on coefficients and
-    initial components of degree <= n.  A non-finite component raises
-    BlowupError naming the step and the degree.  Overflow is left to the
-    caller's numpy error state: a generator runs in its consumer's context,
-    so wrap the iteration, not the call, in np.errstate.
-    """
-    d = coeffs.dy
-    for i, state in enumerate(_path_states(coeffs, initial, path), -1):
-        try:
-            comps = tuple(MultilinearMap(n, d, d, e[0]) for n, e in enumerate(state, start=1))
-        except NonFiniteError as exc:
-            raise BlowupError(step=i, component=exc.degree) from exc
-        yield FormalMapping(coeffs.order, d, d, comps)
-
-
 # Overflow surfaces as the typed BlowupError or finite mask, not as numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def solve_chain(
@@ -484,11 +467,12 @@ def solve_chain(
     path: BrownianPath,
 ) -> ChainSolution:
     """Integrate the triangular chain along a one-row Brownian path and keep
-    every state, as `chain_states` yields them, one array per degree.
+    every state, one array per degree.
 
     The whole path is integrated first; then one finiteness pass per degree
-    raises BlowupError naming the first non-finite step and its lowest
-    non-finite degree, as `chain_states` would.
+    raises BlowupError naming the first step whose state is not finite and
+    that state's lowest non-finite degree.  A state's component n depends
+    only on coefficients and initial components of degree <= n.
     """
     rows = list(_path_states(coeffs, initial, path))
     entries = tuple(np.concatenate(col) for col in zip(*rows))

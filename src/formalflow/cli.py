@@ -41,6 +41,7 @@ from .chain import (
     DiffusionFamily,
     DiffusionMap,
     TimeGrid,
+    _integer,
     _path_states,
     _relative_errors,
     evolution_check,
@@ -152,13 +153,6 @@ class ExperimentConfig:
         if self.initial is None:
             return identity(self.order, self.dy)
         return FormalMapping.from_dict(self.initial, "initial")
-
-
-def _integer(key: str, value) -> int:
-    """value, if it is an integer; a float or bool in its place is an error, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ShapeError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def _number(key: str, value) -> float:

@@ -82,6 +82,8 @@ def variation_of_constants(
     whose every block starts as I; the i terms of all degrees side by side
     are one batched product, summed in ascending j by an in-place cumsum.
     """
+    if (got := (solution.initial.order, solution.initial.dy)) != (want := (coeffs.order, coeffs.dy)):
+        raise ShapeError(f"solution (order, dy) {got} differs from the coefficients' {want}")
     degrees = list(degrees)
     for i, n in enumerate(degrees):
         if not 2 <= n <= coeffs.order:

@@ -128,9 +128,8 @@ def test_criterion_3_triangularity(report):
             FormalMapping(order, dy, dy, a_pert), DiffusionFamily(order, dy, m, b_pert)
         )
         got = solve_chain(pert, identity(order, dy), path)
-        for s_ref, s_got in zip(ref.states, got.states):
-            for k in range(1, n + 1):
-                assert np.array_equal(s_got.component(k).entries, s_ref.component(k).entries)
+        for k in range(1, n + 1):
+            assert np.array_equal(got.entries[k - 1], ref.entries[k - 1])
     report("3 triangularity", True, "components 1..n bitwise unchanged for n = 1..3")
 
 
@@ -141,14 +140,13 @@ def test_criterion_4_uniqueness_and_adaptedness(report):
     path = sample_path(grid, 2, seed=44)
     s1 = solve_chain(co, identity(3, 2), path)
     s2 = solve_chain(co, identity(3, 2), path)
-    for a, b in zip(s1.states, s2.states):
-        assert mapping_equal(a, b)
+    assert all(map(np.array_equal, s1.entries, s2.entries))
     cut = 20
     tampered = path.increments.copy()
     tampered[:, cut:] -= 2.5
     got = solve_chain(co, identity(3, 2), BrownianPath.from_increments(grid, tampered, seed=44))
-    for i in range(cut + 1):
-        assert mapping_equal(got.states[i], s1.states[i])
+    for e_got, e_ref in zip(got.entries, s1.entries):
+        assert np.array_equal(e_got[: cut + 1], e_ref[: cut + 1])
     report("4 uniqueness and adaptedness", True, "repeat runs bitwise identical; past states untouched")
 
 
@@ -224,9 +222,8 @@ def test_criterion_7_explicit_formula(report):
         sol = solve_chain(co, identity(co.order, co.dy), path)
         out = 0.0
         for n, traj in zip(degrees, variation_of_constants(degrees, co, sol, path)):
-            for v, s in zip(traj, sol.states):
-                ref = max(np.linalg.norm(s.component(n).entries), 1.0)
-                out = max(out, np.linalg.norm(v - s.component(n).entries) / ref)
+            for v, s in zip(traj, sol.entries[n - 1]):
+                out = max(out, np.linalg.norm(v - s) / max(np.linalg.norm(s), 1.0))
         return out
 
     grid = TimeGrid(0.0, 1.0, 256)
@@ -258,7 +255,7 @@ def test_criterion_8_closed_form_component(report):
         grid = TimeGrid(0.0, 1.0, n_steps)
         path = BrownianPath.from_increments(grid, np.zeros((n_steps, 1)))
         sol = solve_chain(co, identity(2, 1), path)
-        got = sol.states[-1].component(2).entries.ravel()[0]
+        got = sol.state(-1).component(2).entries.ravel()[0]
         errors[n_steps] = abs(got - target) / abs(target)
     final_ok = errors[1024] <= 2e-2
     order_ok = (

@@ -17,7 +17,6 @@ from formalflow import (
     MultilinearMap,
     ShapeError,
     TimeGrid,
-    chain_states,
     evolution_check,
     fundamental,
     identity,
@@ -28,6 +27,7 @@ from formalflow import (
     solve_chain_batch,
     variation_of_constants,
 )
+from formalflow.chain import _path_states
 from conftest import random_coefficients, random_mapping
 
 
@@ -127,7 +127,7 @@ def test_batch_is_bitwise_the_per_path_solve(
         # a path that blows up alone must blow up in the batch too
         path = sample_path(grid, m, seed, p)
         try:
-            final = solve_chain(co, initial, path).states[-1]
+            final = solve_chain(co, initial, path).state(-1)
         except BlowupError:
             assert not finite[p]
         else:
@@ -151,7 +151,7 @@ def test_overflowing_path_is_masked_and_neighbours_unchanged():
     trajectories = simulate_direct(co, np.full((3, 1), 0.1), batch)
     assert not np.isfinite(trajectories[-1, 1]).all()
     for p in (0, 2):
-        final = solve_chain(co, identity(2, 1), paths[p]).states[-1]
+        final = solve_chain(co, identity(2, 1), paths[p]).state(-1)
         for k in range(2):
             assert same_bits(terminal[k][p], final.components[k].entries)
         assert same_bits(trajectories[:, p], simulate_direct(co, np.array([[0.1]]), paths[p])[:, 0])
@@ -171,12 +171,12 @@ def path0_solution(co, paths):
     "consumer",
     [
         lambda co, paths: solve_chain(co, identity(2, 1), paths),
-        lambda co, paths: list(chain_states(co, identity(2, 1), paths)),
+        lambda co, paths: list(_path_states(co, identity(2, 1), paths)),
         lambda co, paths: fundamental(co, paths),
         lambda co, paths: variation_of_constants([2], co, path0_solution(co, paths), paths),
         lambda co, paths: evolution_check(co, paths.grid, paths, 0.5),
     ],
-    ids=["solve_chain", "chain_states", "fundamental", "variation_of_constants", "evolution_check"],
+    ids=["solve_chain", "path_states", "fundamental", "variation_of_constants", "evolution_check"],
 )
 def test_single_path_consumers_reject_several_rows(consumer):
     # using row 0 of two would be another experiment than the one asked for

@@ -1,3 +1,4 @@
+import json
 import math
 import runpy
 import sys
@@ -19,7 +20,6 @@ from formalflow import (
     MultilinearMap,
     ShapeError,
     TimeGrid,
-    chain_states,
     evaluate,
     evolution_check,
     forcing_terms,
@@ -33,7 +33,8 @@ from formalflow import (
 )
 from formalflow.algebra import _contract
 from formalflow import chain
-from formalflow.chain import _euler_states, _noise
+from formalflow.chain import _euler_states, _noise, _path_states
+from formalflow.cli import main
 from conftest import mapping_equal, random_coefficients, random_mapping
 
 
@@ -135,6 +136,26 @@ class TestSamplePath:
                 with pytest.raises(ShapeError, match=f"{key} must be in"):
                     sample_path(grid, 1, **{"seed": 0, key: bad})
 
+    @pytest.mark.parametrize(
+        "name, draw",
+        [
+            ("seed", lambda v: sample_path(TimeGrid(0.0, 1.0, 4), 1, v)),
+            ("path_index", lambda v: sample_path(TimeGrid(0.0, 1.0, 4), 1, 3, v)),
+            ("n_paths", lambda v: sample_paths(TimeGrid(0.0, 1.0, 4), 1, 3, v)),
+            ("n_steps", lambda v: sample_path(TimeGrid(0.0, 1.0, v), 1, 3)),
+            ("noise_dim", lambda v: sample_path(TimeGrid(0.0, 1.0, 4), v, 3)),
+            ("seed", lambda v: BrownianPath.from_increments(TimeGrid(0.0, 1.0, 4), np.zeros(4), v)),
+        ],
+        ids=["seed", "path_index", "n_paths", "n_steps", "noise_dim", "recorded seed"],
+    )
+    def test_non_integer_keys_and_sizes_are_rejected(self, name, draw):
+        # seed 1.5 drew seed 1's path, path_index 0.7 index 0, n_steps 4.5
+        # made a grid of dt 1/4.5, and a path kept seed 1.5 as its provenance
+        for bad in (1.5, 2.0, True, np.True_, "2"):
+            with pytest.raises(ShapeError, match=f"^{name} must be an integer, got {bad!r}$"):
+                draw(bad)
+        draw(np.int64(2))  # numpy integers stay accepted
+
     def test_cumulative_starts_at_zero(self):
         path = sample_path(TimeGrid(0.0, 1.0, 8), 2, seed=1)
         w = path.cumulative()
@@ -180,8 +201,8 @@ class TestSolveChain:
         co = CoefficientFamily.constant_scalar([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         path = sample_path(TimeGrid(0.0, 1.0, 16), 1, seed=1)
         sol = solve_chain(co, identity(3, 1), path)
-        for s in sol.states:
-            assert mapping_equal(s, identity(3, 1))
+        for i in range(17):
+            assert mapping_equal(sol.state(i), identity(3, 1))
 
     def test_gbm_state_is_ordered_factor_product(self):
         alpha, beta = 1.0, 0.5
@@ -192,7 +213,7 @@ class TestSolveChain:
         prod = 1.0
         for i in range(grid.n_steps):
             prod = (1.0 + alpha * grid.dt + beta * path.increments[0, i, 0]) * prod
-        assert sol.states[-1].component(1).entries.ravel()[0] == prod
+        assert sol.state(-1).component(1).entries.ravel()[0] == prod
 
     def test_deterministic_quadratic_s2_closed_form(self):
         from formalflow import quadratic_chain_s2_closed_form
@@ -202,7 +223,7 @@ class TestSolveChain:
         grid = TimeGrid(0.0, 1.0, 512)
         path = BrownianPath.from_increments(grid, np.zeros((512, 1)))
         sol = solve_chain(co, identity(2, 1), path)
-        got = sol.states[-1].component(2).entries.ravel()[0]
+        got = sol.state(-1).component(2).entries.ravel()[0]
         assert got == pytest.approx(quadratic_chain_s2_closed_form(alpha, gamma, 1.0), rel=5e-3)
 
     def test_bitwise_determinism(self, rng):
@@ -210,8 +231,7 @@ class TestSolveChain:
         path = sample_path(TimeGrid(0.0, 1.0, 32), 2, seed=9)
         s1 = solve_chain(co, identity(3, 2), path)
         s2 = solve_chain(co, identity(3, 2), path)
-        for a, b in zip(s1.states, s2.states):
-            assert mapping_equal(a, b)
+        assert all(map(np.array_equal, s1.entries, s2.entries))
 
     def test_triangularity_bitwise(self, rng):
         # higher-degree coefficients must not touch lower components
@@ -236,11 +256,8 @@ class TestSolveChain:
                 DiffusionFamily(order, dy, m, b_perturbed),
             )
             got = solve_chain(pert, identity(order, dy), path)
-            for s_ref, s_got in zip(ref.states, got.states):
-                for k in range(1, n + 1):
-                    assert np.array_equal(
-                        s_got.component(k).entries, s_ref.component(k).entries
-                    )
+            for k in range(1, n + 1):
+                assert np.array_equal(got.entries[k - 1], ref.entries[k - 1])
 
     def test_adaptedness_bitwise(self, rng):
         co = random_coefficients(rng, 3, 2, 2)
@@ -252,8 +269,8 @@ class TestSolveChain:
         tampered_increments[:, cut:] += 3.0
         tampered = BrownianPath.from_increments(grid, tampered_increments, seed=8)
         got = solve_chain(co, identity(3, 2), tampered)
-        for i in range(cut + 1):
-            assert mapping_equal(got.states[i], ref.states[i])
+        for e_got, e_ref in zip(got.entries, ref.entries):
+            assert np.array_equal(e_got[: cut + 1], e_ref[: cut + 1])
 
     def test_zero_noise_ignores_increments_bitwise(self, rng):
         a = random_mapping(rng, 3, 2, 2)
@@ -261,8 +278,7 @@ class TestSolveChain:
         grid = TimeGrid(0.0, 1.0, 16)
         s1 = solve_chain(co, identity(3, 2), sample_path(grid, 2, seed=1))
         s2 = solve_chain(co, identity(3, 2), sample_path(grid, 2, seed=999))
-        for a_state, b_state in zip(s1.states, s2.states):
-            assert mapping_equal(a_state, b_state)
+        assert all(map(np.array_equal, s1.entries, s2.entries))
 
     def test_blowup_reports_step_and_component(self):
         co = CoefficientFamily.constant_scalar([1e160])
@@ -278,47 +294,43 @@ class TestSolveChain:
         co = CoefficientFamily.constant_scalar([1.2e17])
         grid = TimeGrid(0.0, 1.0, 40)
         path = BrownianPath.from_increments(grid, np.zeros((40, 1)))
-        states = []
-        with np.errstate(over="ignore"), pytest.raises(BlowupError) as exc:
-            for state in chain_states(co, identity(1, 1), path):
-                states.append(state)
+        with pytest.raises(BlowupError) as exc:
+            solve_chain(co, identity(1, 1), path)
         assert (exc.value.step, exc.value.component) == (19, 1)
-        assert len(states) == 20
-        assert mapping_equal(states[0], identity(1, 1))
-        assert math.isclose(states[-1].components[0].entries[0, 0], (1 + 1.2e17 / 40) ** 19, rel_tol=1e-13)
-
-    def test_chain_states_are_the_solution_states(self, rng):
-        co = random_coefficients(rng, 3, 2, 2)
-        path = sample_path(TimeGrid(0.0, 1.0, 16), 2, seed=3)
-        streamed = list(chain_states(co, identity(3, 2), path))
-        solved = solve_chain(co, identity(3, 2), path).states
-        assert len(streamed) == len(solved) == 17
-        assert all(mapping_equal(a, b) for a, b in zip(streamed, solved))
+        sol = solve_chain(co, identity(1, 1), path.restrict(0, 19))
+        assert len(sol.entries[0]) == 20
+        assert mapping_equal(sol.state(0), identity(1, 1))
+        assert math.isclose(sol.entries[0][-1, 0, 0], (1 + 1.2e17 / 40) ** 19, rel_tol=1e-13)
 
     def test_solution_holds_one_read_only_array_per_degree(self, rng):
         co = random_coefficients(rng, 3, 2, 2)
         path = sample_path(TimeGrid(0.0, 1.0, 16), 2, seed=3)
         sol = solve_chain(co, identity(3, 2), path)
-        streamed = list(chain_states(co, identity(3, 2), path))
+        streamed = list(_path_states(co, identity(3, 2), path))
+        assert len(streamed) == 17
         for k, e in enumerate(sol.entries, start=1):
             assert e.shape == (17, 2) + (2,) * k and not e.flags.writeable
             for i, s in enumerate(streamed):
-                assert e[i].tobytes() == s.component(k).entries.tobytes()
-        assert mapping_equal(sol.state(-1), streamed[-1])
+                assert e[i].tobytes() == s[k - 1][0].tobytes()
+        assert all(np.array_equal(c.entries, e[0]) for c, e in zip(sol.state(-1).components, streamed[-1]))
 
     @pytest.mark.parametrize(
         "drift", [[1e160], [1.2e17], [0.0, 1.5e308], [5.0, 1e300, 1e300], [1e160, 1e160, 1e160]]
     )
-    def test_blowup_is_where_chain_states_stops(self, drift):
-        # the first non-finite step and its lowest non-finite degree
+    def test_blowup_is_where_chain_states_stops(self, tmp_path, capsys, drift):
+        # solve_chain names the first non-finite step and its lowest
+        # non-finite degree, as `formalflow solve` does while it streams states
         co = CoefficientFamily.constant_scalar(drift)
         path = BrownianPath.from_increments(TimeGrid(0.0, 4.0, 40), np.zeros((40, 1)))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError) as streamed:
-            list(chain_states(co, identity(len(drift), 1), path))
         with pytest.raises(BlowupError) as solved:
             solve_chain(co, identity(len(drift), 1), path)
-        got, want = solved.value, streamed.value
-        assert (got.step, got.component) == (want.step, want.component)
+        terms = [{"degree": k, "dy": 1, "dz": 1, "entries": [c]} for k, c in enumerate(drift, start=1)]
+        config = tmp_path / "c.json"
+        cfg = {"dy": 1, "order": len(drift), "t_end": 4.0, "n_steps": 40, "drift": terms}
+        config.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        where = f"step {solved.value.step}, component {solved.value.component}"
+        assert capsys.readouterr().err == f"error: numerical blowup at {where}\n"
 
     def test_initial_condition_shape_checked(self, rng):
         co = random_coefficients(rng, 3, 2, 2)
@@ -343,7 +355,7 @@ class TestBufferDiscipline:
         path = sample_path(grid, 2, seed=5)
         for states in (
             _euler_states(co, grid, start, dw),
-            ([c.entries for c in s.components] for s in chain_states(co, identity(4, 2), path)),
+            _path_states(co, identity(4, 2), path),
         ):
             kept, copies = [], []
             for state in states:
@@ -355,19 +367,20 @@ class TestBufferDiscipline:
     def test_interleaved_generators_equal_serial_runs(self, rng):
         co, grid = self.instance(rng)
         paths = [sample_path(grid, 2, seed=s) for s in (1, 2)]
-        serial = [list(chain_states(co, identity(4, 2), p)) for p in paths]
-        interleaved = zip(*(chain_states(co, identity(4, 2), p) for p in paths))
+        serial = [list(_path_states(co, identity(4, 2), p)) for p in paths]
+        interleaved = list(zip(*(_path_states(co, identity(4, 2), p) for p in paths)))
+        assert len(interleaved) == grid.n_steps + 1
         for (x, y), (sx, sy) in zip(interleaved, zip(*serial)):
-            assert mapping_equal(x, sx) and mapping_equal(y, sy)
+            assert all(map(np.array_equal, x + y, sx + sy))
 
     def test_concurrent_threads_equal_serial_runs(self, rng):
         co, grid = self.instance(rng)
         paths = [sample_path(grid, 2, seed=s) for s in range(4)]
-        serial = [solve_chain(co, identity(4, 2), p).states for p in paths]
+        serial = [solve_chain(co, identity(4, 2), p).entries for p in paths]
         got = [None] * len(paths)
 
         def solve(i):
-            got[i] = solve_chain(co, identity(4, 2), paths[i]).states
+            got[i] = solve_chain(co, identity(4, 2), paths[i]).entries
 
         threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(paths))]
         interval = sys.getswitchinterval()
@@ -380,17 +393,20 @@ class TestBufferDiscipline:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for states, expected in zip(got, serial):
-            assert len(states) == len(expected) == grid.n_steps + 1
-            assert all(map(mapping_equal, states, expected))
+        for entries, expected in zip(got, serial):
+            assert len(entries[0]) == len(expected[0]) == grid.n_steps + 1
+            assert all(map(np.array_equal, entries, expected))
 
 
 class TestRunnerReuse:
-    """The Euler loop builds one runner per zero pattern of Psi and the
-    state, however many steps it takes and whatever objects the
-    coefficient providers return."""
+    """The Euler loop builds one runner per zero pattern and row count of
+    the state, however many steps it takes and whatever objects the
+    coefficient providers return: Psi's pattern is that of the
+    coefficients over the whole grid."""
 
-    @pytest.mark.parametrize("provider, patterns", [("constant", 2), ("new object", 2), ("switch", 3)])
+    @pytest.mark.parametrize(
+        "provider, patterns", [("constant", 2), ("new object", 2), ("switch", 2), ("linear", 2)]
+    )
     def test_runners_built_equal_the_zero_patterns(self, rng, monkeypatch, provider, patterns):
         built = []
 
@@ -400,7 +416,7 @@ class TestRunnerReuse:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(chain, "_Runner", Runner)
-        order, d, m = 3, 2, 2
+        order, d, m = (4 if provider == "linear" else 3), 2, 2
         co = random_coefficients(rng, order, d, m)
         a, b = co.drift_at(0.0), co.diffusion_at(0.0)
         if provider == "new object":
@@ -408,16 +424,34 @@ class TestRunnerReuse:
                 order, d, m, lambda t: a._of(order, a.components), lambda t: b._of(order, b.components)
             )
         elif provider == "switch":
-            # from t = 0.5 on, a_2 and b_3 are zero: a pattern of its own
+            # from t = 0.5 on, a_2 and b_3 are zero, but not before: Psi keeps
+            # its pattern over the grid, and the runners stay those of "constant"
             a2 = a._of(order, (a.components[0], MultilinearMap.zero(2, d, d), a.components[2]))
             b2 = b._of(order, b.components[:2] + (DiffusionMap.zero(3, d, d, m),))
             co = CoefficientFamily(order, d, m, lambda t: a if t < 0.5 else a2, lambda t: b if t < 0.5 else b2)
+        elif provider == "linear":
+            zero_a = tuple(MultilinearMap.zero(k, d, d) for k in range(2, order + 1))
+            zero_b = DiffusionFamily.zero(order, d, m).components[1:]
+            co = CoefficientFamily.constant(
+                a._of(order, a.components[:1] + zero_a), b._of(order, b.components[:1] + zero_b)
+            )
         grid = TimeGrid(0.0, 1.0, 24)
-        start = [c.entries[None] for c in identity(order, d).components]
-        # from the identity, the first step has a pattern of its own
-        states = list(_euler_states(co, grid, start, sample_paths(grid, m, 1, 2).increments))
-        assert len(states) == grid.n_steps
+        dw = sample_paths(grid, m, 1, 2).increments
+
+        def run(co):
+            start = [c.entries[None] for c in identity(co.order, d).components]
+            # from the identity's one row, the first step has a runner of its own
+            states = list(_euler_states(co, grid, start, dw))
+            assert len(states) == grid.n_steps
+
+        run(co)
         assert len(built) == patterns
+        if provider == "linear":
+            # a sparse chain stays sparse: the order-4 runners make the one
+            # product of each runner of the chain of degree 1 alone
+            run(CoefficientFamily.constant(a._of(1, a.components[:1]), b._of(1, b.components[:1])))
+            ops = [[(f, x.shape, y.shape, z.shape) for f, x, y, z in r.ops] for r in built]
+            assert ops[:2] == ops[2:] and [len(r) for r in ops] == [1] * 4
 
 
 class TestSimulateDirect:
@@ -438,8 +472,8 @@ class TestSimulateDirect:
         sol = solve_chain(co, identity(1, 2), path)
         y0 = rng.standard_normal(2)
         traj = simulate_direct(co, y0[None], path)[:, 0]
-        for i, s in enumerate(sol.states):
-            assert np.allclose(traj[i], evaluate(s, y0), rtol=1e-12, atol=1e-14)
+        for i in range(33):
+            assert np.allclose(traj[i], evaluate(sol.state(i), y0), rtol=1e-12, atol=1e-14)
 
     def test_bernoulli_convergence_order_one(self):
         from formalflow import bernoulli_closed_form

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from formalflow import FormalMapping, MultilinearMap, TimeGrid, chain, chain_states, cli, sample_path
+from formalflow import FormalMapping, MultilinearMap, TimeGrid, chain, cli, sample_path, solve_chain
 from formalflow.algebra import NonFiniteError
 from formalflow.cli import ExperimentConfig, main
 from conftest import random_coefficients, random_mapping
@@ -997,7 +997,8 @@ class TestJsonFloats:
         coeffs = random_coefficients(rng, 3, 2, 2, magnitude)
         initial = random_mapping(rng, 3, 2, 2, start)
         path = sample_path(TimeGrid(0.0, 1.0, 16), 2, 7)
-        states = list(chain_states(coeffs, initial, path))
+        sol = solve_chain(coeffs, initial, path)
+        states = [sol.state(i) for i in range(17)]
         frame = cli._state_frame(initial)
         for s in states:
             assert cli._json_floats(*(c.entries for c in s.components), frame=frame) == dumps(s.to_dict()).encode()

@@ -100,8 +100,7 @@ class TestVariationOfConstants:
         sol = solve_chain(co, identity(2, 1), path)
         (traj,) = variation_of_constants([2], co, sol, path)
         # chain and quadrature accumulate the same loads in the same order
-        for v, s in zip(traj, sol.states):
-            assert np.array_equal(v, s.component(2).entries)
+        assert np.array_equal(traj, sol.entries[1])
         got = traj[-1].ravel()[0]
         assert got == pytest.approx(beta2 * path.increments.sum(), rel=1e-13)
 
@@ -111,9 +110,8 @@ class TestVariationOfConstants:
         path = deterministic_path(grid)
         sol = solve_chain(co, identity(2, 1), path)
         (traj,) = variation_of_constants([2], co, sol, path)
-        for v, s in zip(traj, sol.states):
-            ref = np.linalg.norm(s.component(2).entries)
-            assert np.linalg.norm(v - s.component(2).entries) <= 1e-9 * max(1.0, ref)
+        for v, s in zip(traj, sol.entries[1]):
+            assert np.linalg.norm(v - s) <= 1e-9 * max(1.0, np.linalg.norm(s))
 
     def test_scalar_quadratic_converges_to_closed_form(self):
         from formalflow import quadratic_chain_s2_closed_form
@@ -149,9 +147,8 @@ class TestVariationOfConstants:
         path = sample_path(grid, m, seed=12)
         sol = solve_chain(co, identity(order, dy), path)
         for n, traj in zip((2, 3), variation_of_constants([2, 3], co, sol, path)):
-            for v, s in zip(traj, sol.states):
-                ref = np.linalg.norm(s.component(n).entries)
-                assert np.linalg.norm(v - s.component(n).entries) <= 1e-9 * max(1.0, ref)
+            for v, s in zip(traj, sol.entries[n - 1]):
+                assert np.linalg.norm(v - s) <= 1e-9 * max(1.0, np.linalg.norm(s))
 
     def test_rejects_degree_one_noise(self, rng):
         co = CoefficientFamily.constant_scalar([1.0, 0.5], [0.5, 0.0])
@@ -225,6 +222,17 @@ class TestVariationOfConstants:
         with pytest.raises(ShapeError, match=rf"\(seed, path_index\) \({seed}, {path_index}\) differs from the path's \(4, 0\)"):
             variation_of_constants([2], co, sol, sample_path(grid, 1, seed=4))
 
+    @pytest.mark.parametrize("order, d", [(2, 1), (3, 2)])
+    def test_rejects_a_solution_of_another_order_or_dimension(self, rng, order, d):
+        # a lower order raised IndexError, another dimension numpy's reshape ValueError
+        co = CoefficientFamily.constant_scalar([1.0, 0.5, 0.2], [0.0, 0.25, 0.1])
+        path = sample_path(TimeGrid(0.0, 1.0, 16), 1, seed=4)
+        other = CoefficientFamily.constant(random_mapping(rng, order, d, d), DiffusionFamily.zero(order, d, 1))
+        sol = solve_chain(other, identity(order, d), path)
+        want = rf"solution \(order, dy\) \({order}, {d}\) differs from the coefficients' \(3, 1\)"
+        with pytest.raises(ShapeError, match=want):
+            variation_of_constants([2, 3], co, sol, path)
+
     def test_rejects_a_nonzero_initial_component(self):
         co = CoefficientFamily.constant_scalar([1.0, 0.5, 0.2], [0.0, 0.25, 0.0])
         path = sample_path(TimeGrid(0.0, 1.0, 16), 1, seed=4)
@@ -268,7 +276,7 @@ def time_dependent_coefficients(rng, order, d, m, drift_on, diffusion_on, flat, 
     return CoefficientFamily(order, d, m, drift, diffusion)
 
 
-def loop_quadrature(n, co, states, path):
+def loop_quadrature(n, co, solution, path):
     """The quadrature as an O(N^2) loop, step by step: loads from forcing_terms,
     and Phi(t_i, t_{j+1}) accumulated backward from j = i-1 as p @ F_j.
 
@@ -279,7 +287,7 @@ def loop_quadrature(n, co, states, path):
     loads = []
     for j in range(grid.n_steps):
         t_j = grid.t_start + j * grid.dt
-        f_n, g_n = forcing_terms(n, states[j], co.drift_at(t_j), co.diffusion_at(t_j))
+        f_n, g_n = forcing_terms(n, solution.state(j), co.drift_at(t_j), co.diffusion_at(t_j))
         q = grid.dt * f_n.entries
         if not g_n.is_zero:
             q = q + g_n.entries @ path.increments[0, j]
@@ -420,7 +428,7 @@ def test_quadrature_matches_the_step_by_step_loop(
     sol = solve_chain(co, identity(order, d), path)
     degrees = list(range(2, order + 1))
     for n, traj in zip(degrees, variation_of_constants(degrees, co, sol, path)):
-        ref, loads, scales = loop_quadrature(n, co, sol.states, path)
+        ref, loads, scales = loop_quadrature(n, co, sol, path)
         # Phi is F_{i-1} @ (F_{i-2} @ ...) here but (... @ F_{i-2}) @ F_{i-1} in
         # the loop: the products associate in a different order, so the
         # trajectories agree to rounding, relative to the size of the terms
@@ -433,5 +441,4 @@ def test_quadrature_matches_the_step_by_step_loop(
                 assert np.array_equal(traj[i], running[i - 1])
             if n == 2:
                 # one forcing term, so the chain adds the same load in the same order
-                for v, s in zip(traj, sol.states):
-                    assert np.array_equal(v, s.component(2).entries)
+                assert np.array_equal(traj, sol.entries[1])

@@ -210,6 +210,9 @@ def test_euler_states_match_the_reference_bitwise(order, d, m, seed, n_paths, sh
         shape = (lead, d) + (d,) * k
         start.append(filled(draw_entries(data, rng, shape, 0.5), shape))
     assert_states_match_the_reference(coeffs, grid, start, dw)
+    # with no noise, a Psi_k with a_k = 0 and b_k != 0 is zero, and so are the
+    # state components it feeds: zero data in a nonzero structural pattern
+    assert_states_match_the_reference(coeffs, grid, start, np.zeros_like(dw))
 
 
 def assert_states_match_the_reference(coeffs, grid, start, dw):
