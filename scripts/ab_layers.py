@@ -18,7 +18,10 @@ shared machine out of the ratio, which back-to-back runs of
   - euler_step_o1d1_p64: GBM (order 1, d 1, P 64, 512 steps), per step;
   - formula_check_o3d2: `cli._cmd_formula_check` on the formula-o3d2
     benchmark config (order 3, d 2, m 2, 512 steps, config seed 1), report
-    write included.
+    write included;
+  - batch_terminal_o1d1_p64: `chain.solve_chain_batch` on the convergence-gbm
+    shape (GBM, order 1, d 1, P 64) over its six nested grids of 16..512
+    steps, all six solves per call.
 """
 
 from __future__ import annotations
@@ -81,11 +84,18 @@ def layers(name: str, out_dir: Path) -> dict:
     paths = chain.sample_paths(chain.TimeGrid(0.0, 1.0, 512), 1, SEED, 64)
     one = [c.entries[None] for c in algebra.identity(1, 1).components]
     formula = cli.ExperimentConfig.from_dict(json.loads(config_bytes("formula-o3d2", CONFIG_SEED)))
+    levels = [paths.coarsen(2**j) for j in range(6)]
+
+    def batch_terminal():
+        for level in levels:
+            chain.solve_chain_batch(gbm, algebra.identity(1, 1), level)
+
     return {
         "euler_loop_o6d3": (lambda: loop(coeffs, path.grid, start, dw), 1, 1),
         "compose_o6d3": (lambda: algebra.compose(outer, inner), 20, 1),
         "euler_step_o1d1_p64": (lambda: loop(gbm, paths.grid, one, paths.increments), 1, 512),
         "formula_check_o3d2": (lambda: cli._cmd_formula_check(formula, out_dir), 1, 1),
+        "batch_terminal_o1d1_p64": (batch_terminal, 5, 1),
     }
 
 

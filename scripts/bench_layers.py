@@ -16,6 +16,9 @@ Times, on fixed seeds and sizes:
     (order 6, d 3, m 2, P 1, 512 steps, config seed 1), per step and for
     the whole loop of `chain._euler_states`;
   - euler_step_o1d1_p64: GBM (order 1, d 1, P 64, 512 steps), per step;
+  - batch_terminal_o1d1_p64: `solve_chain_batch` on the convergence-gbm
+    shape (GBM, order 1, d 1, P 64) over its six nested grids of 16..512
+    steps, all six solves per call;
   - variation_of_constants_o3d2: the one call for degrees 2 and 3 of the
     formula-o3d2 benchmark config (config seed 1);
   - fundamental_o3d2: `explicit.fundamental` on that config, its coefficient
@@ -70,6 +73,7 @@ from formalflow.chain import (  # noqa: E402
     _euler_states,
     sample_paths,
     solve_chain,
+    solve_chain_batch,
 )
 from formalflow.explicit import fundamental, variation_of_constants  # noqa: E402
 from workloads import config_bytes  # noqa: E402
@@ -180,6 +184,15 @@ def measure(repeats: int) -> dict:
     loop = timed(lambda: euler_loop(gbm, paths.grid, one, paths.increments), repeats, 5)
     out["euler_step_o1d1_p64"] = dict(
         {k: v / 512 for k, v in loop.items()}, sizes="order 1, d 1, m 1, P 64, per step of 512"
+    )
+    levels = [paths.coarsen(2**j) for j in range(6)]
+
+    def batch_terminal():
+        for level in levels:
+            solve_chain_batch(gbm, identity(1, 1), level)
+
+    out["batch_terminal_o1d1_p64"] = dict(
+        timed(batch_terminal, repeats, 5), sizes="order 1, d 1, m 1, P 64, grids of 16..512 steps, six solves"
     )
 
     cfg = workload_config("formula-o3d2")

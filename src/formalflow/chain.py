@@ -164,7 +164,7 @@ class BrownianPath:
 
     def coarsen(self, factor: int) -> "BrownianPath":
         """Sum groups of `factor` increments: the same paths on a coarser grid."""
-        if factor < 1 or self.grid.n_steps % factor != 0:
+        if _integer("factor", factor) < 1 or self.grid.n_steps % factor != 0:
             raise ShapeError(f"factor {factor} does not divide {self.grid.n_steps} steps")
         n = self.grid.n_steps // factor
         coarse = self.increments.reshape(self.n_paths, n, factor, self.noise_dim).sum(axis=2)
@@ -486,25 +486,160 @@ def solve_chain(
     return ChainSolution(path.grid, initial, entries, path.seed, path.path_index)
 
 
+# Memory of `solve_chain_batch`: one path's Psi over a block of steps holds at
+# most _BLOCK_FLOATS floats (32 KiB), and a chunk of paths' at most
+# _CHUNK_FLOATS (2 MiB).  Measured on 2 cores (best of 3; blocks of 8..512 KiB,
+# chunks of 0.5..8 MiB), these were fastest or within 10% of it at order 1, d 1
+# (1000 paths, 512 steps), order 3, d 2 (64, 512), order 4, d 3 (64, 256) and
+# order 6, d 3 (16, 256); larger blocks lost up to 1.7x to allocation and cache
+# misses.  The tracemalloc peaks at orders 1 to 6 were 2.8 to 6.4 times a
+# chunk's stack, under eight (16 MiB), except where a block is one step: at
+# order 6, d 3 the Horner classes of one 64-row composition make 23 MiB, as
+# they made the loop's 32 MiB.  A convergence level (order 1, d 1, 512 steps,
+# up to 512 paths) is one block and one chunk.
+_BLOCK_FLOATS = 1 << 12
+_CHUNK_FLOATS = 1 << 18
+
+
+def _leaf_order(count: int) -> np.ndarray:
+    """Steps 0..count-1 in the order `_tree` stores them: at each level the
+    inner maps of the pairs (2u, 2u+1), then their outer maps, both in the
+    order of the next level, then the odd map at the end, which stays last.
+    So a level's operands are its two halves, and its composites, the odd
+    map appended, are the next level as stored."""
+    if count == 1:
+        return np.zeros(1, dtype=np.intp)
+    half = count // 2
+    pairs = 2 * _leaf_order(half + count % 2)[:half]
+    return np.concatenate((pairs, pairs + 1, np.arange(2 * half, count)))
+
+
+def _step_maps(drift: list, noise: list, index: np.ndarray, dw: np.ndarray) -> list:
+    """Psi of J steps of P paths by degree, (J, P, d) + (d,)*k in the usual
+    layout (a view of a slots-first sum), None where zero at every step.
+
+    drift[k-1] is Psi_k's deterministic part and noise[k-1] its b_k as a
+    (rows, m) matrix, slots-first, for each coefficient pair (None where
+    zero); index gives each step's pair and dw, (J, P, m), the increments.
+    Each entry has the bits `_euler_states` writes.
+    """
+    n_steps, n_paths, _ = dw.shape
+    out = []
+    for drift_k, b_k in zip(drift, noise):
+        if drift_k is None:
+            out.append(None)
+            continue
+        shape = (n_steps, n_paths) + drift_k.shape[1:]
+        if b_k is None:
+            e = np.broadcast_to(drift_k[index, None], shape)
+        else:
+            e = np.matmul(b_k[index, None], dw[..., None]).reshape(shape)
+            e += drift_k[index, None]
+        out.append(e.transpose(0, 1, e.ndim - 1, *range(2, e.ndim - 1)))
+    return out
+
+
+def _then(outer: list, inner: list) -> list:
+    """outer o inner of each row by one `_Runner`: outer slots-first, inner
+    in the usual layout, by degree with a leading row axis (1 or R long),
+    None where zero; the composites (R, d) + (d,)*n likewise."""
+    rows = max(len(e) for e in outer + inner if e is not None)
+    d = outer[0].shape[-1]
+    run = _Runner(outer, inner, [(rows, d) + (d,) * n for n in range(1, len(outer) + 1)], batch=1)
+    return [e if nonzero else None for e, nonzero in zip(run.components(), run.nonzero)]
+
+
+def _slots_first(e: np.ndarray, lead: int) -> np.ndarray:
+    """Entries behind `lead` row axes, slots-first and contiguous."""
+    return np.ascontiguousarray(e.transpose(*range(lead), *range(lead + 1, e.ndim), lead))
+
+
+def _rows(e: np.ndarray) -> np.ndarray:
+    """The first two axes of e as one."""
+    return e.reshape((-1,) + e.shape[2:])
+
+
+def _tree(maps: list) -> list:
+    """Psi_{J-1} o ... o Psi_0 of each of C rows, (C, d) + (d,)*k by degree,
+    from stacks (J, C, d) + (d,)*k in `_leaf_order`; None where zero.
+
+    Each level composes Psi_{2u+1} o Psi_{2u} of every pair u and row by one
+    `_Runner`; an odd map at the end carries up to the next level.  A
+    composite is nonzero where either map is (both degree-1 parts are), so
+    the carried map takes zeros where the composites gained a degree.
+    """
+    count, rows = maps[0].shape[:2]
+    while count > 1:
+        half = count // 2
+        pairs = _then(
+            [None if e is None else _rows(_slots_first(e[half : 2 * half], 2)) for e in maps],
+            [None if e is None else _rows(e[:half]) for e in maps],
+        )
+        level = [None if e is None else e.reshape((half, rows) + e.shape[1:]) for e in pairs]
+        if count % 2:
+            level = [
+                e if e is None else np.concatenate((e, np.zeros_like(e[:1]) if m is None else m[-1:]))
+                for e, m in zip(level, maps)
+            ]
+        maps, count = level, half + count % 2
+    return [None if e is None else e[0] for e in maps]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def solve_chain_batch(
     coeffs: CoefficientFamily, initial: FormalMapping, paths: BrownianPath
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Integrate the chain along every row of paths in one loop over steps.
+    """The terminal chain state along every row of paths, by a balanced tree.
+
+    Composition is associative (the evolution property), so the terminal
+    state Psi_{N-1} o ... o Psi_0 o initial is reduced pairwise: the Psi of
+    every path and step come from one batched sum per degree, J of them
+    reduce in ceil(log2 J) levels (`_tree`), and one more composition applies
+    the result to initial.  Steps are cut into blocks of at most
+    _BLOCK_FLOATS floats of Psi per path, each reduced by its own tree and
+    composed onto the state in step order, and paths into chunks of at most
+    _CHUNK_FLOATS floats per block.  Blocks depend on the shapes alone and
+    rows never mix, so row p has the bits of a one-row batch of path p.
+    Against solve_chain's final state, which the loop associates step by
+    step, component n of a finite row lies within 2*n*N*c*(|Psi_{N-1}| o ...
+    o |Psi_0| o |initial|)_n to first order, c the largest
+    2*(j*d + 2^(j-1))*eps / j over degrees j (derived in tests/test_batch.py).
 
     Returns the terminal entries by degree k, each of shape (P, d) + (d,)*k,
-    and a mask of shape (P,) that is False for a path whose state was not
-    finite after some step.  Row p of a finite path is bitwise equal to the final
-    state of solve_chain on row p alone.
+    and a mask of shape (P,), False where that terminal state is not finite.
     """
     coeffs._checked("initial condition", paths.grid.t_start, initial, ())
     _check_noise_dim(coeffs, paths)
-    finite = np.ones(paths.n_paths, dtype=bool)
-    start = [c.entries[None] for c in initial.components]
-    for state in _euler_states(coeffs, paths.grid, start, paths.increments):
-        for e in state:
-            finite &= np.isfinite(e).reshape(paths.n_paths, -1).all(axis=1)
-    return tuple(state), finite
+    values, index, a, b = coeffs.on_grid(paths.grid)
+    n_paths, n_steps, m = paths.increments.shape
+    d, dt = coeffs.dy, paths.grid.dt
+    # Psi_k (k > 1) is zero where a_k and b_k are zero at every step
+    drift = [
+        None if k > 1 and a_k is None and b_k is None else np.empty((len(values),) + (d,) * (k + 1))
+        for k, (a_k, b_k) in enumerate(zip(a, b), start=1)
+    ]
+    for v in range(len(values)):
+        _drift_part(a, v, dt, [None if e is None else e[v : v + 1] for e in drift])
+    noise = [None if b_k is None else b_k.reshape(len(values), -1, m) for b_k in b]
+    per_step = sum(e[0].size for e in drift if e is not None)
+    block = max(1, _BLOCK_FLOATS // per_step)
+    chunk = max(1, _CHUNK_FLOATS // (min(block, n_steps) * per_step))
+    start = [None if c.is_zero else c.entries[None] for c in initial.components]
+    terminal = [np.zeros((n_paths, d) + (d,) * k) for k in range(1, coeffs.order + 1)]
+    for p in range(0, n_paths, chunk):
+        state = start
+        for i in range(0, n_steps, block):
+            order = i + _leaf_order(min(block, n_steps - i))
+            dw = paths.increments[p : p + chunk].swapaxes(0, 1)[order]
+            maps = _tree(_step_maps(drift, noise, index[order], dw))
+            state = _then([None if e is None else _slots_first(e, 1) for e in maps], state)
+        for out, e in zip(terminal, state):
+            if e is not None:
+                out[p : p + chunk] = e
+    finite = np.ones(n_paths, dtype=bool)
+    for e in terminal:
+        finite &= np.isfinite(e).reshape(n_paths, -1).all(axis=1)
+    return tuple(terminal), finite
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -80,7 +80,7 @@ def variation_of_constants(
     for every j < i is column block j of a (d, N*d) buffer, advanced from knot
     i-1 by one product F_{i-1} @ (blocks 0..i-2) into the other of two buffers
     whose every block starts as I; the i terms of all degrees side by side
-    are one batched product, summed in ascending j by an in-place cumsum.
+    are one batched product, summed in ascending j.
     """
     if (got := (solution.initial.order, solution.initial.dy)) != (want := (coeffs.order, coeffs.dy)):
         raise ShapeError(f"solution (order, dy) {got} differs from the coefficients' {want}")
@@ -107,6 +107,11 @@ def variation_of_constants(
     # every degree's loads side by side along the last axis
     loads = np.concatenate([q.reshape(n_steps, d, -1) for q in _loads(degrees, steps, solution, dw)], axis=2)
     terms = np.empty_like(loads)
+    # np.add.reduce adds a knot's terms row by row, in ascending j, where a term
+    # holds several floats.  Where it holds one (d = 1, one degree) the terms
+    # are contiguous and reduce would add them pairwise, with other bits, so
+    # there cumsum adds them in ascending j and its last row is kept.
+    one_float = loads[0].size == 1
     phi = [np.tile(np.eye(d), n_steps) for _ in range(2)]
     out = np.empty((n_steps + 1,) + loads.shape[1:])
     out[0] = 0.0
@@ -116,10 +121,11 @@ def variation_of_constants(
         # Phi(t_i, t_{j+1}) for j < i as an (i, d, d) stack: a view of the buffer
         stack = cur[:, : i * d].reshape(d, i, d).swapaxes(0, 1)
         np.matmul(stack, loads[:i], out=terms[:i])
-        # cumsum adds in ascending j; np.add.reduce would add pairwise where
-        # the terms are contiguous (d = 1), and round differently
-        np.cumsum(terms[:i], axis=0, out=terms[:i])
-        out[i] = terms[i - 1]
+        if one_float:
+            np.cumsum(terms[:i], axis=0, out=terms[:i])
+            out[i] = terms[i - 1]
+        else:
+            np.add.reduce(terms[:i], axis=0, out=out[i])
     parts = np.split(out, np.cumsum([d**n for n in degrees])[:-1], axis=2)
     for n, part in zip(degrees, parts):
         if not np.isfinite(part).all():

@@ -1,6 +1,14 @@
-"""The path-batched solvers against their per-path counterparts, bit for bit."""
+"""The path-batched solvers against their per-path counterparts.
+
+`simulate_direct` is bitwise its one-row runs.  `solve_chain_batch` reduces
+the step maps by a balanced tree: a row is bitwise the one-row batch of its
+path, and within a first-order rounding bound of the loop's final state
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+ch. 3).
+"""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +25,11 @@ from formalflow import (
     MultilinearMap,
     ShapeError,
     TimeGrid,
+    compose,
     evolution_check,
     fundamental,
     identity,
+    one_step_map,
     sample_path,
     sample_paths,
     simulate_direct,
@@ -27,6 +37,7 @@ from formalflow import (
     solve_chain_batch,
     variation_of_constants,
 )
+from formalflow import chain
 from formalflow.chain import _path_states
 from conftest import random_coefficients, random_mapping
 
@@ -98,6 +109,57 @@ class TestSamplePaths:
             sample_paths(grid, 1, seed=0, n_paths=0)
 
 
+def absolute(mapping):
+    """The mapping with every entry replaced by its absolute value."""
+    comps = tuple(MultilinearMap(c.degree, c.dy, c.dz, np.abs(c.entries)) for c in mapping.components)
+    return FormalMapping(mapping.order, mapping.dy, mapping.dz, comps)
+
+
+def assert_within_tree_bound(co, initial, path, got):
+    """got, the entries by degree of a tree's terminal state along a one-row
+    path, lies within the first-order bound of the loop's final state.
+
+    A composition rounds component n within gamma_n = 2(n*d + 2^(n-1))*eps
+    times its evaluation on absolute values (tests/test_schedule.py), so
+    within n*c of it with c = max over n of gamma_n / n.  Let the operands B
+    and A carry errors within n*c_B and n*c_A of their composites on
+    absolute values in each degree n, entry by entry.  A term of component n
+    of B o A is b_k(a_j1, ..., a_jk) with j_1 + ... + j_k = n, so to first
+    order in eps it moves by (k*c_B + n*c_A) times that term on absolute
+    values, and B o A carries n*(c + c_B + c_A).  The step maps Psi_i and
+    S_0 are exact leaves (the tree builds Psi with the loop's bits), so an
+    evaluation carries n*c times its number of compositions: the tree's
+    levels hold J - 1 compositions of a J-step block, and composing the
+    blocks onto the state in step order adds one each, N in all, as many as
+    the loop's N steps.  A depth of log2 N alone does not bound it: every
+    product of a scalar chain rounds the terminal value, whatever the tree.
+    So tree and loop differ by at most 2*n*N*c*(|Psi_{N-1}| o ... o |Psi_0|
+    o |S_0|)_n, the composite on absolute values evaluated here by the loop,
+    each |Psi_i| from `one_step_map`.  Returns the worst ratio of the
+    difference to that bound.
+    """
+    grid, eps, d = path.grid, np.finfo(float).eps, co.dy
+    c = max(2 * (n * d + 2 ** (n - 1)) * eps / n for n in range(1, co.order + 1))
+    scale = absolute(initial)
+    for i in range(grid.n_steps):
+        t = grid.knot(i)
+        psi = one_step_map(co.drift_at(t), co.diffusion_at(t), grid.dt, path.increments[0, i])
+        scale = compose(absolute(psi), scale)
+    final = solve_chain(co, initial, path).state(-1)
+    worst = 0.0
+    for n, (e, want, s) in enumerate(zip(got, final.components, scale.components), start=1):
+        bound = 2 * n * grid.n_steps * c * s.entries
+        diff = np.abs(e - want.entries)
+        assert np.all(diff <= bound), f"degree {n}: {np.max(diff - bound)} over the bound"
+        worst = max(worst, float(np.max(diff / np.where(bound > 0, bound, 1.0))))
+    return worst
+
+
+def one_row(paths, p):
+    """Row p of paths as a one-row path on the same grid."""
+    return BrownianPath(paths.grid, paths.noise_dim, paths.increments[p : p + 1], paths.seed, p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     order=st.integers(1, 4),
@@ -113,6 +175,9 @@ class TestSamplePaths:
 def test_batch_is_bitwise_the_per_path_solve(
     order, d, m, n_paths, n_steps, seed, zero_drift, zero_diffusion, random_initial
 ):
+    """Row p of solve_chain_batch is bitwise the one-row batch of path p and,
+    where finite, within `assert_within_tree_bound` of solve_chain's final
+    state; row p of simulate_direct is bitwise its one-row run."""
     rng = np.random.default_rng(seed)
     co = with_zero_components(random_coefficients(rng, order, d, m), zero_drift, zero_diffusion)
     initial = random_mapping(rng, order, d, d) if random_initial else identity(order, d)
@@ -124,16 +189,13 @@ def test_batch_is_bitwise_the_per_path_solve(
     trajectories = simulate_direct(co, y0, batch)
     assert trajectories.shape == (n_steps + 1, n_paths, d)
     for p in range(n_paths):
-        # a path that blows up alone must blow up in the batch too
         path = sample_path(grid, m, seed, p)
-        try:
-            final = solve_chain(co, initial, path).state(-1)
-        except BlowupError:
-            assert not finite[p]
-        else:
-            assert finite[p]
-            for k in range(order):
-                assert same_bits(terminal[k][p], final.components[k].entries)
+        alone, alone_finite = solve_chain_batch(co, initial, path)
+        assert alone_finite.tolist() == [finite[p]]
+        for k in range(order):
+            assert same_bits(terminal[k][p], alone[k][0])
+        if finite[p]:
+            assert_within_tree_bound(co, initial, path, [e[p] for e in terminal])
         # a path that blows up alone is left non-finite in the same bits
         assert same_bits(trajectories[:, p], simulate_direct(co, y0[p : p + 1], path)[:, 0])
 
@@ -150,16 +212,64 @@ def test_overflowing_path_is_masked_and_neighbours_unchanged():
     assert finite.tolist() == [True, False, True]
     trajectories = simulate_direct(co, np.full((3, 1), 0.1), batch)
     assert not np.isfinite(trajectories[-1, 1]).all()
-    for p in (0, 2):
-        final = solve_chain(co, identity(2, 1), paths[p]).state(-1)
+    for p in range(3):
+        alone, alone_finite = solve_chain_batch(co, identity(2, 1), paths[p])
+        assert alone_finite.tolist() == [finite[p]]
         for k in range(2):
-            assert same_bits(terminal[k][p], final.components[k].entries)
+            assert same_bits(terminal[k][p], alone[k][0])
+    for p in (0, 2):
+        assert_within_tree_bound(co, identity(2, 1), paths[p], [e[p] for e in terminal])
         assert same_bits(trajectories[:, p], simulate_direct(co, np.array([[0.1]]), paths[p])[:, 0])
     with pytest.raises(BlowupError):
         solve_chain(co, identity(2, 1), paths[1])
     alone = simulate_direct(co, np.array([[0.1]]), paths[1])
     assert np.isfinite(alone[:4]).all() and not np.isfinite(alone[-1]).all()
     assert same_bits(trajectories[:, 1], alone[:, 0])
+
+
+def test_blocks_and_chunks_stay_within_the_bound_and_the_memory_budget():
+    """Steps over three blocks, the last one short, and paths over two
+    chunks: the rows at the chunks' edges stay within the bound and are
+    bitwise their one-row batches, and the tracemalloc peak stays under the
+    budget of chain.py, eight times a chunk's stack of _CHUNK_FLOATS floats."""
+    order, d, m = 2, 2, 1
+    per_step = d**2 + d**3
+    block = chain._BLOCK_FLOATS // per_step
+    chunk = chain._CHUNK_FLOATS // (block * per_step)
+    assert block > 1 and chunk > 1
+    n_steps, n_paths = 2 * block + block // 3, chunk + 3
+    co = random_coefficients(np.random.default_rng(8), order, d, m)
+    paths = sample_paths(TimeGrid(0.0, 1.0, n_steps), m, 21, n_paths)
+
+    tracemalloc.start()
+    try:
+        terminal, finite = solve_chain_batch(co, identity(order, d), paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * chain._CHUNK_FLOATS * 8
+    assert finite.all()
+    for p in (0, chunk - 1, chunk, n_paths - 1):
+        alone, _ = solve_chain_batch(co, identity(order, d), one_row(paths, p))
+        for k in range(order):
+            assert same_bits(terminal[k][p], alone[k][0])
+        assert_within_tree_bound(co, identity(order, d), one_row(paths, p), [e[p] for e in terminal])
+
+
+def test_an_order_one_tree_builds_one_runner_per_level(monkeypatch):
+    """512 steps reduce in 9 levels of one `_Runner` each, and one more
+    composes the result with the initial state."""
+    built = []
+
+    class Counted(chain._Runner):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(chain, "_Runner", Counted)
+    co = CoefficientFamily.constant_scalar([1.0], [0.5])
+    solve_chain_batch(co, identity(1, 1), sample_paths(TimeGrid(0.0, 1.0, 512), 1, seed=4, n_paths=64))
+    assert 0 < len(built) <= math.ceil(math.log2(512)) + 1
 
 
 def path0_solution(co, paths):

@@ -145,8 +145,9 @@ class TestSamplePath:
             ("n_steps", lambda v: sample_path(TimeGrid(0.0, 1.0, v), 1, 3)),
             ("noise_dim", lambda v: sample_path(TimeGrid(0.0, 1.0, 4), v, 3)),
             ("seed", lambda v: BrownianPath.from_increments(TimeGrid(0.0, 1.0, 4), np.zeros(4), v)),
+            ("factor", lambda v: sample_path(TimeGrid(0.0, 1.0, 4), 1, 3).coarsen(v)),
         ],
-        ids=["seed", "path_index", "n_paths", "n_steps", "noise_dim", "recorded seed"],
+        ids=["seed", "path_index", "n_paths", "n_steps", "noise_dim", "recorded seed", "coarsen factor"],
     )
     def test_non_integer_keys_and_sizes_are_rejected(self, name, draw):
         # seed 1.5 drew seed 1's path, path_index 0.7 index 0, n_steps 4.5
