@@ -181,32 +181,36 @@ def _one_path(coeffs: CoefficientFamily, path: BrownianPath) -> np.ndarray:
     return path.increments[0]
 
 
-def sample_path(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> BrownianPath:
-    """Draw the one-row path (seed, path_index); deterministic in (grid, m, seed, path_index).
-
-    seed and path_index must lie in [0, 2**64): they are the two words of
-    the Philox key.
-    """
+def _draw(grid: TimeGrid, m: int, seed: int, first: int, n_paths: int) -> BrownianPath:
+    """Paths first..first+n_paths-1 of seed as the rows of one BrownianPath:
+    row p holds the standard normals of the Philox key (seed, first + p),
+    drawn into one preallocated array and scaled by sqrt(dt)."""
     if _integer("noise_dim", m) < 1:
         raise ShapeError(f"noise_dim must be >= 1, got {m}")
-    # the Philox key words are 64 bits wide; a value outside them would wrap
-    # onto another value's path
-    for name, value in (("seed", seed), ("path_index", path_index)):
+    # a key word outside 64 bits would wrap onto another value's path
+    for name, value in (("seed", seed), ("path_index", first)):
         if not 0 <= _integer(name, value) < 2**64:
             raise ShapeError(f"{name} must be in [0, 2**64), got {value}")
-    key = np.array([seed, path_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    increments = rng.standard_normal((grid.n_steps, m)) * math.sqrt(grid.dt)
-    return BrownianPath(grid, m, increments[None], seed, path_index)
+    increments = np.empty((n_paths, grid.n_steps, m))
+    for p, row in enumerate(increments, start=first):
+        key = np.array([seed, p], dtype=np.uint64)
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=row)
+    increments *= math.sqrt(grid.dt)
+    return BrownianPath(grid, m, increments, seed, first)
+
+
+def sample_path(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> BrownianPath:
+    """Draw the one-row path (seed, path_index); seed and path_index, the two
+    words of the Philox key, must lie in [0, 2**64)."""
+    return _draw(grid, m, seed, path_index, 1)
 
 
 def sample_paths(grid: TimeGrid, m: int, seed: int, n_paths: int) -> BrownianPath:
     """Draw paths 0..n_paths-1 of seed as the rows of one BrownianPath,
-    one Philox key (seed, p) at a time."""
+    row p bitwise the one row of sample_path(grid, m, seed, p)."""
     if _integer("n_paths", n_paths) < 1:
         raise ShapeError(f"n_paths must be >= 1, got {n_paths}")
-    increments = np.concatenate([sample_path(grid, m, seed, p).increments for p in range(n_paths)])
-    return BrownianPath(grid, m, increments, seed)
+    return _draw(grid, m, seed, 0, n_paths)
 
 
 @dataclass(frozen=True, init=False)
@@ -349,29 +353,53 @@ class ChainSolution:
         return FormalMapping(len(comps), d, d, comps)
 
 
-def _noise(b_k: np.ndarray, dw: np.ndarray, batch: int = 0) -> np.ndarray:
-    """b_k with its noise slot fixed to each row of dw (P, m): shape (P,) + b_k's other axes.
-
-    With batch = 1, b_k has a leading path axis too (P or 1), broadcast
-    against dw's.  One stacked matrix-vector product per path, bitwise equal
-    to b_k @ dw[p] (b_k[p] @ dw[p] when batched).
-    """
+def _noise(b_k: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """b_k, with a path axis (P or 1) first, and its noise slot fixed to each
+    row of dw (P, m): shape (P,) + b_k's axes between, by one stacked
+    matrix-vector product, bitwise b_k[p] @ dw[p]."""
     p, m = dw.shape
-    lead = b_k.shape[0] if batch else 1
-    out = b_k.reshape(lead, -1, m) @ dw.reshape(p, m, 1)
-    return out.reshape((p,) + b_k.shape[batch:-1])
+    out = b_k.reshape(len(b_k), -1, m) @ dw.reshape(p, m, 1)
+    return out.reshape((p,) + b_k.shape[1:-1])
 
 
-def _drift_part(a: list, v: int, dt: float, out: list) -> None:
-    """Write Psi's deterministic part for pair v of the stacks a (see
-    `CoefficientFamily.on_grid`) into out by degree, slots-first with a
-    leading axis of 1: id + a_1*dt, then a_k*dt (zero where a[k-1] is None).
-    Degrees whose entry of out is None are skipped."""
-    for k, (a_k, e) in enumerate(zip(a, out), start=1):
-        if e is not None:
-            e[0] = np.eye(e.shape[-1]) if k == 1 else 0.0
-            if a_k is not None:
-                e[0] += dt * a_k[v]
+def _step_parts(steps: GridCoefficients, dt: float, d: int) -> tuple[list, list]:
+    """Psi's parts for each of the V coefficient pairs of steps (`on_grid`),
+    by degree k, slots-first: drift[k-1], (V,) + (d,)*(k+1), is id + a_1*dt,
+    then a_k*dt; noise[k-1], (V, rows, m), is b_k as a matrix, None where
+    zero at every pair.  Psi_k (k > 1) is zero, its drift None, where a_k
+    and b_k are zero at every pair.  The one place Psi is decided."""
+    n_pairs, drift = len(steps.values), []
+    for k, (a_k, b_k) in enumerate(zip(steps.a, steps.b), start=1):
+        if k > 1 and a_k is None and b_k is None:
+            drift.append(None)
+            continue
+        e = np.broadcast_to(np.eye(d) if k == 1 else 0.0, (n_pairs,) + (d,) * (k + 1)).copy()
+        if a_k is not None:
+            e += dt * a_k
+        drift.append(e)
+    noise = [None if b_k is None else b_k.reshape(n_pairs, -1, b_k.shape[-1]) for b_k in steps.b]
+    return drift, noise
+
+
+def _step_maps(parts: tuple[list, list], index: np.ndarray, dw: np.ndarray) -> list:
+    """Psi of J steps of P paths by degree from `_step_parts`' parts, one
+    batched sum each: slots-first stacks (J, P) + (d,)*(k+1), None where
+    zero, a read-only view for a degree without noise.  index gives each
+    step's pair and dw, (J, P, m), the increments."""
+    n_steps, n_paths, _ = dw.shape
+    out = []
+    for drift_k, b_k in zip(*parts):
+        if drift_k is None:
+            out.append(None)
+            continue
+        shape = (n_steps, n_paths) + drift_k.shape[1:]
+        if b_k is None:
+            out.append(np.broadcast_to(drift_k[index, None], shape))
+        else:
+            e = np.matmul(b_k[index, None], dw[..., None]).reshape(shape)
+            e += drift_k[index, None]
+            out.append(e)
+    return out
 
 
 def one_step_map(
@@ -381,19 +409,19 @@ def one_step_map(
 
     Psi_1 = id + a_1*dt + b_1(., dw); Psi_k = a_k*dt + b_k(..., dw) for k >= 2.
     Composing Psi with the current state reproduces the component-wise Euler
-    update of the triangular system.
+    update of the triangular system.  It is `_step_maps` of one step.
     """
-    CoefficientFamily.constant(a_t, b_t)  # checks the shapes of a_t and b_t
+    # checks the shapes of a_t and b_t; the grid's one step has the pair, dt is given
+    steps = CoefficientFamily.constant(a_t, b_t).on_grid(TimeGrid(0.0, 1.0, 1))
     dw = np.asarray(dw, dtype=np.float64)
     if dw.shape != (b_t.noise_dim,):
         raise ShapeError(f"dw has shape {dw.shape}, expected ({b_t.noise_dim},)")
     d = a_t.dy
-    psi = [np.empty((1,) + (d,) * (k + 1)) for k in range(1, a_t.order + 1)]
-    _drift_part([None if e is None else e[None] for e in _nonzero_entries(a_t, True)], 0, dt, psi)
-    for e, bk in zip(psi, b_t.components):
-        if not bk.is_zero:
-            e += _noise(bk.slots_first, dw[None])
-    comps = tuple(MultilinearMap(k, d, d, np.moveaxis(e[0], k, 0)) for k, e in enumerate(psi, start=1))
+    psi = _step_maps(_step_parts(steps, dt, d), steps.index, dw[None, None])
+    comps = tuple(
+        MultilinearMap.zero(k, d, d) if e is None else MultilinearMap(k, d, d, np.moveaxis(e[0, 0], k, 0))
+        for k, e in enumerate(psi, start=1)
+    )
     return FormalMapping(a_t.order, d, d, comps)
 
 
@@ -403,37 +431,37 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
     A state lists its entries by degree, each with a leading path axis;
     the initial one may have a single row shared by all paths.  dw holds
     the increments, shape (P, n_steps, m).  Each step composes Psi with the
-    previous state, path by path, by the Horner `_classes` of a zero
-    pattern read off structure, never off a step's data.  Psi_k (k > 1) is
-    zero where a_k and b_k are zero at every step, and has a row per path
-    where some b_k is nonzero; the state's pattern is the initial state's,
-    then the components the last runner makes.  A product of data that
-    happens to be zero adds zeros, which leave the bits unchanged.  Psi is
-    one set of buffers, written in place at each step, and one `_Runner`
-    per state pattern and row count lives as long as this generator, which
-    yields fresh arrays.
+    previous state by the Horner `_classes` of zero patterns read off
+    structure: Psi's from `_step_parts`, the state's from the initial state
+    and then the last runner.  A product of data that happens to be zero
+    adds zeros, which leave the bits unchanged.  Psi is one set of buffers
+    written in place (`_step_maps`' bits): a matmul and an add per noisy
+    degree and step, the drift part alone copied in when the pair changes.
+    One `_Runner` per state pattern and row count serves every step, and
+    each yielded state is a fresh array.
     """
-    n_paths, dt, d, m = dw.shape[0], grid.dt, coeffs.dy, coeffs.noise_dim
+    n_paths, d = dw.shape[0], coeffs.dy
     shapes = [(n_paths, d) + (d,) * n for n in range(1, coeffs.order + 1)]
-    _, index, a, b = coeffs.on_grid(grid)
-    psi = []
-    for k, (a_k, b_k) in enumerate(zip(a, b), start=1):
-        zero = k > 1 and a_k is None and b_k is None
-        psi.append(None if zero else np.empty((1 if b_k is None else n_paths,) + (d,) * (k + 1)))
-    # the drift part is Psi_k itself where no b_k is nonzero
-    drift = [e if e is None or b_k is None else np.empty((1,) + e.shape[1:]) for e, b_k in zip(psi, b)]
-    # b_k of each pair as `_noise` multiplies it
-    noise = [None if b_k is None else b_k.reshape(len(b_k), 1, -1, m) for b_k in b]
+    steps = coeffs.on_grid(grid)
+    drift, noise = _step_parts(steps, grid.dt, d)
+    psi = [
+        None if e is None else np.empty((1 if b_k is None else n_paths,) + e.shape[1:])
+        for e, b_k in zip(drift, noise)
+    ]
     dw = dw[..., None]
     pattern = tuple(bool(e.any()) for e in state)
     runners = {}
-    for i, v in enumerate(index := index.tolist()):
+    for i, v in enumerate(index := steps.index.tolist()):
         if i == 0 or v != index[i - 1]:
-            _drift_part(a, v, dt, drift)
-        for e, drift_k, b_k in zip(psi, drift, noise):
-            if b_k is not None:  # Psi_k = drift_k + b_k(..., dw) on each path
-                np.matmul(b_k[v], dw[:, i], out=e.reshape(n_paths, -1, 1))
-                np.add(e, drift_k, out=e)
+            noisy = []
+            for e, drift_k, b_k in zip(psi, drift, noise):
+                if b_k is not None:  # Psi_k = drift_k + b_k(..., dw) on each path
+                    noisy.append((e.reshape(n_paths, -1, 1), e, drift_k[v : v + 1], b_k[v, None]))
+                elif e is not None:
+                    e[0] = drift_k[v]
+        for out, e, drift_k, b_k in noisy:
+            np.matmul(b_k, dw[:, i], out=out)
+            np.add(e, drift_k, out=e)
         prev = [e if nonzero else None for e, nonzero in zip(state, pattern)]
         key = (pattern, tuple(map(len, state)))
         if run := runners.get(key):
@@ -514,31 +542,6 @@ def _leaf_order(count: int) -> np.ndarray:
     return np.concatenate((pairs, pairs + 1, np.arange(2 * half, count)))
 
 
-def _step_maps(drift: list, noise: list, index: np.ndarray, dw: np.ndarray) -> list:
-    """Psi of J steps of P paths by degree, (J, P, d) + (d,)*k in the usual
-    layout (a view of a slots-first sum), None where zero at every step.
-
-    drift[k-1] is Psi_k's deterministic part and noise[k-1] its b_k as a
-    (rows, m) matrix, slots-first, for each coefficient pair (None where
-    zero); index gives each step's pair and dw, (J, P, m), the increments.
-    Each entry has the bits `_euler_states` writes.
-    """
-    n_steps, n_paths, _ = dw.shape
-    out = []
-    for drift_k, b_k in zip(drift, noise):
-        if drift_k is None:
-            out.append(None)
-            continue
-        shape = (n_steps, n_paths) + drift_k.shape[1:]
-        if b_k is None:
-            e = np.broadcast_to(drift_k[index, None], shape)
-        else:
-            e = np.matmul(b_k[index, None], dw[..., None]).reshape(shape)
-            e += drift_k[index, None]
-        out.append(e.transpose(0, 1, e.ndim - 1, *range(2, e.ndim - 1)))
-    return out
-
-
 def _then(outer: list, inner: list) -> list:
     """outer o inner of each row by one `_Runner`: outer slots-first, inner
     in the usual layout, by degree with a leading row axis (1 or R long),
@@ -610,18 +613,11 @@ def solve_chain_batch(
     """
     coeffs._checked("initial condition", paths.grid.t_start, initial, ())
     _check_noise_dim(coeffs, paths)
-    values, index, a, b = coeffs.on_grid(paths.grid)
-    n_paths, n_steps, m = paths.increments.shape
-    d, dt = coeffs.dy, paths.grid.dt
-    # Psi_k (k > 1) is zero where a_k and b_k are zero at every step
-    drift = [
-        None if k > 1 and a_k is None and b_k is None else np.empty((len(values),) + (d,) * (k + 1))
-        for k, (a_k, b_k) in enumerate(zip(a, b), start=1)
-    ]
-    for v in range(len(values)):
-        _drift_part(a, v, dt, [None if e is None else e[v : v + 1] for e in drift])
-    noise = [None if b_k is None else b_k.reshape(len(values), -1, m) for b_k in b]
-    per_step = sum(e[0].size for e in drift if e is not None)
+    steps = coeffs.on_grid(paths.grid)
+    parts = _step_parts(steps, paths.grid.dt, coeffs.dy)
+    n_paths, n_steps, _ = paths.increments.shape
+    d = coeffs.dy
+    per_step = sum(e[0].size for e in parts[0] if e is not None)
     block = max(1, _BLOCK_FLOATS // per_step)
     chunk = max(1, _CHUNK_FLOATS // (min(block, n_steps) * per_step))
     start = [None if c.is_zero else c.entries[None] for c in initial.components]
@@ -631,7 +627,9 @@ def solve_chain_batch(
         for i in range(0, n_steps, block):
             order = i + _leaf_order(min(block, n_steps - i))
             dw = paths.increments[p : p + chunk].swapaxes(0, 1)[order]
-            maps = _tree(_step_maps(drift, noise, index[order], dw))
+            maps = _step_maps(parts, steps.index[order], dw)
+            # the tree takes the stacks in the usual layout
+            maps = _tree([None if e is None else np.moveaxis(e, -1, 2) for e in maps])
             state = _then([None if e is None else _slots_first(e, 1) for e in maps], state)
         for out, e in zip(terminal, state):
             if e is not None:
@@ -753,7 +751,9 @@ def evolution_check(
     """Compare S(t, tau) o S(tau, s) against S(t, s) on one path.
 
     Both sides compose the same per-step mappings, so the discrepancy is
-    floating-point reordering noise only.
+    floating-point reordering noise only.  S(tau, s) is the full solve's
+    state at tau: a solve along the path restricted to [s, tau] takes the
+    same steps at the same knot times, so it has the same bits.
     """
     if path.grid != grid:
         raise ShapeError("path grid does not match the requested grid")
@@ -762,9 +762,8 @@ def evolution_check(
         raise ShapeError("split knot must be strictly inside the interval")
     ident = identity(coeffs.order, coeffs.dy)
     full = solve_chain(coeffs, ident, path)
-    left = solve_chain(coeffs, ident, path.restrict(0, i_tau))
     right = solve_chain(coeffs, ident, path.restrict(i_tau, grid.n_steps))
-    glued = compose(right.state(-1), left.state(-1))
+    glued = compose(right.state(-1), full.state(i_tau))
     discrepancies = [
         _relative_errors(c.entries[None], e[-1:])[0] for c, e in zip(glued.components, full.entries)
     ]

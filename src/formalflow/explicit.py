@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NonFiniteError, ShapeError
-from .chain import BrownianPath, ChainSolution, CoefficientFamily, GridCoefficients, _forcing, _noise, _one_path
+from .chain import BrownianPath, ChainSolution, CoefficientFamily, GridCoefficients, _forcing, _noise
+from .chain import _one_path, _step_maps, _step_parts
 
 
 class UnsupportedCaseError(ValueError):
@@ -33,16 +34,14 @@ def fundamental(
     coeffs: CoefficientFamily, path: BrownianPath, steps: GridCoefficients | None = None
 ) -> FundamentalSolution:
     """Per-step propagator factors of the degree-1 equation along a one-row
-    path, one batched sum over `steps`, the coefficients on the path's grid
-    (made if not given); row i is bitwise the factor built from step i alone."""
-    dw, dt = _one_path(coeffs, path), path.grid.dt
+    path: degree 1 of `_step_maps` over `steps`, the coefficients on the
+    path's grid (made if not given).  Row i is bitwise Psi_1 of step i."""
+    dw = _one_path(coeffs, path)
     steps = coeffs.on_grid(path.grid) if steps is None else steps
-    factors = np.tile(np.eye(coeffs.dy), (len(steps.index), 1, 1))
-    # degree 1 slots-first is the entries transposed
-    if steps.a[0] is not None:
-        factors += dt * steps.a[0].swapaxes(1, 2)[steps.index]
-    if steps.b[0] is not None:
-        factors += _noise(steps.b[0].swapaxes(1, 2)[steps.index], dw, batch=1)
+    drift, noise = _step_parts(steps, path.grid.dt, coeffs.dy)
+    (psi,) = _step_maps((drift[:1], noise[:1]), steps.index, dw[:, None])
+    # degree 1 slots-first is the factor transposed
+    factors = np.ascontiguousarray(psi[:, 0].swapaxes(1, 2))
     factors.setflags(write=False)
     return FundamentalSolution(factors)
 
@@ -60,7 +59,7 @@ def _loads(degrees: list, steps: GridCoefficients, solution: ChainSolution, dw: 
     a, b = ([None if e is None else e[steps.index] for e in x[:top]] for x in (steps.a, steps.b))
     f, g = _forcing(first, state, a, b, [(n_steps, d) + (d,) * n for n in range(first, top + 1)])
     loads = [(solution.grid.dt * f[n - first], g[n - first]) for n in degrees]
-    return [q if g_n is None else q + _noise(g_n, dw, batch=1) for q, g_n in loads]
+    return [q if g_n is None else q + _noise(g_n, dw) for q, g_n in loads]
 
 
 def variation_of_constants(

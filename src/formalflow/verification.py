@@ -216,10 +216,8 @@ def truncation_scaling(
         raise ShapeError(f"need at least one halving for a ratio, got {halvings}")
     if any(b_k is not None for b_k in coeffs.on_grid(grid).b):
         raise ShapeError("truncation scaling requires zero diffusion")
-    path = BrownianPath.from_increments(
-        grid, np.zeros((grid.n_steps, coeffs.noise_dim)), seed=0
-    )
-    sol = solve_chain(coeffs, identity(coeffs.order, coeffs.dy), path)
+    zeros = np.zeros((halvings + 1, grid.n_steps, coeffs.noise_dim))
+    sol = solve_chain(coeffs, identity(coeffs.order, coeffs.dy), BrownianPath.from_increments(grid, zeros[0]))
     s_final = sol.state(-1)
     eval_order = coeffs.order if evaluation_order is None else int(evaluation_order)
     if not 1 <= eval_order <= coeffs.order:
@@ -229,16 +227,19 @@ def truncation_scaling(
             eval_order, s_final.dy, s_final.dz, s_final.components[:eval_order]
         )
     y0_base = np.atleast_1d(np.asarray(y0_base, dtype=np.float64))
-    y0_norms, gaps = [], []
-    for i in range(halvings + 1):
-        y0 = y0_base / 2.0**i
-        direct = simulate_direct(coeffs, y0[None], path)[:, 0]
-        blown = np.flatnonzero(~np.isfinite(direct).all(axis=1))
-        if blown.size:
-            raise BlowupError(step=int(blown[0]) - 1)
-        gap = float(np.linalg.norm(evaluate(s_final, y0) - direct[-1]))
-        y0_norms.append(float(np.linalg.norm(y0)))
-        gaps.append(gap)
+    if y0_base.shape != (coeffs.dy,):
+        raise ShapeError(f"y0 has shape {y0_base.shape}, expected ({coeffs.dy},)")
+    y0 = np.stack([y0_base / 2.0**i for i in range(halvings + 1)])
+    # one run for every halving, on zero increments: each row is bitwise its one-row run
+    direct = simulate_direct(coeffs, y0, BrownianPath.from_increments(grid, zeros))
+    # finite[i, h]: halving h is finite at knot i; the first halving that
+    # blows up names its first non-finite step
+    finite = np.isfinite(direct).all(axis=2)
+    if not finite.all():
+        halving = int(np.flatnonzero(~finite.all(axis=0))[0])
+        raise BlowupError(step=int(np.flatnonzero(~finite[:, halving])[0]) - 1)
+    gaps = [float(np.linalg.norm(evaluate(s_final, y) - end)) for y, end in zip(y0, direct[-1])]
+    y0_norms = [float(np.linalg.norm(y)) for y in y0]
     eps = np.finfo(np.float64).eps
     ratios, reliable = [], []
     for g_big, g_small in zip(gaps, gaps[1:]):

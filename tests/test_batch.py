@@ -127,7 +127,9 @@ def assert_within_tree_bound(co, initial, path, got):
     of B o A is b_k(a_j1, ..., a_jk) with j_1 + ... + j_k = n, so to first
     order in eps it moves by (k*c_B + n*c_A) times that term on absolute
     values, and B o A carries n*(c + c_B + c_A).  The step maps Psi_i and
-    S_0 are exact leaves (the tree builds Psi with the loop's bits), so an
+    S_0 are exact leaves: the tree and the loop build Psi with the same
+    bits, those of `ref_psi` (tests/test_schedule.py::
+    test_step_maps_and_one_step_map_match_the_reference_psi).  So an
     evaluation carries n*c times its number of compositions: the tree's
     levels hold J - 1 compositions of a J-step block, and composing the
     blocks onto the state in step order adds one each, N in all, as many as

@@ -577,7 +577,7 @@ def ref_direct_step(a, b, dt, y, dw):
     for bk in b.components:
         if bk.is_zero:
             continue
-        t = _noise(bk.slots_first, dw)
+        t = _noise(bk.slots_first[None], dw)
         for _ in range(bk.degree):
             t = _contract(t, y[..., None], batch=1)
         dy = dy + t.reshape(dy.shape)
@@ -623,6 +623,53 @@ class TestEvolutionCheck:
         grid = TimeGrid(0.0, 1.0, 10)
         rep = evolution_check(co, grid, sample_path(grid, 1, seed=0), 0.1)
         assert rep.max_discrepancy <= 1e-14
+
+    @given(
+        order=st.integers(1, 3),
+        d=st.integers(1, 2),
+        m=st.integers(1, 2),
+        n_steps=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        random_initial=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_restricted_solve_is_the_full_solve_bitwise(
+        self, order, d, m, n_steps, seed, random_initial, data
+    ):
+        """evolution_check takes S(tau, s) from the full solve: the solve
+        along the path restricted to [s, tau] has the full solve's rows
+        0..tau bit for bit.  So it must where the coefficients switch at a
+        knot, before or after tau, to a pair of another zero pattern, which
+        changes Psi's pattern over the restricted grid."""
+        rng = np.random.default_rng(seed)
+
+        def pair():
+            co = random_coefficients(rng, order, d, m)
+            a, b = co.drift(0.0), co.diffusion(0.0)
+            zero = st.lists(st.booleans(), min_size=order, max_size=order)
+            drift = [
+                MultilinearMap.zero(c.degree, d, d) if c.degree > 1 and z else c
+                for c, z in zip(a.components, data.draw(zero))
+            ]
+            diffusion = [
+                DiffusionMap.zero(c.degree, d, d, m) if z else c for c, z in zip(b.components, data.draw(zero))
+            ]
+            return a._of(order, drift), b._of(order, diffusion)
+
+        pairs = [pair(), pair()]
+        grid = TimeGrid(0.0, 1.0, n_steps)
+        switch = grid.knot(data.draw(st.integers(1, n_steps - 1)))
+        co = CoefficientFamily(
+            order, d, m, lambda t: pairs[t >= switch][0], lambda t: pairs[t >= switch][1]
+        )
+        initial = random_mapping(rng, order, d, d) if random_initial else identity(order, d)
+        path = sample_path(grid, m, seed)
+        tau = data.draw(st.integers(1, n_steps - 1))
+        full = solve_chain(co, initial, path)
+        left = solve_chain(co, initial, path.restrict(0, tau))
+        for got, want in zip(left.entries, full.entries):
+            assert got.tobytes() == want[: tau + 1].tobytes()
 
     def test_split_knot_must_be_a_knot(self, rng):
         co = random_coefficients(rng, 2, 2, 2)

@@ -25,7 +25,7 @@ from formalflow import (
     MultilinearMap,
 )
 from formalflow.algebra import _classes, _Runner, compose, enumerate_compositions, evaluate
-from formalflow.chain import TimeGrid, _euler_states, _forcing
+from formalflow.chain import TimeGrid, _euler_states, _forcing, _step_maps, _step_parts, one_step_map
 
 
 def ref_contract(t, a, batch=0):
@@ -93,22 +93,30 @@ def ref_noise(b_k, dw):
     return out.reshape((p,) + b_k.shape[:-1])
 
 
+def ref_psi(a, b, dt, dw):
+    """Psi = id + a*dt + b(..., dw) of one step by degree, in the usual
+    layout: (P, d) + (d,)*k where b_k is nonzero, (1, d) + (d,)*k where it
+    is zero, and None where a_k and b_k are zero (k > 1).  dw is (P, m)."""
+    d, psi = a.dy, []
+    for k, (ak, bk) in enumerate(zip(a.components, b.components), start=1):
+        if k > 1 and ak.is_zero and bk.is_zero:
+            psi.append(None)
+            continue
+        entries = np.eye(d) if k == 1 else np.zeros((d,) + (d,) * k)
+        if not ak.is_zero:
+            entries = entries + dt * ak.entries
+        entries = entries[None]
+        if not bk.is_zero:
+            entries = entries + ref_noise(bk.entries, dw)
+        psi.append(entries)
+    return psi
+
+
 def ref_euler_states(coeffs, grid, state, dw):
-    n_paths, dt, d = dw.shape[0], grid.dt, coeffs.dy
+    n_paths, d = dw.shape[0], coeffs.dy
     for i, t in enumerate(grid.knots()[:-1].tolist()):
         a, b = coeffs.drift(t), coeffs.diffusion(t)
-        psi = []
-        for k, (ak, bk) in enumerate(zip(a.components, b.components), start=1):
-            if k > 1 and ak.is_zero and bk.is_zero:
-                psi.append(None)
-                continue
-            entries = np.eye(d) if k == 1 else np.zeros((d,) + (d,) * k)
-            if not ak.is_zero:
-                entries = entries + dt * ak.entries
-            entries = entries[None]
-            if not bk.is_zero:
-                entries = entries + ref_noise(bk.entries, dw[:, i])
-            psi.append(entries)
+        psi = ref_psi(a, b, grid.dt, dw[:, i])
         prev = [e if e.any() else None for e in state]
         state = ref_horner(psi, prev, [(n_paths, d) + (d,) * n for n in range(1, a.order + 1)], batch=1)
         yield state
@@ -258,6 +266,53 @@ def test_time_dependent_coefficients_match_the_reference_bitwise(order, d, m, se
     dw = np.sqrt(grid.dt) * rng.standard_normal((n_paths, steps, m))
     start = [np.eye(d)[None]] + [np.zeros((1, d) + (d,) * k) for k in range(2, order + 1)]
     assert_states_match_the_reference(coeffs, grid, start, dw)
+
+
+@given(
+    order=st.integers(1, 4), d=st.integers(1, 3), m=st.integers(1, 2), seed=_seeds,
+    n_paths=st.integers(1, 3), switch=st.booleans(), data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_step_maps_and_one_step_map_match_the_reference_psi(order, d, m, seed, n_paths, switch, data):
+    """Every Psi the solvers build comes from `_step_parts` and `_step_maps`:
+    their rows, and `one_step_map` on each path alone, have the bits of
+    `ref_psi`, the Psi that `ref_euler_states` steps with.  A degree that is
+    zero at one pair but not at the other is +0.0 at the first."""
+    rng = np.random.default_rng(seed)
+    steps = data.draw(st.integers(1, 5))
+    grid = TimeGrid(0.0, 0.5, steps)
+
+    def family(kind, tail):
+        shapes = [(d,) + (d,) * k + tail for k in range(1, order + 1)]
+        return [
+            kind(k, d, d, *tail, filled(draw_entries(data, rng, shape, 0.3), shape))
+            for k, shape in enumerate(shapes, start=1)
+        ]
+
+    a = [FormalMapping(order, d, d, tuple(family(MultilinearMap, ()))) for _ in range(2)]
+    b = [DiffusionFamily(order, d, m, family(DiffusionMap, (m,))) for _ in range(2)]
+    # the pair switches at a knot, or at t_end: one pair on the whole grid
+    knot = grid.knot(data.draw(st.integers(1, steps))) if switch else grid.t_end
+    coeffs = CoefficientFamily(order, d, m, lambda t: a[t >= knot], lambda t: b[t >= knot])
+    dw = np.sqrt(grid.dt) * rng.standard_normal((n_paths, steps, m))
+    on_grid = coeffs.on_grid(grid)
+    maps = _step_maps(_step_parts(on_grid, grid.dt, d), on_grid.index, dw.swapaxes(0, 1))
+    for i, t in enumerate(grid.knots()[:-1].tolist()):
+        a_t, b_t = coeffs.drift(t), coeffs.diffusion(t)
+        want = ref_psi(a_t, b_t, grid.dt, dw[:, i])
+        for k, (got, want_k) in enumerate(zip(maps, want), start=1):
+            shape = (n_paths, d) + (d,) * k
+            if got is None:
+                assert want_k is None
+                continue
+            # slots-first to the usual layout
+            got_i = np.moveaxis(got[i], -1, 1)
+            assert same_bits(got_i, np.broadcast_to(filled(want_k, shape), got_i.shape))
+        for p in range(n_paths):
+            psi = one_step_map(a_t, b_t, grid.dt, dw[p, i])
+            for k, want_k in enumerate(want, start=1):
+                row = np.zeros((d,) + (d,) * k) if want_k is None else want_k[p if len(want_k) > 1 else 0]
+                assert same_bits(psi.component(k).entries, row)
 
 
 def ref_evaluate(a, y, entries=lambda c: c.entries):

@@ -6,6 +6,7 @@ import pytest
 
 from formalflow import (
     BlowupError,
+    BrownianPath,
     CoefficientFamily,
     ExcessiveBlowupError,
     ShapeError,
@@ -260,6 +261,27 @@ class TestTruncationScaling:
         assert checked
         for r in checked:
             assert 2.0 <= r <= 8.0
+
+    def test_the_first_halving_that_blows_up_names_its_step(self):
+        # y <- y + y^2: from 4e38 the states are 1.6e77, 2.6e154 and then
+        # 6.6e308, which overflows at step 2; from 2e38 and less, the last
+        # state is at most 2.6e306, finite
+        co = CoefficientFamily.constant_scalar([0.0, 4.0])
+        grid = TimeGrid(0.0, 0.75, 3)
+        y0 = np.array([[4e38], [2e38], [1e38], [5e37]])
+        direct = simulate_direct(co, y0, BrownianPath.from_increments(grid, np.zeros((4, 3, 1))))
+        assert np.isfinite(direct[:3]).all() and np.isfinite(direct[3, 1:]).all()
+        assert not np.isfinite(direct[3, 0]).any()
+        with pytest.raises(BlowupError) as exc:
+            truncation_scaling(co, grid, y0[0], 3)
+        assert exc.value.step == 2
+
+    def test_y0_needs_the_coefficients_dimension(self):
+        # one y0 of the wrong length is named as given, not as the rows of
+        # the batch of halvings
+        co = CoefficientFamily.constant_scalar([1.0, 0.5])
+        with pytest.raises(ShapeError, match=r"^y0 has shape \(2,\), expected \(1,\)$"):
+            truncation_scaling(co, TimeGrid(0.0, 1.0, 16), np.array([0.1, 0.2]), 3)
 
     def test_rejects_stochastic_coefficients(self):
         co = CoefficientFamily.constant_scalar([1.0], [0.5])
