@@ -8,7 +8,10 @@ Both checkouts' `src/formalflow` packages are loaded into one process, under
 two module names.  Each round times every layer on each side as the minimum
 of 3 repeats of a fixed number of calls, on `time.thread_time`, alternating
 which side goes first; the record holds the median over rounds of each
-side, their ratio (change / parent) and the rounds the change won.  Timing
+side, their ratio (change / parent), the paired ratio (the median over
+rounds of each round's change / parent) and the rounds the change won.
+The paired ratio follows the rounds the change won where the machine's
+load drifts between rounds, which the ratio of the medians may not.  Timing
 both sides in the same minutes of the same process keeps the drift of a
 shared machine out of the ratio, which back-to-back runs of
 `scripts/bench_layers.py` do not.  The layers, on fixed seeds and sizes:
@@ -134,6 +137,7 @@ def main() -> int:
             "parent_median_s": parent,
             "change_median_s": change,
             "ratio": change / parent,
+            "paired_ratio": statistics.median(c / p for p, c in zip(record["parent"], record["change"])),
             "change_wins": sum(c < p for p, c in zip(record["parent"], record["change"])),
             "rounds": args.rounds,
             "calls_per_repeat": sides["parent"][layer][1],

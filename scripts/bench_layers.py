@@ -129,7 +129,7 @@ def measure(repeats: int) -> dict:
     t = rng.standard_normal((1, 3) + (3,) * 6)
     a = rng.standard_normal((1, 3, 3))
     out["contract_hot"] = dict(
-        timed(lambda: _contract(t, a, 1), repeats, 2000), sizes="(1, 3, 3^6) x (1, 3, 3), batch 1"
+        timed(lambda: _contract(t, a), repeats, 2000), sizes="(1, 3, 3^6) x (1, 3, 3), one row"
     )
 
     def dense(order, d):
@@ -141,18 +141,18 @@ def measure(repeats: int) -> dict:
 
     outer, inner = dense(6, 3), dense(6, 3)
     composed = _Runner(
-        [c.slots_first for c in outer.components],
-        [c.entries for c in inner.components],
-        [(3,) * (n + 1) for n in range(1, 7)],
+        [c.slots_first[None] for c in outer.components],
+        [c.entries[None] for c in inner.components],
+        [(1,) + (3,) * (n + 1) for n in range(1, 7)],
     )
     out["compose_o6d3"] = dict(
         timed(lambda: compose(outer, inner), repeats, 20), sizes="order 6, d 3", **plan_counts(composed)
     )
 
-    # one Euler step's operands: Psi slots-first and the state, a path axis of 1 each
+    # one Euler step's operands: Psi slots-first and the state, a row axis of 1 each
     psi = [rng.standard_normal((1,) + (3,) * (k + 1)) for k in range(1, 7)]
     state = [rng.standard_normal((1,) + (3,) * (k + 1)) for k in range(1, 7)]
-    run = _Runner(psi, state, [(1,) + (3,) * (n + 1) for n in range(1, 7)], batch=1)
+    run = _Runner(psi, state, [(1,) + (3,) * (n + 1) for n in range(1, 7)])
     products = [op for op in run.ops if op[0] is np.matmul]
 
     def matmuls():

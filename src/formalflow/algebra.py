@@ -200,28 +200,27 @@ def _require(d: dict, where: str, integers: Sequence[str], other: str) -> None:
             raise ShapeError(f"{where} {key} must be an integer, got {d[key]!r}")
 
 
-def _operands(t: np.ndarray, a: np.ndarray, batch: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _operands(t: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The operands (lhs, rhs) of `_contract`; lhs is a view of t when t is contiguous."""
-    return t.reshape(t.shape[:batch] + (a.shape[batch], -1)).swapaxes(-1, -2), a
+    return t.reshape((len(t), a.shape[1], -1)).swapaxes(-1, -2), a
 
 
-def _contract(t: np.ndarray, a: np.ndarray, batch: int = 0) -> np.ndarray:
+def _contract(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The slot-contraction kernel: plug a into the leading argument slot of t.
 
-    a is a matrix stack (batch..., m, cols): the inner map's output axis,
-    then its input axes flattened.  t is slots-first: after its first
-    `batch` axes, its entries in C order run over the slot being filled
-    slowest (see `MultilinearMap.slots_first`); the rest of its shape does
-    not matter.  The product takes t's slot axis transposed as it lies, so
-    nothing is copied.  The result is the matrix stack (batch..., rows,
-    cols): rows run over t's other axes in order, its next slot slowest, so
-    it feeds the next call as it is, and columns over a's input axes.  Once
-    every slot is filled, it reshapes to (out, trailing..., inputs...).
-    The first `batch` axes of t and a are path axes, broadcast against each
-    other; each path is one matrix product, bitwise equal to the unbatched
-    call.
+    Axis 0 of t and of a is the row axis, broadcast against each other; each
+    row is one matrix product.  a is a matrix stack (rows, m, cols): the
+    inner map's output axis, then its input axes flattened.  t is
+    slots-first: after its row axis, its entries in C order run over the
+    slot being filled slowest (see `MultilinearMap.slots_first`); the rest
+    of its shape does not matter.  The product takes t's slot axis
+    transposed as it lies, so nothing is copied.  The result is the matrix
+    stack (rows, r, cols): r runs over t's other axes in order, its next
+    slot slowest, so it feeds the next call as it is, and cols over a's
+    input axes.  Once every slot is filled, it reshapes to (rows, out,
+    trailing..., inputs...).
     """
-    return np.matmul(*_operands(t, a, batch))
+    return np.matmul(*_operands(t, a))
 
 
 def enumerate_compositions(n: int, k: int) -> list[tuple[int, ...]]:
@@ -269,8 +268,8 @@ class _Runner:
 
     b lists entries by degree in slots-first layout, a in the usual layout,
     each None where zero.  The last `tail` axes of b's entries are not slots;
-    they stay last in the results.  The first `batch` axes of every entry are
-    path axes (see `_contract`); the shapes include them.  A runner holds a
+    they stay last in the results.  Axis 0 of every entry and shape is the
+    row axis (see `_contract`), of one length in a runner.  A runner holds a
     buffer per class and a flat list of ops (ufunc, x, y, out) on views,
     np.matmul of a source's `_operands` and np.add into its class.  b and a
     are its contiguous operand buffers: a caller may write entries of the
@@ -279,38 +278,32 @@ class _Runner:
     arrays; `nonzero` tells, for each, whether a class makes it (zeros if not).
     """
 
-    def __init__(self, b: list, a: list, shapes: list, batch: int = 0, tail: int = 0, first: int = 1):
+    def __init__(self, b: list, a: list, shapes: list, tail: int = 0, first: int = 1):
         order = first + len(shapes) - 1
-        self.batch, self.tail = batch, tail
+        rows, self.tail = shapes[0][0], tail
         self.b = b[:order]
-        self.a = [None if e is None else e.reshape(e.shape[: batch + 1] + (-1,)) for e in a[:order]]
+        self.a = [None if e is None else e.reshape(e.shape[:2] + (-1,)) for e in a[:order]]
         b_nonzero = tuple(e is not None for e in self.b)
         a_nonzero = tuple(j < len(self.a) and self.a[j] is not None for j in range(order))
         values = {(k, 0): e for k, e in enumerate(self.b, start=1) if e is not None}
         self.ops = []
         for (r, t), sources in _classes(order, b_nonzero, a_nonzero, first):
-            pairs = [_operands(values[r + 1, s], self.a[j - 1], batch) for s, j in sources]
-            # path axes are 1 or the path count long, so they broadcast to their maximum
-            lead = tuple(map(max, *(x.shape[:-2] for pair in pairs for x in pair)))
-            acc = values[r, t] = np.empty(lead + (pairs[0][0].shape[-2] * pairs[0][1].shape[-1],))
-            scratch = np.empty(acc.size) if len(pairs) > 1 else None
+            pairs = [_operands(values[r + 1, s], self.a[j - 1]) for s, j in sources]
+            acc = values[r, t] = np.empty((rows, pairs[0][0].shape[-2] * pairs[0][1].shape[-1]))
+            scratch = np.empty(acc.shape) if len(pairs) > 1 else None
             for i, (x, y) in enumerate(pairs):
-                out = acc.reshape(lead + (x.shape[-2], y.shape[-1]))
-                shape = tuple(map(max, x.shape[:-2], y.shape[:-2])) + out.shape[-2:]
-                product = scratch[: math.prod(shape)].reshape(shape) if i else out
+                out = acc.reshape(rows, x.shape[-2], y.shape[-1])
+                product = scratch.reshape(out.shape) if i else out
                 self.ops.append((np.matmul, x, y, product))
                 if i:
                     self.ops.append((np.add, out, product, out))
         self.outs = []
         for n, shape in enumerate(shapes, start=first):
-            # component n comes out (out, trailing..., inputs...), see _contract
+            # component n comes out (rows, out, trailing..., inputs...), see _contract
             cut = len(shape) - tail
-            raw = shape[: batch + 1] + shape[cut:] + shape[batch + 1 : cut]
+            raw = shape[:2] + shape[cut:] + shape[2:cut]
             v = values.get((0, n))
-            if v is not None:
-                # a component that no path's operands vary has one row: give it every path
-                v = np.broadcast_to(v.reshape(v.shape[:batch] + raw[batch:]), raw)
-            self.outs.append((raw, v))
+            self.outs.append((raw, None if v is None else v.reshape(raw)))
         self.nonzero = tuple(v is not None for _, v in self.outs)
         self.rerun([])
 
@@ -325,24 +318,24 @@ class _Runner:
         out = []
         for raw, v in self.outs:
             # adding 0.0 reads a sum of -0.0 terms as 0.0, as a sum from zeros would
-            out.append(_tail_last(np.zeros(raw) if v is None else np.add(v, 0.0), self.batch, self.tail))
+            out.append(_tail_last(np.zeros(raw) if v is None else np.add(v, 0.0), self.tail))
         return out
 
 
-def _tail_last(t: np.ndarray, batch: int, tail: int) -> np.ndarray:
+def _tail_last(t: np.ndarray, tail: int) -> np.ndarray:
     """Contraction leaves the `tail` trailing axes of b_k behind its output
     axis, ahead of the plugged-in input axes; move them back last (a view)."""
     if not tail:
         return t
-    lead = range(batch + 1, batch + 1 + tail)
-    return np.moveaxis(t, lead, range(t.ndim - tail, t.ndim))
+    return np.moveaxis(t, range(2, 2 + tail), range(t.ndim - tail, t.ndim))
 
 
 def _nonzero_entries(mapping, slots_first: bool = False) -> list[np.ndarray | None]:
-    """Entries of each component of a mapping, None where zero; in
-    slots-first layout if asked, for the outer operand of a composition."""
+    """Entries of each component of a mapping behind a row axis of 1, None
+    where zero; in slots-first layout if asked, for the outer operand of a
+    composition."""
     return [
-        None if c.is_zero else c.slots_first if slots_first else c.entries
+        None if c.is_zero else (c.slots_first if slots_first else c.entries)[None]
         for c in mapping.components
     ]
 
@@ -362,13 +355,13 @@ def apply_to_tuple(b_k: MultilinearMap, args: Sequence[MultilinearMap]) -> Multi
                 f"argument maps must map R^{args[0].dy} to R^{b_k.dy} with no trailing axes, "
                 f"got shape {a.entries.shape}"
             )
-    t = b_k.slots_first
+    t = b_k.slots_first[None]
     for a in args:
-        t = _contract(t, a.entries.reshape(a.dz, -1))
+        t = _contract(t, a.entries.reshape(1, a.dz, -1))
     tail = b_k._tail()
     n = sum(a.degree for a in args)
-    t = t.reshape((b_k.dz,) + tail + (args[0].dy,) * n)
-    return type(b_k)(n, args[0].dy, b_k.dz, *tail, _tail_last(t, 0, len(tail)))
+    t = t.reshape((1, b_k.dz) + tail + (args[0].dy,) * n)
+    return type(b_k)(n, args[0].dy, b_k.dz, *tail, _tail_last(t, len(tail))[0])
 
 
 def compose(b: FormalMapping, a: FormalMapping) -> FormalMapping:
@@ -387,11 +380,11 @@ def compose(b: FormalMapping, a: FormalMapping) -> FormalMapping:
         )
     order = min(a.order, b.order)
     tail = b._tail()
-    shapes = [(b.dz,) + (a.dy,) * n + tail for n in range(1, order + 1)]
+    shapes = [(1, b.dz) + (a.dy,) * n + tail for n in range(1, order + 1)]
     entries = _Runner(
         _nonzero_entries(b, slots_first=True), _nonzero_entries(a), shapes, tail=len(tail)
     ).components()
-    comps = [b._COMPONENT(n, a.dy, b.dz, *tail, e) for n, e in enumerate(entries, start=1)]
+    comps = [b._COMPONENT(n, a.dy, b.dz, *tail, e[0]) for n, e in enumerate(entries, start=1)]
     return b._of(order, comps)
 
 
@@ -414,13 +407,13 @@ def evaluate(a: FormalMapping, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.shape[-1] != a.dy:
         raise ShapeError(f"y has shape {y.shape}, expected ({a.dy},) or (P, {a.dy})")
-    batch = y.ndim - 1
-    out = np.zeros(y.shape[:-1] + (a.dz,) + a._tail())
+    rows = y.reshape(-1, a.dy, 1)
+    out = np.zeros((len(rows), a.dz) + a._tail())
     for comp in a.components:
         if comp.is_zero:
             continue
-        t = comp.slots_first[(None,) * batch]
+        t = comp.slots_first[None]
         for _ in range(comp.degree):
-            t = _contract(t, y[..., None], batch)
+            t = _contract(t, rows)
         out += t.reshape(out.shape)
-    return out
+    return out.reshape(y.shape[:-1] + out.shape[1:])

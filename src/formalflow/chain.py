@@ -49,11 +49,15 @@ def _integer(key: str, value) -> int:
     return value
 
 
+# how far a time may lie from a knot and still name it (`TimeGrid.knot_index`)
+_KNOT_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [t_start, t_end] with n_steps steps of size dt.
 
-    dt defaults to (t_end - t_start) / n_steps.  Sub-grids and coarsened grids
+    dt is (t_end - t_start) / n_steps.  Sub-grids and coarsened grids
     (`_sub`) take their parent's step (times the coarsening factor) and knot
     times, bit for bit: knot i lies at t0 + (first + i*stride)*h, where
     _base = (t0, h, first, stride) holds the start and step of the grid
@@ -63,7 +67,7 @@ class TimeGrid:
     t_start: float
     t_end: float
     n_steps: int
-    dt: float | None = None
+    dt: float = field(init=False)
     _base: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -71,11 +75,7 @@ class TimeGrid:
             raise ShapeError(f"n_steps must be >= 1, got {self.n_steps}")
         if not self.t_end > self.t_start:
             raise ShapeError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
-        span = self.t_end - self.t_start
-        if self.dt is None:
-            object.__setattr__(self, "dt", span / self.n_steps)
-        elif not math.isclose(self.dt * self.n_steps, span, rel_tol=1e-9):
-            raise ShapeError(f"{self.n_steps} steps of {self.dt} do not span {span}")
+        object.__setattr__(self, "dt", (self.t_end - self.t_start) / self.n_steps)
         object.__setattr__(self, "_base", (self.t_start, self.dt, 0, 1))
 
     def knot(self, i: int) -> float:
@@ -89,14 +89,15 @@ class TimeGrid:
     def _sub(self, first: int, n_steps: int, stride: int = 1) -> "TimeGrid":
         """The grid of knots first, first + stride, ..., first + n_steps*stride of this one."""
         t0, h, i0, s = self._base
-        grid = TimeGrid(self.knot(first), self.knot(first + n_steps * stride), n_steps, stride * self.dt)
+        grid = TimeGrid(self.knot(first), self.knot(first + n_steps * stride), n_steps)
+        object.__setattr__(grid, "dt", stride * self.dt)
         object.__setattr__(grid, "_base", (t0, h, i0 + first * s, s * stride))
         return grid
 
-    def knot_index(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the knot equal to t; ShapeError if t is not a knot."""
+    def knot_index(self, t: float) -> int:
+        """Index of the knot within _KNOT_TOL of t; ShapeError if t is not a knot."""
         idx = round((t - self.t_start) / self.dt)
-        if 0 <= idx <= self.n_steps and abs(self.knot(idx) - t) <= tol:
+        if 0 <= idx <= self.n_steps and abs(self.knot(idx) - t) <= _KNOT_TOL:
             return idx
         raise ShapeError(f"t={t} is not a knot of the grid")
 
@@ -383,9 +384,9 @@ def _step_parts(steps: GridCoefficients, dt: float, d: int) -> tuple[list, list]
 
 def _step_maps(parts: tuple[list, list], index: np.ndarray, dw: np.ndarray) -> list:
     """Psi of J steps of P paths by degree from `_step_parts`' parts, one
-    batched sum each: slots-first stacks (J, P) + (d,)*(k+1), None where
-    zero, a read-only view for a degree without noise.  index gives each
-    step's pair and dw, (J, P, m), the increments."""
+    batched sum each: stacks (J, P, d) + (d,)*k in the usual layout, views
+    of slots-first sums, None where zero, read-only for a degree without
+    noise.  index gives each step's pair and dw, (J, P, m), the increments."""
     n_steps, n_paths, _ = dw.shape
     out = []
     for drift_k, b_k in zip(*parts):
@@ -394,11 +395,11 @@ def _step_maps(parts: tuple[list, list], index: np.ndarray, dw: np.ndarray) -> l
             continue
         shape = (n_steps, n_paths) + drift_k.shape[1:]
         if b_k is None:
-            out.append(np.broadcast_to(drift_k[index, None], shape))
+            e = np.broadcast_to(drift_k[index, None], shape)
         else:
             e = np.matmul(b_k[index, None], dw[..., None]).reshape(shape)
             e += drift_k[index, None]
-            out.append(e)
+        out.append(np.moveaxis(e, -1, 2))
     return out
 
 
@@ -419,7 +420,7 @@ def one_step_map(
     d = a_t.dy
     psi = _step_maps(_step_parts(steps, dt, d), steps.index, dw[None, None])
     comps = tuple(
-        MultilinearMap.zero(k, d, d) if e is None else MultilinearMap(k, d, d, np.moveaxis(e[0, 0], k, 0))
+        MultilinearMap.zero(k, d, d) if e is None else MultilinearMap(k, d, d, e[0, 0])
         for k, e in enumerate(psi, start=1)
     )
     return FormalMapping(a_t.order, d, d, comps)
@@ -429,26 +430,24 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
     """The Euler loop: yield the chain state after each step of grid.
 
     A state lists its entries by degree, each with a leading path axis;
-    the initial one may have a single row shared by all paths.  dw holds
-    the increments, shape (P, n_steps, m).  Each step composes Psi with the
-    previous state by the Horner `_classes` of zero patterns read off
-    structure: Psi's from `_step_parts`, the state's from the initial state
-    and then the last runner.  A product of data that happens to be zero
-    adds zeros, which leave the bits unchanged.  Psi is one set of buffers
-    written in place (`_step_maps`' bits): a matmul and an add per noisy
-    degree and step, the drift part alone copied in when the pair changes.
-    One `_Runner` per state pattern and row count serves every step, and
-    each yielded state is a fresh array.
+    the initial one may have a single row shared by all paths, which is
+    broadcast to the P rows of dw, the increments, shape (P, n_steps, m).
+    Each step composes Psi with the previous state by the Horner `_classes`
+    of zero patterns read off structure: Psi's from `_step_parts`, the
+    state's from the initial state and then the last runner.  A product of
+    data that happens to be zero adds zeros, which leave the bits unchanged.
+    Psi is one set of P-row buffers written in place (`_step_maps`' bits): a
+    matmul and an add per noisy degree and step, the drift part alone copied
+    in when the pair changes.  One `_Runner` per state pattern serves every
+    step, and each yielded state is a fresh array.
     """
     n_paths, d = dw.shape[0], coeffs.dy
     shapes = [(n_paths, d) + (d,) * n for n in range(1, coeffs.order + 1)]
     steps = coeffs.on_grid(grid)
     drift, noise = _step_parts(steps, grid.dt, d)
-    psi = [
-        None if e is None else np.empty((1 if b_k is None else n_paths,) + e.shape[1:])
-        for e, b_k in zip(drift, noise)
-    ]
+    psi = [None if e is None else np.empty((n_paths,) + e.shape[1:]) for e in drift]
     dw = dw[..., None]
+    state = [np.broadcast_to(e, (n_paths,) + e.shape[1:]) for e in state]
     pattern = tuple(bool(e.any()) for e in state)
     runners = {}
     for i, v in enumerate(index := steps.index.tolist()):
@@ -458,16 +457,15 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
                 if b_k is not None:  # Psi_k = drift_k + b_k(..., dw) on each path
                     noisy.append((e.reshape(n_paths, -1, 1), e, drift_k[v : v + 1], b_k[v, None]))
                 elif e is not None:
-                    e[0] = drift_k[v]
+                    e[:] = drift_k[v]
         for out, e, drift_k, b_k in noisy:
             np.matmul(b_k, dw[:, i], out=out)
             np.add(e, drift_k, out=e)
         prev = [e if nonzero else None for e, nonzero in zip(state, pattern)]
-        key = (pattern, tuple(map(len, state)))
-        if run := runners.get(key):
+        if run := runners.get(pattern):
             run.rerun(prev)
         else:
-            run = runners[key] = _Runner(psi, [None if e is None else e.copy() for e in prev], shapes, batch=1)
+            run = runners[pattern] = _Runner(psi, [None if e is None else e.copy() for e in prev], shapes)
         pattern = run.nonzero
         yield (state := run.components())
 
@@ -529,26 +527,12 @@ _BLOCK_FLOATS = 1 << 12
 _CHUNK_FLOATS = 1 << 18
 
 
-def _leaf_order(count: int) -> np.ndarray:
-    """Steps 0..count-1 in the order `_tree` stores them: at each level the
-    inner maps of the pairs (2u, 2u+1), then their outer maps, both in the
-    order of the next level, then the odd map at the end, which stays last.
-    So a level's operands are its two halves, and its composites, the odd
-    map appended, are the next level as stored."""
-    if count == 1:
-        return np.zeros(1, dtype=np.intp)
-    half = count // 2
-    pairs = 2 * _leaf_order(half + count % 2)[:half]
-    return np.concatenate((pairs, pairs + 1, np.arange(2 * half, count)))
-
-
 def _then(outer: list, inner: list) -> list:
     """outer o inner of each row by one `_Runner`: outer slots-first, inner
-    in the usual layout, by degree with a leading row axis (1 or R long),
-    None where zero; the composites (R, d) + (d,)*n likewise."""
-    rows = max(len(e) for e in outer + inner if e is not None)
-    d = outer[0].shape[-1]
-    run = _Runner(outer, inner, [(rows, d) + (d,) * n for n in range(1, len(outer) + 1)], batch=1)
+    in the usual layout, by degree with a leading row axis of R, None where
+    zero; the composites (R, d) + (d,)*n likewise."""
+    rows, d = outer[0].shape[0], outer[0].shape[-1]
+    run = _Runner(outer, inner, [(rows, d) + (d,) * n for n in range(1, len(outer) + 1)])
     return [e if nonzero else None for e, nonzero in zip(run.components(), run.nonzero)]
 
 
@@ -564,19 +548,20 @@ def _rows(e: np.ndarray) -> np.ndarray:
 
 def _tree(maps: list) -> list:
     """Psi_{J-1} o ... o Psi_0 of each of C rows, (C, d) + (d,)*k by degree,
-    from stacks (J, C, d) + (d,)*k in `_leaf_order`; None where zero.
+    from stacks (J, C, d) + (d,)*k in step order; None where zero.
 
     Each level composes Psi_{2u+1} o Psi_{2u} of every pair u and row by one
-    `_Runner`; an odd map at the end carries up to the next level.  A
-    composite is nonzero where either map is (both degree-1 parts are), so
-    the carried map takes zeros where the composites gained a degree.
+    `_Runner`, the maps of even and of odd index taken by stride; an odd map
+    at the end carries up to the next level.  A composite is nonzero where
+    either map is (both degree-1 parts are), so the carried map takes zeros
+    where the composites gained a degree.
     """
     count, rows = maps[0].shape[:2]
     while count > 1:
         half = count // 2
         pairs = _then(
-            [None if e is None else _rows(_slots_first(e[half : 2 * half], 2)) for e in maps],
-            [None if e is None else _rows(e[:half]) for e in maps],
+            [None if e is None else _rows(_slots_first(e[1 : 2 * half : 2], 2)) for e in maps],
+            [None if e is None else _rows(e[: 2 * half : 2]) for e in maps],
         )
         level = [None if e is None else e.reshape((half, rows) + e.shape[1:]) for e in pairs]
         if count % 2:
@@ -620,16 +605,13 @@ def solve_chain_batch(
     per_step = sum(e[0].size for e in parts[0] if e is not None)
     block = max(1, _BLOCK_FLOATS // per_step)
     chunk = max(1, _CHUNK_FLOATS // (min(block, n_steps) * per_step))
-    start = [None if c.is_zero else c.entries[None] for c in initial.components]
+    start = _nonzero_entries(initial)
     terminal = [np.zeros((n_paths, d) + (d,) * k) for k in range(1, coeffs.order + 1)]
     for p in range(0, n_paths, chunk):
-        state = start
+        dw = paths.increments[p : p + chunk].swapaxes(0, 1)
+        state = [None if e is None else np.broadcast_to(e, (dw.shape[1],) + e.shape[1:]) for e in start]
         for i in range(0, n_steps, block):
-            order = i + _leaf_order(min(block, n_steps - i))
-            dw = paths.increments[p : p + chunk].swapaxes(0, 1)[order]
-            maps = _step_maps(parts, steps.index[order], dw)
-            # the tree takes the stacks in the usual layout
-            maps = _tree([None if e is None else np.moveaxis(e, -1, 2) for e in maps])
+            maps = _tree(_step_maps(parts, steps.index[i : i + block], dw[i : i + block]))
             state = _then([None if e is None else _slots_first(e, 1) for e in maps], state)
         for out, e in zip(terminal, state):
             if e is not None:
@@ -679,13 +661,13 @@ def _forcing(first: int, state: list, a: list, b: list, shapes: list) -> tuple[l
     runner for f and one for g serve every degree, sharing Horner classes.
     """
     top = first + len(shapes) - 1
-    f = _Runner([None] + a[1:top], state, shapes, batch=1, first=first).components()
+    f = _Runner([None] + a[1:top], state, shapes, first=first).components()
     b = [None] + b[1:top]
     noisy = [any(e is not None for e in b[:n]) for n in range(first, top + 1)]
     if not any(noisy):
         return f, [None] * len(shapes)
     m = next(e for e in b if e is not None).shape[-1]
-    g = _Runner(b, state, [s + (m,) for s in shapes], batch=1, tail=1, first=first).components()
+    g = _Runner(b, state, [s + (m,) for s in shapes], tail=1, first=first).components()
     return f, [g_n if is_noisy else None for g_n, is_noisy in zip(g, noisy)]
 
 
@@ -703,10 +685,7 @@ def forcing_terms(
     if states_at_t.order < n - 1 or min(a_t.order, b_t.order) < n:
         raise ShapeError(f"need state components up to degree {n - 1}, coefficients up to {n}")
     dy, dz, m = states_at_t.dy, b_t.dz, b_t.noise_dim
-    s, a, b = (
-        [None if e is None else e[None] for e in _nonzero_entries(x, slots_first)]
-        for x, slots_first in ((states_at_t, False), (a_t, True), (b_t, True))
-    )
+    s, a, b = _nonzero_entries(states_at_t), _nonzero_entries(a_t, True), _nonzero_entries(b_t, True)
     (f,), (g,) = _forcing(n, s, a, b, [(1, a_t.dz) + (dy,) * n])
     g = DiffusionMap.zero(n, dy, dz, m) if g is None else DiffusionMap(n, dy, dz, m, g[0])
     return MultilinearMap(n, dy, a_t.dz, f[0]), g

@@ -380,6 +380,24 @@ def _cmd_formula_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+def _convergence_reads(raw: dict, steps: int | None) -> None:
+    """convergence takes its scalar order-1 coefficients and start from
+    'problem' and its grids from 'dt_values'.  A config key or flag that
+    would set them otherwise is an error, not a run of another experiment
+    than the one its report records."""
+    for key in ("dy", "order"):
+        if raw.get(key, 1) != 1:
+            raise ShapeError(f"convergence problems are scalar and of order 1, got {key} = {raw[key]!r}")
+    for key in ("drift", "diffusion"):
+        if raw.get(key, []) != []:
+            raise ShapeError(f"convergence takes its coefficients from 'problem', got a non-empty '{key}'")
+    for key in ("initial", "n_steps"):
+        if key in raw:
+            raise ShapeError(f"convergence does not read '{key}': 'problem' and 'dt_values' set its runs")
+    if steps is not None:
+        raise ShapeError("convergence does not read --steps: 'dt_values' sets its grids")
+
+
 def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     problem = cfg.options.get("problem")
     if not isinstance(problem, dict) or "kind" not in problem:
@@ -530,6 +548,8 @@ def _main(args: argparse.Namespace, out: Path) -> int:
     try:
         cfg = ExperimentConfig.from_dict(raw)
         _reject_unknown(cfg.options, options, args.subcommand)
+        if args.subcommand == "convergence":
+            _convergence_reads(raw, args.steps)
         if args.seed is not None:
             cfg.seed = args.seed
         if args.paths is not None:

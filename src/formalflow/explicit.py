@@ -40,8 +40,7 @@ def fundamental(
     steps = coeffs.on_grid(path.grid) if steps is None else steps
     drift, noise = _step_parts(steps, path.grid.dt, coeffs.dy)
     (psi,) = _step_maps((drift[:1], noise[:1]), steps.index, dw[:, None])
-    # degree 1 slots-first is the factor transposed
-    factors = np.ascontiguousarray(psi[:, 0].swapaxes(1, 2))
+    factors = np.ascontiguousarray(psi[:, 0])
     factors.setflags(write=False)
     return FundamentalSolution(factors)
 

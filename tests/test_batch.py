@@ -202,6 +202,76 @@ def test_batch_is_bitwise_the_per_path_solve(
         assert same_bits(trajectories[:, p], simulate_direct(co, y0[p : p + 1], path)[:, 0])
 
 
+def ref_pairwise_terminal(co, initial, path):
+    """The terminal state along a one-row path by the pairing of
+    solve_chain_batch, from `one_step_map` and `compose` alone: steps cut
+    into blocks of _BLOCK_FLOATS floats of Psi; in each block, every level
+    composes map 2u+1 after map 2u and carries an odd last map up; each
+    block's composite goes onto the state in step order."""
+    grid, d = path.grid, co.dy
+    a, b = co.drift_at(0.0), co.diffusion_at(0.0)
+    # Psi_1 is never zero; Psi_k (k > 1) is, where a_k and b_k are
+    per_step = sum(
+        d ** (k + 1)
+        for k, (a_k, b_k) in enumerate(zip(a.components, b.components), start=1)
+        if k == 1 or not (a_k.is_zero and b_k.is_zero)
+    )
+    block = max(1, chain._BLOCK_FLOATS // per_step)
+    psi = [
+        one_step_map(co.drift_at(t), co.diffusion_at(t), grid.dt, path.increments[0, i])
+        for i, t in enumerate(grid.knots()[:-1].tolist())
+    ]
+    state = initial
+    for i in range(0, len(psi), block):
+        level = psi[i : i + block]
+        while len(level) > 1:
+            odd = level[-1:] if len(level) % 2 else []
+            level = [compose(level[u + 1], level[u]) for u in range(0, len(level) - 1, 2)] + odd
+        state = compose(level[0], state)
+    return state
+
+
+def assert_batch_is_the_pairwise_reference(co, initial, paths):
+    terminal, _ = solve_chain_batch(co, initial, paths)
+    for p in range(paths.n_paths):
+        want = ref_pairwise_terminal(co, initial, one_row(paths, p))
+        for e, c in zip(terminal, want.components):
+            assert same_bits(e[p], c.entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.integers(1, 3),
+    d=st.integers(1, 2),
+    m=st.integers(1, 2),
+    n_paths=st.integers(1, 3),
+    n_steps=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    zero_drift=st.lists(st.booleans(), min_size=3, max_size=3),
+    zero_diffusion=st.lists(st.booleans(), min_size=3, max_size=3),
+    random_initial=st.booleans(),
+)
+def test_tree_pairs_the_steps_as_the_reference(
+    order, d, m, n_paths, n_steps, seed, zero_drift, zero_diffusion, random_initial
+):
+    """Row p of solve_chain_batch is bitwise `ref_pairwise_terminal` of path
+    p: the pairing of the tree's levels and blocks is pinned, not only its
+    bound against the loop."""
+    rng = np.random.default_rng(seed)
+    co = with_zero_components(random_coefficients(rng, order, d, m), zero_drift, zero_diffusion)
+    initial = random_mapping(rng, order, d, d) if random_initial else identity(order, d)
+    paths = sample_paths(TimeGrid(0.0, 1.0, n_steps), m, seed, n_paths)
+    assert_batch_is_the_pairwise_reference(co, initial, paths)
+
+
+def test_tree_pairs_the_steps_as_the_reference_over_several_blocks():
+    # order 3, d 2: 28 floats of Psi a step, so 300 steps make three blocks
+    co = random_coefficients(np.random.default_rng(5), 3, 2, 2)
+    assert 300 > 2 * (chain._BLOCK_FLOATS // 28)
+    paths = sample_paths(TimeGrid(0.0, 1.0, 300), 2, 9, 2)
+    assert_batch_is_the_pairwise_reference(co, identity(3, 2), paths)
+
+
 def test_overflowing_path_is_masked_and_neighbours_unchanged():
     co = CoefficientFamily.constant_scalar([0.5, 0.3], [1.0, 0.2])
     grid = TimeGrid(0.0, 1.0, 8)

@@ -898,6 +898,30 @@ class TestStrictConfig:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "fields, argv, key",
+        [
+            # a GBM run with order 3 and --steps 7 integrated order 1 on the
+            # grids of dt_values, and recorded order 3 and n_steps 7
+            ({"order": 3}, [], "order"),
+            ({"dy": 2}, [], "dy"),
+            ({"drift": [scalar_tensor(1, 0.5)]}, [], "drift"),
+            ({"diffusion": [scalar_diffusion(1, 0.5)]}, [], "diffusion"),
+            ({"initial": {"order": 1, "components": [scalar_tensor(1, 1.0)]}}, [], "initial"),
+            ({"n_steps": 7}, [], "n_steps"),
+            ({}, ["--steps", "7"], "--steps"),
+        ],
+    )
+    def test_convergence_rejects_what_it_does_not_read(self, tmp_path, capsys, fields, argv, key):
+        cfg = {"n_paths": 4, "problem": {"kind": "gbm"}, "dt_values": [0.5, 0.25, 0.125]}
+        path = write_config(tmp_path, "c.json", dict(cfg, **fields))
+        assert main(["convergence", "--config", path, "--out", str(tmp_path / "o"), *argv]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # the same config without them runs
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["convergence", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("name", ["convergence_gbm.json", "convergence_quadratic.json"])
     def test_shipped_configs_pass(self, tmp_path, name):
         config = Path(__file__).resolve().parent.parent / "scripts" / name

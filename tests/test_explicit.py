@@ -320,7 +320,7 @@ def concatenate_sweep(loads, factors):
     trajectory = [np.zeros(loads.shape[1:])]
     for i in range(1, n_steps + 1):
         phi = np.concatenate((factors[i - 1] @ phi, eye))
-        terms = _contract(phi.swapaxes(1, 2), loads[:i].reshape(i, d, -1), batch=1)
+        terms = _contract(phi.swapaxes(1, 2), loads[:i].reshape(i, d, -1))
         trajectory.append(np.cumsum(terms, axis=0)[-1].reshape(loads.shape[1:]))
     return np.stack(trajectory)
 

@@ -305,8 +305,7 @@ def test_step_maps_and_one_step_map_match_the_reference_psi(order, d, m, seed, n
             if got is None:
                 assert want_k is None
                 continue
-            # slots-first to the usual layout
-            got_i = np.moveaxis(got[i], -1, 1)
+            got_i = got[i]
             assert same_bits(got_i, np.broadcast_to(filled(want_k, shape), got_i.shape))
         for p in range(n_paths):
             psi = one_step_map(a_t, b_t, grid.dt, dw[p, i])
@@ -370,11 +369,11 @@ def test_vector_contractions_move_by_an_ulp(order, d, seed, paths):
 
 
 @given(
-    order=st.integers(1, 6), d=st.integers(1, 3), batch=st.booleans(), noise=st.booleans(),
+    order=st.integers(1, 6), d=st.integers(1, 3), rows=st.sampled_from([1, 3]), noise=st.booleans(),
     seed=_seeds, data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_horner_moves_the_per_term_sum_within_the_bound(order, d, batch, noise, seed, data):
+def test_horner_moves_the_per_term_sum_within_the_bound(order, d, rows, noise, seed, data):
     """Each term of component n is at most n contractions of length d, and
     the per-term reference adds at most 2^(n-1) terms; Horner's rule adds
     fewer, and no longer.  So both sides round within (n*d + 2^(n-1))*eps of
@@ -386,19 +385,16 @@ def test_horner_moves_the_per_term_sum_within_the_bound(order, d, batch, noise, 
     eps = np.finfo(float).eps
     tail = (2,) if noise else ()
 
-    def lead():
-        return (data.draw(st.sampled_from([1, 3])),) if batch else ()
-
-    b = [draw_entries(data, rng, lead() + (d,) + (d,) * k + tail) for k in range(1, order + 1)]
-    a = [draw_entries(data, rng, lead() + (d,) + (d,) * k) for k in range(1, order + 1)]
-    shapes = [(3,) * batch + (d,) + (d,) * n + tail for n in range(1, order + 1)]
-    b_sf = [slots_first(x, k, int(batch)) for k, x in enumerate(b, start=1)]
-    got = _Runner(b_sf, a, shapes, batch=int(batch), tail=len(tail)).components()
+    b = [draw_entries(data, rng, (rows, d) + (d,) * k + tail) for k in range(1, order + 1)]
+    a = [draw_entries(data, rng, (rows, d) + (d,) * k) for k in range(1, order + 1)]
+    shapes = [(rows, d) + (d,) * n + tail for n in range(1, order + 1)]
+    b_sf = [slots_first(x, k) for k, x in enumerate(b, start=1)]
+    got = _Runner(b_sf, a, shapes, tail=len(tail)).components()
     memo, abs_memo = {}, {}
     abs_b, abs_a = ([None if x is None else np.abs(x) for x in c] for c in (b, a))
     for n, shape in enumerate(shapes, start=1):
-        want = ref_compose_component(n, b, a, shape, memo, int(batch), len(tail))
-        scale = ref_compose_component(n, abs_b, abs_a, shape, abs_memo, int(batch), len(tail))
+        want = ref_compose_component(n, b, a, shape, memo, 1, len(tail))
+        scale = ref_compose_component(n, abs_b, abs_a, shape, abs_memo, 1, len(tail))
         assert got[n - 1].shape == shape
         assert np.all(np.abs(got[n - 1] - want) <= 2 * (n * d + 2 ** (n - 1)) * eps * scale)
         if n <= 2:
@@ -446,8 +442,8 @@ def test_full_order_six_pattern_counts():
     assert len(full) == 21  # one class (r, t) per r >= 0, t >= 1, r + t <= 6
     assert sum(len(sources) - 1 for _, sources in full) == 35
     rng = np.random.default_rng(0)
-    b = [rng.standard_normal((3,) * (k + 1)) for k in range(1, 7)]
-    ops = _Runner(b, b, [(3,) * (n + 1) for n in range(1, 7)]).ops
+    b = [rng.standard_normal((1,) + (3,) * (k + 1)) for k in range(1, 7)]
+    ops = _Runner(b, b, [(1,) + (3,) * (n + 1) for n in range(1, 7)]).ops
     assert [f for f, *_ in ops].count(np.matmul) == 56
     assert [f for f, *_ in ops].count(np.add) == 35
 
