@@ -17,6 +17,9 @@ shared machine out of the ratio, which back-to-back runs of
 `scripts/bench_layers.py` do not.  The layers, on fixed seeds and sizes:
   - euler_loop_o6d3: the whole `chain._euler_states` loop of the solve-o6d3
     benchmark config (order 6, d 3, m 2, P 1, 512 steps, config seed 1);
+  - euler_loop_o3d2: that loop on the formula-o3d2 benchmark config (order
+    3, d 2, m 2, P 1, 512 steps, config seed 1) from the identity, as
+    formula-check solves it;
   - compose_o6d3: `compose` of two dense order-6, d = 3 mappings;
   - euler_step_o1d1_p64: GBM (order 1, d 1, P 64, 512 steps), per step;
   - formula_check_o3d2: `cli._cmd_formula_check` on the formula-o3d2
@@ -87,6 +90,8 @@ def layers(name: str, out_dir: Path) -> dict:
     paths = chain.sample_paths(chain.TimeGrid(0.0, 1.0, 512), 1, SEED, 64)
     one = [c.entries[None] for c in algebra.identity(1, 1).components]
     formula = cli.ExperimentConfig.from_dict(json.loads(config_bytes("formula-o3d2", CONFIG_SEED)))
+    formula_coeffs, formula_path = formula.coefficients(), formula.path()
+    formula_start = [c.entries[None] for c in algebra.identity(formula.order, formula.dy).components]
     levels = [paths.coarsen(2**j) for j in range(6)]
 
     def batch_terminal():
@@ -95,6 +100,9 @@ def layers(name: str, out_dir: Path) -> dict:
 
     return {
         "euler_loop_o6d3": (lambda: loop(coeffs, path.grid, start, dw), 1, 1),
+        "euler_loop_o3d2": (
+            lambda: loop(formula_coeffs, formula_path.grid, formula_start, formula_path.increments), 5, 1
+        ),
         "compose_o6d3": (lambda: algebra.compose(outer, inner), 20, 1),
         "euler_step_o1d1_p64": (lambda: loop(gbm, paths.grid, one, paths.increments), 1, 512),
         "formula_check_o3d2": (lambda: cli._cmd_formula_check(formula, out_dir), 1, 1),

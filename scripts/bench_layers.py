@@ -9,12 +9,15 @@ Times, on fixed seeds and sizes:
     order-6 Euler step, (1, 3, 3^6) x (1, 3, 3);
   - compose_o6d3: `compose` of two dense order-6, d = 3 mappings;
   - horner_products_o6d3: the 56 matrix products of one order-6, d = 3
-    Euler step with every component nonzero, run on the views of an
-    `algebra._Runner` and nothing else (not its 35 additions): the floor
-    of that step;
+    composition with every component nonzero, run on the views of an
+    `algebra._Runner` and nothing else (not its 35 additions);
   - euler_step_o6d3 / euler_loop_o6d3: the solve-o6d3 benchmark config
     (order 6, d 3, m 2, P 1, 512 steps, config seed 1), per step and for
-    the whole loop of `chain._euler_states`;
+    the whole loop of `chain._euler_states`, with the block length and the
+    ops of its `algebra._Steps` schedule;
+  - euler_loop_o3d2: the loop of the formula-o3d2 benchmark config (order
+    3, d 2, m 2, P 1, 512 steps, config seed 1) from the identity, as
+    formula-check solves it, with its schedule's block length and ops;
   - euler_step_o1d1_p64: GBM (order 1, d 1, P 64, 512 steps), per step;
   - batch_terminal_o1d1_p64: `solve_chain_batch` on the convergence-gbm
     shape (GBM, order 1, d 1, P 64) over its six nested grids of 16..512
@@ -31,7 +34,7 @@ Times, on fixed seeds and sizes:
 
 Each timing is repeated --repeats times; the file holds the minimum and the
 median, in seconds.  The layers that compose also record the products,
-additions and flops of their runner's op list.  The file holds the seed,
+additions and flops of their runner's or schedule's op list.  The file holds the seed,
 the sizes, the numpy and orjson
 versions, the core count, the commit and a digest of the sources.  The same
 script runs on any checkout whose functions keep these names, so two
@@ -67,6 +70,7 @@ from formalflow.algebra import (  # noqa: E402
     compose,
     identity,
 )
+from formalflow import chain  # noqa: E402
 from formalflow.chain import (  # noqa: E402
     CoefficientFamily,
     TimeGrid,
@@ -93,16 +97,31 @@ def timed(fn, repeats: int, number: int = 1) -> dict:
     return {"min_s": min(runs), "median_s": statistics.median(runs)}
 
 
-def plan_counts(run: _Runner) -> dict:
-    """The products, additions and flops of a runner's op list."""
-    kinds = [f for f, *_ in run.ops]
-    flops = sum(2 * z.size * x.shape[-1] if f is np.matmul else z.size for f, x, _, z in run.ops)
+def plan_counts(ops: list) -> dict:
+    """The products, additions and flops of an op list."""
+    kinds = [f for f, *_ in ops]
+    flops = sum(2 * z.size * x.shape[-1] if f is np.matmul else z.size for f, x, _, z in ops)
     return {"products": kinds.count(np.matmul), "additions": kinds.count(np.add), "flops": flops}
 
 
 def euler_loop(coeffs, grid, start, dw):
     for _ in _euler_states(coeffs, grid, start, dw):
         pass
+
+
+def block_counts(coeffs, grid, start, n_paths) -> dict:
+    """The block length of the schedule `_euler_states` builds, and the
+    products, additions and flops of a full block's ops."""
+    parts = chain._step_parts(coeffs.on_grid(grid), grid.dt, coeffs.dy)
+    steps = chain._Steps(
+        tuple(e is not None for e in parts[0]),
+        tuple(bool(e.any()) for e in start),
+        coeffs.dy,
+        n_paths,
+        grid.n_steps,
+        chain._EULER_FLOATS,
+    )
+    return {"block_steps": steps.steps, "block": plan_counts(steps.ops(steps.steps))}
 
 
 def workload_config(name: str) -> cli.ExperimentConfig:
@@ -146,10 +165,10 @@ def measure(repeats: int) -> dict:
         [(1,) + (3,) * (n + 1) for n in range(1, 7)],
     )
     out["compose_o6d3"] = dict(
-        timed(lambda: compose(outer, inner), repeats, 20), sizes="order 6, d 3", **plan_counts(composed)
+        timed(lambda: compose(outer, inner), repeats, 20), sizes="order 6, d 3", **plan_counts(composed.ops)
     )
 
-    # one Euler step's operands: Psi slots-first and the state, a row axis of 1 each
+    # one composition's operands, slots-first and the usual layout, a row axis of 1 each
     psi = [rng.standard_normal((1,) + (3,) * (k + 1)) for k in range(1, 7)]
     state = [rng.standard_normal((1,) + (3,) * (k + 1)) for k in range(1, 7)]
     run = _Runner(psi, state, [(1,) + (3,) * (n + 1) for n in range(1, 7)])
@@ -173,9 +192,17 @@ def measure(repeats: int) -> dict:
     dw = path.increments.reshape(-1, *path.increments.shape[-2:])
     loop = timed(lambda: euler_loop(coeffs, path.grid, start, dw), repeats)
     steps = path.grid.n_steps
-    out["euler_loop_o6d3"] = dict(loop, sizes=f"order 6, d 3, m 2, P 1, {steps} steps")
-    out["euler_step_o6d3"] = dict(
-        {k: v / steps for k, v in loop.items()}, sizes="order 6, d 3, m 2, P 1, per step", **plan_counts(run)
+    counts = block_counts(coeffs, path.grid, start, 1)
+    out["euler_loop_o6d3"] = dict(loop, sizes=f"order 6, d 3, m 2, P 1, {steps} steps", **counts)
+    out["euler_step_o6d3"] = dict({k: v / steps for k, v in loop.items()}, sizes="order 6, d 3, m 2, P 1, per step")
+
+    cfg = workload_config("formula-o3d2")
+    coeffs, path = cfg.coefficients(), cfg.path()
+    start = [c.entries[None] for c in identity(cfg.order, cfg.dy).components]
+    out["euler_loop_o3d2"] = dict(
+        timed(lambda: euler_loop(coeffs, path.grid, start, path.increments), repeats, 5),
+        sizes=f"order 3, d 2, m 2, P 1, {path.grid.n_steps} steps, from the identity",
+        **block_counts(coeffs, path.grid, start, 1),
     )
 
     gbm = CoefficientFamily.constant_scalar([1.0], [0.5])

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from numbers import Real
 from typing import ClassVar, Sequence
 
@@ -263,6 +263,28 @@ def _classes(
     return tuple(((r, t), tuple(sorted(sources[r, t]))) for r, t in targets)
 
 
+def _class_ops(plan, values: dict, a: list, buffer) -> list:
+    """The ops (ufunc, x, y, out) of each class ((r, t), sources) of plan, in
+    its order: np.matmul of a source's `_operands` (class (r + 1, s) of
+    values, a[j - 1]), the first into the class and each later one into a
+    scratch array and then np.add into the class.  buffer(key, size) gives
+    the (rows, size) array of key, the class or "scratch"; values records
+    each class's."""
+    ops = []
+    for (r, t), sources in plan:
+        pairs = [_operands(values[r + 1, s], a[j - 1]) for s, j in sources]
+        size = pairs[0][0].shape[-2] * pairs[0][1].shape[-1]
+        acc = values[r, t] = buffer((r, t), size)
+        scratch = buffer("scratch", size) if len(pairs) > 1 else None
+        for i, (x, y) in enumerate(pairs):
+            out = acc.reshape(len(acc), x.shape[-2], y.shape[-1])
+            product = scratch.reshape(out.shape) if i else out
+            ops.append((np.matmul, x, y, product))
+            if i:
+                ops.append((np.add, out, product, out))
+    return ops
+
+
 class _Runner:
     """Components first.. of b after a, one per shape, by `_classes`.
 
@@ -270,33 +292,21 @@ class _Runner:
     each None where zero.  The last `tail` axes of b's entries are not slots;
     they stay last in the results.  Axis 0 of every entry and shape is the
     row axis (see `_contract`), of one length in a runner.  A runner holds a
-    buffer per class and a flat list of ops (ufunc, x, y, out) on views,
-    np.matmul of a source's `_operands` and np.add into its class.  b and a
-    are its contiguous operand buffers: a caller may write entries of the
-    same shapes and zero pattern into b, and `rerun` copies them into a and
-    runs the ops with no reshape or allocation.  `components` returns fresh
-    arrays; `nonzero` tells, for each, whether a class makes it (zeros if not).
+    buffer per class and the flat list of `_class_ops` on views.  `components`
+    returns fresh arrays; `nonzero` tells, for each, whether a class makes
+    it (zeros if not).
     """
 
     def __init__(self, b: list, a: list, shapes: list, tail: int = 0, first: int = 1):
         order = first + len(shapes) - 1
         rows, self.tail = shapes[0][0], tail
-        self.b = b[:order]
-        self.a = [None if e is None else e.reshape(e.shape[:2] + (-1,)) for e in a[:order]]
-        b_nonzero = tuple(e is not None for e in self.b)
-        a_nonzero = tuple(j < len(self.a) and self.a[j] is not None for j in range(order))
-        values = {(k, 0): e for k, e in enumerate(self.b, start=1) if e is not None}
-        self.ops = []
-        for (r, t), sources in _classes(order, b_nonzero, a_nonzero, first):
-            pairs = [_operands(values[r + 1, s], self.a[j - 1]) for s, j in sources]
-            acc = values[r, t] = np.empty((rows, pairs[0][0].shape[-2] * pairs[0][1].shape[-1]))
-            scratch = np.empty(acc.shape) if len(pairs) > 1 else None
-            for i, (x, y) in enumerate(pairs):
-                out = acc.reshape(rows, x.shape[-2], y.shape[-1])
-                product = scratch.reshape(out.shape) if i else out
-                self.ops.append((np.matmul, x, y, product))
-                if i:
-                    self.ops.append((np.add, out, product, out))
+        b = b[:order]
+        a = [None if e is None else e.reshape(e.shape[:2] + (-1,)) for e in a[:order]]
+        b_nonzero = tuple(e is not None for e in b)
+        a_nonzero = tuple(j < len(a) and a[j] is not None for j in range(order))
+        values = {(k, 0): e for k, e in enumerate(b, start=1) if e is not None}
+        plan = _classes(order, b_nonzero, a_nonzero, first)
+        self.ops = _class_ops(plan, values, a, lambda key, size: np.empty((rows, size)))
         self.outs = []
         for n, shape in enumerate(shapes, start=first):
             # component n comes out (rows, out, trailing..., inputs...), see _contract
@@ -305,12 +315,6 @@ class _Runner:
             v = values.get((0, n))
             self.outs.append((raw, None if v is None else v.reshape(raw)))
         self.nonzero = tuple(v is not None for _, v in self.outs)
-        self.rerun([])
-
-    def rerun(self, a: list) -> None:
-        for buf, e in zip(self.a, a):
-            if buf is not None:
-                np.copyto(buf, e.reshape(buf.shape))
         for f, x, y, z in self.ops:
             f(x, y, z)
 
@@ -319,6 +323,110 @@ class _Runner:
         for raw, v in self.outs:
             # adding 0.0 reads a sum of -0.0 terms as 0.0, as a sum from zeros would
             out.append(_tail_last(np.zeros(raw) if v is None else np.add(v, 0.0), self.tail))
+        return out
+
+
+class _Steps:
+    """The chain S_{i+1} = Psi_i o S_i of P paths, every dimension d, in
+    blocks of up to J steps, degree by degree, by one `_classes` plan.
+
+    The plan is that of Psi's zero pattern psi_nonzero (Psi_1 nonzero) and
+    of the state's, grown from start_nonzero to the pattern that a step
+    keeps (`nonzero`).  Class (0, n) is Psi_1 S_n, its first source, plus
+    the sources (s, n - s), s >= 1, which read S_1..S_{n-1} only.  So for
+    n = 1..order a block makes, in one batched pass over its rows, the
+    classes (r >= 1, n - 1) and the products of class (1, s) with S_{n-s},
+    each kept apart; then, step by step, S_n[i + 1] = Psi_1[i] S_n[i] plus
+    those products in source order; then S_n + 0.0.  Each row takes the ops
+    of a one-step `_Runner`, in their order.  Where a step's pattern is
+    smaller, the extra products add signed zeros, which the + 0.0 reads as
+    that runner's zeros.
+
+    The buffers are bound once: psi, (J, P) + (d,)*(k+1) slots-first by
+    degree, which the caller fills for each block; state, (J + 1, P, d,
+    d^n) by degree, row 0 the state before the block, each None where zero;
+    and the classes, one scratch and the products.  A step's buffers hold
+    `floats` floats, and J of them fill the budget, J within 1..n_steps.
+    `run` runs a block by the ops compiled once per length (`ops`), and
+    returns fresh states.
+    """
+
+    def __init__(
+        self, psi_nonzero: tuple, start_nonzero: tuple, d: int, paths: int, n_steps: int, budget: int
+    ):
+        order, pattern, self.nonzero = len(psi_nonzero), None, start_nonzero
+        while self.nonzero != pattern:
+            pattern = self.nonzero
+            self.plan = dict(_classes(order, psi_nonzero, pattern))
+            self.nonzero = tuple((0, n) in self.plan for n in range(1, order + 1))
+        self.d, self.paths = d, paths
+        sizes = {(r, t): d ** (r + t + 1) for r, t in self.plan}
+        pool = {key: size for key, size in sizes.items() if key[0]}
+        pool["scratch"] = max([sizes[c] for c, src in self.plan.items() if c[0] and len(src) > 1], default=0)
+        pool["products"] = max([(len(src) - 1) * sizes[c] for c, src in self.plan.items() if not c[0]], default=0)
+        operands = sum(d ** (k + 1) * (psi_nonzero[k - 1] + self.nonzero[k - 1]) for k in range(1, order + 1))
+        self.floats = paths * (sum(pool.values()) + operands)
+        self.steps = max(1, min(n_steps, budget // self.floats))
+        rows = self.steps * paths
+        self.pool = {key: np.empty(rows * size) for key, size in pool.items()}
+        self.psi = [
+            np.empty((self.steps, paths) + (d,) * (k + 1)) if nonzero else None
+            for k, nonzero in enumerate(psi_nonzero, start=1)
+        ]
+        self.state = [
+            np.empty((self.steps + 1, paths, d, d**n)) if nonzero else None
+            for n, nonzero in enumerate(self.nonzero, start=1)
+        ]
+        self.compiled = {}
+
+    def ops(self, steps: int) -> list:
+        """The ops of a block of steps, on prefix views of the buffers."""
+        rows, d = steps * self.paths, self.d
+
+        def buffer(key, size):
+            return self.pool[key][: rows * size].reshape(rows, size)
+
+        values = {(k, 0): e[:steps].reshape(rows, -1) for k, e in enumerate(self.psi, start=1) if e is not None}
+        a = [None if e is None else e[:steps].reshape(rows, d, -1) for e in self.state]
+        psi_1 = list(self.psi[0][:steps].swapaxes(-1, -2))  # Psi_1[i] as _operands makes it
+        ops = []
+        for n, s_n in enumerate(self.state, start=1):
+            classes = [((r, t), src) for (r, t), src in self.plan.items() if r and t == n - 1]
+            ops += _class_ops(classes, values, a, buffer)
+            if s_n is None:
+                continue
+            products, offset = [], 0
+            for s, j in self.plan[0, n][1:]:
+                x, y = _operands(values[1, s], a[j - 1])
+                out = self.pool["products"][offset : offset + rows * x.shape[-2] * y.shape[-1]]
+                offset += out.size
+                ops.append((np.matmul, x, y, out.reshape(rows, x.shape[-2], y.shape[-1])))
+                products.append(list(out.reshape(steps, self.paths, d, -1)))
+            knots = list(s_n[: steps + 1])
+            # step i: Psi_1[i] S_n[i] into S_n[i + 1], then each product added
+            made = [zip(repeat(np.matmul), psi_1, knots, knots[1:])]
+            made += [zip(repeat(np.add), knots[1:], p, knots[1:]) for p in products]
+            ops += chain.from_iterable(zip(*made))
+            # adding 0.0 reads a sum of -0.0 terms as 0.0, as `_Runner.components` does
+            ops.append((np.add, s_n[1 : steps + 1], 0.0, s_n[1 : steps + 1]))
+        return ops
+
+    def run(self, steps: int) -> list[np.ndarray]:
+        """Run a block of steps on psi and state row 0; return the states
+        after each step by degree, fresh, (steps, P, d) + (d,)*n, and move
+        the last into row 0."""
+        if (ops := self.compiled.get(steps)) is None:
+            ops = self.compiled[steps] = self.ops(steps)
+        for f, x, y, z in ops:
+            f(x, y, z)
+        out = []
+        for n, s_n in enumerate(self.state, start=1):
+            shape = (steps, self.paths, self.d) + (self.d,) * n
+            if s_n is None:
+                out.append(np.zeros(shape))
+            else:
+                out.append(s_n[1 : steps + 1].reshape(shape).copy())
+                s_n[0] = s_n[steps]
         return out
 
 

@@ -21,6 +21,7 @@ from .algebra import (
     MultilinearMap,
     ShapeError,
     _Runner,
+    _Steps,
     _nonzero_entries,
     apply_to_tuple,
     compose,
@@ -278,12 +279,14 @@ class CoefficientFamily:
     noise_dim: int
     drift: Callable[[float], FormalMapping]
     diffusion: Callable[[float], DiffusionFamily]
+    # the one (drift, diffusion) pair of a family made by `constant`, checked
+    _pair: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def constant(cls, a: FormalMapping, b: DiffusionFamily) -> "CoefficientFamily":
         coeffs = cls(a.order, a.dy, b.noise_dim, lambda t: a, lambda t: b)
         # constant coefficients need their shapes checked only once, here
-        coeffs.drift_at(0.0), coeffs.diffusion_at(0.0)
+        object.__setattr__(coeffs, "_pair", (coeffs.drift_at(0.0), coeffs.diffusion_at(0.0)))
         return coeffs
 
     @classmethod
@@ -314,14 +317,18 @@ class CoefficientFamily:
         """The coefficients at every step of grid, in one pass: the distinct (drift,
         diffusion) pairs, told apart by identity and each checked once, in order of
         first use; index[i], step i's pair; and a[k-1] and b[k-1], the pairs' slots-first
-        a_k and b_k stacked (a[k-1][index] is a_k at each step), None where all zero."""
+        a_k and b_k stacked (a[k-1][index] is a_k at each step), None where all zero.
+        A family made by `constant` has its one pair, and calls no provider."""
         values, seen, index, tail = [], {}, [], (self.noise_dim,)
-        for t in grid.knots()[:-1].tolist():
-            a, b = self.drift(t), self.diffusion(t)
-            if (key := (id(a), id(b))) not in seen:
-                seen[key] = len(values)
-                values.append((self._checked("drift", t, a, ()), self._checked("diffusion", t, b, tail)))
-            index.append(seen[key])
+        if self._pair is not None:
+            values, index = [self._pair], [0] * grid.n_steps
+        else:
+            for t in grid.knots()[:-1].tolist():
+                a, b = self.drift(t), self.diffusion(t)
+                if (key := (id(a), id(b))) not in seen:
+                    seen[key] = len(values)
+                    values.append((self._checked("drift", t, a, ()), self._checked("diffusion", t, b, tail)))
+                index.append(seen[key])
         stacks = [
             [None if all(c.is_zero for c in cs) else np.stack([c.slots_first for c in cs]) for cs in zip(*side)]
             for side in zip(*((a.components, b.components) for a, b in values))
@@ -382,25 +389,39 @@ def _step_parts(steps: GridCoefficients, dt: float, d: int) -> tuple[list, list]
     return drift, noise
 
 
-def _step_maps(parts: tuple[list, list], index: np.ndarray, dw: np.ndarray) -> list:
+def _step_sums(parts: tuple[list, list], index: np.ndarray, dw: np.ndarray, out: list | None = None) -> list:
     """Psi of J steps of P paths by degree from `_step_parts`' parts, one
-    batched sum each: stacks (J, P, d) + (d,)*k in the usual layout, views
-    of slots-first sums, None where zero, read-only for a degree without
-    noise.  index gives each step's pair and dw, (J, P, m), the increments."""
+    batched sum each, slots-first: (J, P) + (d,)*(k+1), None where zero.
+    index gives each step's pair and dw, (J, P, m), the increments.  The
+    sums go into out, slots-first arrays by degree, if given; else into
+    fresh arrays, or a read-only view for a degree without noise."""
     n_steps, n_paths, _ = dw.shape
-    out = []
-    for drift_k, b_k in zip(*parts):
+    sums = []
+    for k, (drift_k, b_k) in enumerate(zip(*parts)):
         if drift_k is None:
-            out.append(None)
+            sums.append(None)
             continue
         shape = (n_steps, n_paths) + drift_k.shape[1:]
-        if b_k is None:
-            e = np.broadcast_to(drift_k[index, None], shape)
+        if len(drift_k) == 1:  # one pair on the whole grid: broadcast, not gathered
+            drift_k, b_k = drift_k[:, None], None if b_k is None else b_k[:, None]
         else:
-            e = np.matmul(b_k[index, None], dw[..., None]).reshape(shape)
-            e += drift_k[index, None]
-        out.append(np.moveaxis(e, -1, 2))
-    return out
+            drift_k, b_k = drift_k[index, None], None if b_k is None else b_k[index, None]
+        if b_k is None and out is None:
+            e = np.broadcast_to(drift_k, shape)
+        else:
+            e = np.empty(shape) if out is None else out[k]
+            if b_k is None:
+                np.copyto(e, drift_k)
+            else:
+                np.matmul(b_k, dw[..., None], out=e.reshape(shape[:2] + (-1, 1)))
+                e += drift_k
+        sums.append(e)
+    return sums
+
+
+def _step_maps(parts: tuple[list, list], index: np.ndarray, dw: np.ndarray) -> list:
+    """`_step_sums` in the usual layout, (J, P, d) + (d,)*k: views."""
+    return [None if e is None else np.moveaxis(e, -1, 2) for e in _step_sums(parts, index, dw)]
 
 
 def one_step_map(
@@ -426,48 +447,53 @@ def one_step_map(
     return FormalMapping(a_t.order, d, d, comps)
 
 
-def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np.ndarray):
-    """The Euler loop: yield the chain state after each step of grid.
+# Memory of `_euler_states`: the buffers of a block of J steps, all degrees'
+# Psi, states, Horner classes and products, hold at most _EULER_FLOATS floats
+# (1.25 MiB), J within 1..n_steps.  Measured in-process on 2 cores, paired
+# with a loop that reruns one Horner `_Runner` per step (medians of 9-11
+# rounds): solve-o6d3's chain (order 6, d 3, P 1, 34 416 floats a step) took
+# 1.14x the loop's time in blocks of 1 step, 0.84x of 2, 0.70-0.77x of 3,
+# 0.59x of 4, 0.56-0.60x of 5 and 0.59-0.64x of 7 to 23; its CLI solve, which
+# encodes each state between blocks, 0.80-0.92x from 3 steps on.  Each step
+# of a block adds 0.28 MB to the peak RSS there, so the budget stops at 4.
+# formula-o3d2's chain (order 3, d 2, 144 floats a step) is one block of 512.
+_EULER_FLOATS = 5 << 15
 
-    A state lists its entries by degree, each with a leading path axis;
-    the initial one may have a single row shared by all paths, which is
-    broadcast to the P rows of dw, the increments, shape (P, n_steps, m).
-    Each step composes Psi with the previous state by the Horner `_classes`
-    of zero patterns read off structure: Psi's from `_step_parts`, the
-    state's from the initial state and then the last runner.  A product of
-    data that happens to be zero adds zeros, which leave the bits unchanged.
-    Psi is one set of P-row buffers written in place (`_step_maps`' bits): a
-    matmul and an add per noisy degree and step, the drift part alone copied
-    in when the pair changes.  One `_Runner` per state pattern serves every
-    step, and each yielded state is a fresh array.
+
+def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np.ndarray):
+    """The Euler loop: yield the chain states after each block of steps of
+    grid, entries by degree with a leading step axis, (J, P, d) + (d,)*n.
+
+    The initial state lists its entries by degree, each with a leading path
+    axis; it may have a single row shared by all paths, which is broadcast
+    to the P rows of dw, the increments, shape (P, n_steps, m).  One
+    `_Steps` schedule of zero patterns read off structure, Psi's from
+    `_step_parts` and the state's from the initial state, serves every
+    block: `_step_sums` writes the block's Psi into its buffers, and it
+    composes Psi_i o S_i degree by degree, each step with the bits of a
+    one-step `_Runner`.  A block's buffers hold at most _EULER_FLOATS
+    floats, unless one step's alone hold more; the last block may be
+    shorter, and each yielded block is fresh.
     """
-    n_paths, d = dw.shape[0], coeffs.dy
-    shapes = [(n_paths, d) + (d,) * n for n in range(1, coeffs.order + 1)]
+    n_paths, n_steps = dw.shape[:2]
     steps = coeffs.on_grid(grid)
-    drift, noise = _step_parts(steps, grid.dt, d)
-    psi = [None if e is None else np.empty((n_paths,) + e.shape[1:]) for e in drift]
-    dw = dw[..., None]
-    state = [np.broadcast_to(e, (n_paths,) + e.shape[1:]) for e in state]
-    pattern = tuple(bool(e.any()) for e in state)
-    runners = {}
-    for i, v in enumerate(index := steps.index.tolist()):
-        if i == 0 or v != index[i - 1]:
-            noisy = []
-            for e, drift_k, b_k in zip(psi, drift, noise):
-                if b_k is not None:  # Psi_k = drift_k + b_k(..., dw) on each path
-                    noisy.append((e.reshape(n_paths, -1, 1), e, drift_k[v : v + 1], b_k[v, None]))
-                elif e is not None:
-                    e[:] = drift_k[v]
-        for out, e, drift_k, b_k in noisy:
-            np.matmul(b_k, dw[:, i], out=out)
-            np.add(e, drift_k, out=e)
-        prev = [e if nonzero else None for e, nonzero in zip(state, pattern)]
-        if run := runners.get(pattern):
-            run.rerun(prev)
-        else:
-            run = runners[pattern] = _Runner(psi, [None if e is None else e.copy() for e in prev], shapes)
-        pattern = run.nonzero
-        yield (state := run.components())
+    parts = _step_parts(steps, grid.dt, coeffs.dy)
+    run = _Steps(
+        tuple(e is not None for e in parts[0]),
+        tuple(bool(e.any()) for e in state),
+        coeffs.dy,
+        n_paths,
+        n_steps,
+        _EULER_FLOATS,
+    )
+    for s, e in zip(run.state, state):
+        if s is not None:
+            s[0] = e.reshape(len(e), coeffs.dy, -1)
+    dw = dw.swapaxes(0, 1)
+    for i in range(0, n_steps, run.steps):
+        j = min(i + run.steps, n_steps)
+        _step_sums(parts, steps.index[i:j], dw[i:j], [None if e is None else e[: j - i] for e in run.psi])
+        yield run.run(j - i)
 
 
 def _check_noise_dim(coeffs: CoefficientFamily, path: BrownianPath) -> None:
@@ -475,14 +501,22 @@ def _check_noise_dim(coeffs: CoefficientFamily, path: BrownianPath) -> None:
         raise ShapeError(f"path noise_dim {path.noise_dim} != coefficients {coeffs.noise_dim}")
 
 
-def _path_states(coeffs: CoefficientFamily, initial: FormalMapping, path: BrownianPath):
-    """The chain states along a one-row Brownian path, initial's first, as
-    `_euler_states` yields them: entries by degree with a path axis of 1."""
+def _path_blocks(coeffs: CoefficientFamily, initial: FormalMapping, path: BrownianPath):
+    """The chain states along a one-row Brownian path, in blocks as
+    `_euler_states` yields them, (J, 1, d) + (d,)*n by degree; initial's
+    first, a block of one."""
     coeffs._checked("initial condition", path.grid.t_start, initial, ())
     dw = _one_path(coeffs, path)[None]
     start = [c.entries[None] for c in initial.components]
-    yield start
+    yield [e[None] for e in start]
     yield from _euler_states(coeffs, path.grid, start, dw)
+
+
+def _path_states(coeffs: CoefficientFamily, initial: FormalMapping, path: BrownianPath):
+    """The chain states along a one-row Brownian path, initial's first, one
+    at a time: entries by degree with a path axis of 1."""
+    for block in _path_blocks(coeffs, initial, path):
+        yield from zip(*block)
 
 
 # Overflow surfaces as the typed BlowupError or finite mask, not as numpy warnings.
@@ -500,8 +534,8 @@ def solve_chain(
     that state's lowest non-finite degree.  A state's component n depends
     only on coefficients and initial components of degree <= n.
     """
-    rows = list(_path_states(coeffs, initial, path))
-    entries = tuple(np.concatenate(col) for col in zip(*rows))
+    blocks = list(_path_blocks(coeffs, initial, path))
+    entries = tuple(np.concatenate(col)[:, 0] for col in zip(*blocks))
     # finite[k, i]: degree k + 1 is finite at knot i (step i - 1)
     finite = np.array([np.isfinite(e).reshape(len(e), -1).all(axis=1) for e in entries])
     if not finite.all():

@@ -198,6 +198,51 @@ class TestOneStepMap:
         assert got == pytest.approx(expected, rel=1e-14)
 
 
+class TestOnGrid:
+    def test_a_constant_family_calls_no_provider_per_knot(self, rng):
+        """`constant` checks its one pair once, so `on_grid` calls no
+        provider and gives the bits of the per-knot pass; families of
+        other providers ("new object", "switch") still call both at
+        every knot."""
+        co = random_coefficients(rng, 3, 2, 2)
+        a, b = co.drift_at(0.0), co.diffusion_at(0.0)
+        a2 = a._of(3, (a.components[0], MultilinearMap.zero(2, 2, 2), a.components[2]))
+        calls = []
+
+        def counted(provider):
+            def call(t):
+                calls.append(t)
+                return provider(t)
+
+            return call
+
+        families = {
+            "constant": co,
+            "per knot": CoefficientFamily(3, 2, 2, lambda t: a, lambda t: b),
+            "new object": CoefficientFamily(3, 2, 2, lambda t: a._of(3, a.components), lambda t: b),
+            "switch": CoefficientFamily(3, 2, 2, lambda t: a if t < 0.5 else a2, lambda t: b),
+        }
+        grid = TimeGrid(0.0, 1.0, 16)
+        steps = {}
+        for name, family in families.items():
+            object.__setattr__(family, "drift", counted(family.drift))
+            object.__setattr__(family, "diffusion", counted(family.diffusion))
+            calls.clear()
+            steps[name] = family.on_grid(grid)
+            assert len(calls) == (0 if name == "constant" else 2 * grid.n_steps)
+        got, want = steps["constant"], steps["per knot"]
+
+        def same_bits(x, y):
+            return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+        assert len(got.values) == len(want.values) == 1
+        assert got.values[0][0] is want.values[0][0] is a and got.values[0][1] is want.values[0][1] is b
+        assert got.index.dtype == want.index.dtype and same_bits(got.index, want.index)
+        for x, y in zip(got.a + got.b, want.a + want.b, strict=True):
+            assert (x is None and y is None) or same_bits(x, y)
+        assert len(steps["new object"].values) == 16 and len(steps["switch"].values) == 2
+
+
 class TestSolveChain:
     def test_zero_coefficients_stay_identity(self):
         co = CoefficientFamily.constant_scalar([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
@@ -334,6 +379,52 @@ class TestSolveChain:
         where = f"step {solved.value.step}, component {solved.value.component}"
         assert capsys.readouterr().err == f"error: numerical blowup at {where}\n"
 
+    @pytest.mark.parametrize(
+        "drift, step, component",
+        [
+            ([1e160], 1, 1),
+            ([1.2e17], 19, 1),
+            ([0.0, 1.5e308], 11, 2),
+            ([5.0, 1e300, 1e300], 1, 3),
+            ([1e160, 1e160, 1e160], 1, 1),
+        ],
+    )
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 40])
+    def test_a_blowup_inside_a_block_is_where_the_step_loop_has_it(
+        self, tmp_path, capsys, monkeypatch, drift, step, component, block
+    ):
+        """The blocks' later steps overflow too, and the first block's first
+        steps have zero components: neither moves the first non-finite step
+        or its lowest non-finite degree from those of a loop that runs one
+        step at a time (the step and component here), in blocks of 1 to 40
+        steps."""
+        built = []
+
+        class Steps(chain._Steps):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        order = len(drift)
+        # every Psi_k is nonzero, and a step keeps every degree
+        floats = chain._Steps((True,) * order, (True,) * order, 1, 1, 40, 0).floats
+        monkeypatch.setattr(chain, "_Steps", Steps)
+        monkeypatch.setattr(chain, "_EULER_FLOATS", block * floats)
+        co = CoefficientFamily.constant_scalar(drift)
+        path = BrownianPath.from_increments(TimeGrid(0.0, 4.0, 40), np.zeros((40, 1)))
+        with pytest.raises(BlowupError) as solved:
+            solve_chain(co, identity(order, 1), path)
+        assert (solved.value.step, solved.value.component) == (step, component)
+        terms = [{"degree": k, "dy": 1, "dz": 1, "entries": [c]} for k, c in enumerate(drift, start=1)]
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"dy": 1, "order": order, "t_end": 4.0, "n_steps": 40, "drift": terms}))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: numerical blowup at step {step}, component {component}\n"
+        assert not out.exists() or not any(out.iterdir())
+        # each run built one schedule; in blocks of 2 or more, the blowup step is not a block's first
+        assert [s.steps for s in built] == [block] * 2 and (block == 1 or step % block)
+
     def test_initial_condition_shape_checked(self, rng):
         co = random_coefficients(rng, 3, 2, 2)
         path = sample_path(TimeGrid(0.0, 1.0, 4), 2, seed=0)
@@ -346,17 +437,25 @@ class TestBufferDiscipline:
     out, nor another generator or thread, may see them change."""
 
     def instance(self, rng):
-        # from the identity, the first step has a zero pattern of its own, so
-        # each run builds two runners and reruns the second
+        # from the identity, the first step has a zero pattern of its own;
+        # the budget makes blocks of 5 steps for 3 paths (the last of 4) and
+        # of 15 for one path (the last of 9)
         return random_coefficients(rng, 4, 2, 2), TimeGrid(0.0, 1.0, 24)
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_five(self, monkeypatch):
+        # 1 152 floats make the buffers of a step of 3 paths at order 4, d 2
+        monkeypatch.setattr(chain, "_EULER_FLOATS", 5 * 1152)
 
     def test_yielded_states_stay_unchanged(self, rng):
         co, grid = self.instance(rng)
         dw = sample_paths(grid, 2, 5, 3).increments
         start = [c.entries[None] for c in identity(4, 2).components]
         path = sample_path(grid, 2, seed=5)
+        blocks = list(_euler_states(co, grid, start, dw))
+        assert [len(block[0]) for block in blocks] == [5] * 4 + [4]
         for states in (
-            _euler_states(co, grid, start, dw),
+            (state for block in blocks for state in zip(*block)),
             _path_states(co, identity(4, 2), path),
         ):
             kept, copies = [], []
@@ -401,23 +500,26 @@ class TestBufferDiscipline:
 
 
 class TestRunnerReuse:
-    """The Euler loop builds one runner per zero pattern of the state,
-    however many steps it takes and whatever objects the coefficient
-    providers return: Psi's pattern is that of the coefficients over the
-    whole grid."""
+    """The Euler loop builds one `_Steps` schedule per call, however many
+    steps and zero patterns its states pass through and whatever objects
+    the coefficient providers return: Psi's pattern is that of the
+    coefficients over the whole grid, and the states' the one a step keeps."""
 
     @pytest.mark.parametrize(
         "provider, patterns", [("constant", 2), ("new object", 2), ("switch", 2), ("linear", 1)]
     )
-    def test_runners_built_equal_the_zero_patterns(self, rng, monkeypatch, provider, patterns):
+    def test_one_schedule_serves_every_zero_pattern(self, rng, monkeypatch, provider, patterns):
         built = []
 
-        class Runner(chain._Runner):
+        class Steps(chain._Steps):
             def __init__(self, *args, **kwargs):
                 built.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(chain, "_Runner", Runner)
+        monkeypatch.setattr(chain, "_Steps", Steps)
+        # 288 floats make the buffers of a step of 2 paths at order 3, d 2:
+        # blocks of 7 steps, and of all 24 for the sparse linear chain
+        monkeypatch.setattr(chain, "_EULER_FLOATS", 7 * 288)
         order, d, m = (4 if provider == "linear" else 3), 2, 2
         co = random_coefficients(rng, order, d, m)
         a, b = co.drift_at(0.0), co.diffusion_at(0.0)
@@ -427,7 +529,7 @@ class TestRunnerReuse:
             )
         elif provider == "switch":
             # from t = 0.5 on, a_2 and b_3 are zero, but not before: Psi keeps
-            # its pattern over the grid, and the runners stay those of "constant"
+            # its pattern over the grid, and the schedule stays that of "constant"
             a2 = a._of(order, (a.components[0], MultilinearMap.zero(2, d, d), a.components[2]))
             b2 = b._of(order, b.components[:2] + (DiffusionMap.zero(3, d, d, m),))
             co = CoefficientFamily(order, d, m, lambda t: a if t < 0.5 else a2, lambda t: b if t < 0.5 else b2)
@@ -443,17 +545,23 @@ class TestRunnerReuse:
         def run(co):
             # the identity's one row is broadcast to both paths' rows
             start = [c.entries[None] for c in identity(co.order, d).components]
-            states = list(_euler_states(co, grid, start, dw))
-            assert len(states) == grid.n_steps
+            blocks = list(_euler_states(co, grid, start, dw))
+            states = [start] + [state for block in blocks for state in zip(*block)]
+            assert len(states) == grid.n_steps + 1
+            # the zero patterns of the states that the steps read
+            return {tuple(bool(e.any()) for e in state) for state in states[:-1]}
 
-        run(co)
-        assert len(built) == patterns
-        if provider == "linear":
-            # a sparse chain stays sparse: the order-4 runners make the one
-            # product of each runner of the chain of degree 1 alone
+        assert len(run(co)) == patterns
+        assert len(built) == 1
+        if provider != "linear":
+            assert built[0].steps == 7 and built[0].nonzero == (True,) * order
+        else:
+            # a sparse chain stays sparse: the order-4 schedule makes the one
+            # product per step of the schedule of the chain of degree 1 alone
+            assert built[0].steps == 24 and built[0].nonzero == (True, False, False, False)
             run(CoefficientFamily.constant(a._of(1, a.components[:1]), b._of(1, b.components[:1])))
-            ops = [[(f, x.shape, y.shape, z.shape) for f, x, y, z in r.ops] for r in built]
-            assert ops[:1] == ops[1:] and [len(r) for r in ops] == [1] * 2
+            ops = [[(f, x.shape, np.shape(y), z.shape) for f, x, y, z in r.compiled[r.steps]] for r in built]
+            assert ops[:1] == ops[1:] and [f for f, *_ in ops[0]] == [np.matmul] * 24 + [np.add]
 
 
 class TestSimulateDirect:

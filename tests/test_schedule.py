@@ -12,6 +12,7 @@ Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3).
 """
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from formalflow import (
     FormalMapping,
     MultilinearMap,
 )
+from formalflow import chain
 from formalflow.algebra import _classes, _Runner, compose, enumerate_compositions, evaluate
 from formalflow.chain import TimeGrid, _euler_states, _forcing, _step_maps, _step_parts, one_step_map
 
@@ -224,7 +226,7 @@ def test_euler_states_match_the_reference_bitwise(order, d, m, seed, n_paths, sh
 
 
 def assert_states_match_the_reference(coeffs, grid, start, dw):
-    got = list(_euler_states(coeffs, grid, start, dw))
+    got = [state for block in _euler_states(coeffs, grid, start, dw) for state in zip(*block)]
     want = list(ref_euler_states(coeffs, grid, start, dw))
     assert len(got) == len(want) == grid.n_steps
     for state_got, state_want in zip(got, want):
@@ -266,6 +268,51 @@ def test_time_dependent_coefficients_match_the_reference_bitwise(order, d, m, se
     dw = np.sqrt(grid.dt) * rng.standard_normal((n_paths, steps, m))
     start = [np.eye(d)[None]] + [np.zeros((1, d) + (d,) * k) for k in range(2, order + 1)]
     assert_states_match_the_reference(coeffs, grid, start, dw)
+
+
+@given(
+    order=st.integers(1, 4), d=st.integers(1, 3), m=st.integers(1, 2), seed=_seeds,
+    n_paths=st.integers(1, 3), budget=st.integers(1, 4000),
+    start_kind=st.sampled_from(["identity", "sparse", "random"]), data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_blocks_of_steps_match_the_reference_bitwise(order, d, m, seed, n_paths, budget, start_kind, data):
+    """`_euler_states` runs the steps in blocks of the float budget's length,
+    the last one shorter or not; the states still have the bits of the
+    step-by-step reference, where the coefficients switch inside a block,
+    where the start is sparse or random, and with no noise."""
+    rng = np.random.default_rng(seed)
+    steps = data.draw(st.integers(2, 24))
+    grid = TimeGrid(0.0, 0.5, steps)
+
+    def family(kind, tail):
+        shapes = [(d,) + (d,) * k + tail for k in range(1, order + 1)]
+        return [
+            kind(k, d, d, *tail, filled(draw_entries(data, rng, shape, 0.3), shape))
+            for k, shape in enumerate(shapes, start=1)
+        ]
+
+    a = [FormalMapping(order, d, d, tuple(family(MultilinearMap, ()))) for _ in range(2)]
+    b = [DiffusionFamily(order, d, m, family(DiffusionMap, (m,))) for _ in range(2)]
+    knot = grid.knot(data.draw(st.integers(1, steps))) if data.draw(st.booleans()) else grid.t_end
+    coeffs = CoefficientFamily(order, d, m, lambda t: a[t >= knot], lambda t: b[t >= knot])
+    dw = np.sqrt(grid.dt) * rng.standard_normal((n_paths, steps, m))
+    if data.draw(st.booleans()):
+        dw = np.zeros_like(dw)
+    lead = data.draw(st.sampled_from([1, n_paths]))
+    start = []
+    for k in range(1, order + 1):
+        shape = (lead, d) + (d,) * k
+        if start_kind == "random" or (start_kind == "sparse" and data.draw(st.booleans())):
+            start.append(0.5 * rng.standard_normal(shape))
+        elif k == 1 and start_kind == "identity":
+            start.append(np.broadcast_to(np.eye(d), shape).copy())
+        else:
+            start.append(np.zeros(shape))
+    with patch.object(chain, "_EULER_FLOATS", budget):
+        lengths = [len(block[0]) for block in _euler_states(coeffs, grid, start, dw)]
+        assert sum(lengths) == steps and set(lengths[:-1]) <= {lengths[0]} and lengths[-1] <= lengths[0]
+        assert_states_match_the_reference(coeffs, grid, start, dw)
 
 
 @given(
