@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import inspect
 import json
 import statistics
 import sys
@@ -76,15 +77,18 @@ def layers(name: str, out_dir: Path) -> dict:
         )
         return algebra.FormalMapping(order, d, d, comps)
 
-    def loop(coeffs, grid, start, dw):
-        for _ in chain._euler_states(coeffs, grid, start, dw):
+    # the Euler loop takes (coeffs, path, state); in packages before it did,
+    # (coeffs, grid, state, dw)
+    with_grid = len(inspect.signature(chain._euler_states).parameters) == 4
+
+    def loop(coeffs, path, start):
+        args = (path.grid, start, path.increments) if with_grid else (path, start)
+        for _ in chain._euler_states(coeffs, *args):
             pass
 
     outer, inner = dense(6, 3), dense(6, 3)
     cfg = cli.ExperimentConfig.from_dict(json.loads(config_bytes("solve-o6d3", CONFIG_SEED)))
     coeffs, path = cfg.coefficients(), cfg.path()
-    # (1, n_steps, m) whether a path's increments carry the path axis or not
-    dw = path.increments.reshape(-1, *path.increments.shape[-2:])
     start = [c.entries[None] for c in cfg.initial_mapping().components]
     gbm = chain.CoefficientFamily.constant_scalar([1.0], [0.5])
     paths = chain.sample_paths(chain.TimeGrid(0.0, 1.0, 512), 1, SEED, 64)
@@ -99,12 +103,10 @@ def layers(name: str, out_dir: Path) -> dict:
             chain.solve_chain_batch(gbm, algebra.identity(1, 1), level)
 
     return {
-        "euler_loop_o6d3": (lambda: loop(coeffs, path.grid, start, dw), 1, 1),
-        "euler_loop_o3d2": (
-            lambda: loop(formula_coeffs, formula_path.grid, formula_start, formula_path.increments), 5, 1
-        ),
+        "euler_loop_o6d3": (lambda: loop(coeffs, path, start), 1, 1),
+        "euler_loop_o3d2": (lambda: loop(formula_coeffs, formula_path, formula_start), 5, 1),
         "compose_o6d3": (lambda: algebra.compose(outer, inner), 20, 1),
-        "euler_step_o1d1_p64": (lambda: loop(gbm, paths.grid, one, paths.increments), 1, 512),
+        "euler_step_o1d1_p64": (lambda: loop(gbm, paths, one), 1, 512),
         "formula_check_o3d2": (lambda: cli._cmd_formula_check(formula, out_dir), 1, 1),
         "batch_terminal_o1d1_p64": (batch_terminal, 5, 1),
     }

@@ -104,8 +104,8 @@ def plan_counts(ops: list) -> dict:
     return {"products": kinds.count(np.matmul), "additions": kinds.count(np.add), "flops": flops}
 
 
-def euler_loop(coeffs, grid, start, dw):
-    for _ in _euler_states(coeffs, grid, start, dw):
+def euler_loop(coeffs, path, start):
+    for _ in _euler_states(coeffs, path, start):
         pass
 
 
@@ -188,9 +188,7 @@ def measure(repeats: int) -> dict:
     cfg = workload_config("solve-o6d3")
     coeffs, path = cfg.coefficients(), cfg.path()
     start = [c.entries[None] for c in cfg.initial_mapping().components]
-    # (1, n_steps, m) whether a path's increments carry the path axis or not
-    dw = path.increments.reshape(-1, *path.increments.shape[-2:])
-    loop = timed(lambda: euler_loop(coeffs, path.grid, start, dw), repeats)
+    loop = timed(lambda: euler_loop(coeffs, path, start), repeats)
     steps = path.grid.n_steps
     counts = block_counts(coeffs, path.grid, start, 1)
     out["euler_loop_o6d3"] = dict(loop, sizes=f"order 6, d 3, m 2, P 1, {steps} steps", **counts)
@@ -200,7 +198,7 @@ def measure(repeats: int) -> dict:
     coeffs, path = cfg.coefficients(), cfg.path()
     start = [c.entries[None] for c in identity(cfg.order, cfg.dy).components]
     out["euler_loop_o3d2"] = dict(
-        timed(lambda: euler_loop(coeffs, path.grid, start, path.increments), repeats, 5),
+        timed(lambda: euler_loop(coeffs, path, start), repeats, 5),
         sizes=f"order 3, d 2, m 2, P 1, {path.grid.n_steps} steps, from the identity",
         **block_counts(coeffs, path.grid, start, 1),
     )
@@ -208,7 +206,7 @@ def measure(repeats: int) -> dict:
     gbm = CoefficientFamily.constant_scalar([1.0], [0.5])
     paths = sample_paths(TimeGrid(0.0, 1.0, 512), 1, SEED, 64)
     one = [c.entries[None] for c in identity(1, 1).components]
-    loop = timed(lambda: euler_loop(gbm, paths.grid, one, paths.increments), repeats, 5)
+    loop = timed(lambda: euler_loop(gbm, paths, one), repeats, 5)
     out["euler_step_o1d1_p64"] = dict(
         {k: v / 512 for k, v in loop.items()}, sizes="order 1, d 1, m 1, P 64, per step of 512"
     )
@@ -228,7 +226,7 @@ def measure(repeats: int) -> dict:
 
     degrees = list(range(2, cfg.order + 1))
     out["variation_of_constants_o3d2"] = dict(
-        timed(lambda: variation_of_constants(degrees, coeffs, sol, path), repeats),
+        timed(lambda: variation_of_constants(degrees, sol), repeats),
         sizes=f"order 3, d 2, m 2, {cfg.n_steps} steps, degrees 2 and 3 in one call",
     )
     out["fundamental_o3d2"] = dict(
@@ -240,7 +238,7 @@ def measure(repeats: int) -> dict:
     n_floats = sum(e.size for e in sol.entries)
     sizes = f"{len(sol.entries[0])} states of order 6, d 3, {n_floats} floats"
     entries = list(zip(*sol.entries))  # each state's arrays by degree
-    frame = cli._state_frame(sol.initial)
+    frame = cli._state_frame(sol.state(0))
 
     def texts():
         return (cli._json_floats(*state, frame=frame) for state in entries)

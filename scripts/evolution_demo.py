@@ -49,7 +49,7 @@ def main():
     grid = TimeGrid(0.0, 1.0, args.steps)
     path = sample_path(grid, m, seed=args.seed, path_index=1)
     split = grid.dt * int(rng.integers(1, args.steps))
-    rep = evolution_check(coeffs, grid, path, split)
+    rep = evolution_check(coeffs, path, split)
     print(f"split knot tau = {rep.split_knot:.6f}")
     for k, d in enumerate(rep.component_discrepancies, start=1):
         print(f"  component {k}: relative discrepancy {d:.3e}")

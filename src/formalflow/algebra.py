@@ -239,20 +239,20 @@ def enumerate_compositions(n: int, k: int) -> list[tuple[int, ...]]:
 
 @lru_cache
 def _classes(
-    order: int, b_nonzero: tuple[bool, ...], a_nonzero: tuple[bool, ...], first: int = 1
+    order: int, b_nonzero: tuple[bool, ...], a_nonzero: tuple[bool, ...]
 ) -> tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]:
-    """Horner's rule for components first..order, compiled for one zero pattern.
+    """Horner's rule for components 1..order, compiled for one zero pattern.
 
     Class (r, s) sums the partial terms b_k(a_j1, ..., a_ji, ...) with
     r = k - i slots open and s = j_1 + ... + j_i, which share a shape and
     completions.  (k, 0) is b_k and (0, n) is component n.  Entry ((r, t),
     sources), r descending, makes class (r, t) as the sum over its sources
     (s, j), s ascending, of class (r + 1, s) with a_j in its leading slot.
-    A product is kept if it is a prefix of a term of components first..order
-    with no zero operand, as b_nonzero[k-1] and a_nonzero[j-1] tell.
+    A product is kept if it is a prefix of a term with no zero operand, as
+    b_nonzero[k-1] and a_nonzero[j-1] tell.
     """
     sources: dict = {}
-    for n in range(first, order + 1):
+    for n in range(1, order + 1):
         for k in range(1, n + 1):
             for parts in enumerate_compositions(n, k):
                 if b_nonzero[k - 1] and all(a_nonzero[j - 1] for j in parts):
@@ -286,7 +286,7 @@ def _class_ops(plan, values: dict, a: list, buffer) -> list:
 
 
 class _Runner:
-    """Components first.. of b after a, one per shape, by `_classes`.
+    """Components 1.. of b after a, one per shape, by `_classes`.
 
     b lists entries by degree in slots-first layout, a in the usual layout,
     each None where zero.  The last `tail` axes of b's entries are not slots;
@@ -297,18 +297,18 @@ class _Runner:
     it (zeros if not).
     """
 
-    def __init__(self, b: list, a: list, shapes: list, tail: int = 0, first: int = 1):
-        order = first + len(shapes) - 1
+    def __init__(self, b: list, a: list, shapes: list, tail: int = 0):
+        order = len(shapes)
         rows, self.tail = shapes[0][0], tail
         b = b[:order]
         a = [None if e is None else e.reshape(e.shape[:2] + (-1,)) for e in a[:order]]
         b_nonzero = tuple(e is not None for e in b)
         a_nonzero = tuple(j < len(a) and a[j] is not None for j in range(order))
         values = {(k, 0): e for k, e in enumerate(b, start=1) if e is not None}
-        plan = _classes(order, b_nonzero, a_nonzero, first)
+        plan = _classes(order, b_nonzero, a_nonzero)
         self.ops = _class_ops(plan, values, a, lambda key, size: np.empty((rows, size)))
         self.outs = []
-        for n, shape in enumerate(shapes, start=first):
+        for n, shape in enumerate(shapes, start=1):
             # component n comes out (rows, out, trailing..., inputs...), see _contract
             cut = len(shape) - tail
             raw = shape[:2] + shape[cut:] + shape[2:cut]

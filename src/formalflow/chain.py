@@ -108,28 +108,23 @@ class BrownianPath:
     """Per-step Gaussian increments of P paths of an m-dimensional Wiener
     process on one grid; a single path is a BrownianPath of one row.
 
-    increments has shape (P, n_steps, m).  Row p is drawn from the Philox
-    counter-based stream keyed by (seed, path_index + p): standard normals
-    drawn row by row (numpy ziggurat) and scaled by sqrt(dt).  Regeneration
-    from the same key is bit-identical, and the first j steps agree with any
-    longer draw on the same step size.
+    increments has shape (P, n_steps, m), and m is the path's noise_dim.
+    Row p is drawn from the Philox counter-based stream keyed by (seed,
+    path_index + p): standard normals drawn row by row (numpy ziggurat) and
+    scaled by sqrt(dt).  Regeneration from the same key is bit-identical,
+    and the first j steps agree with any longer draw on the same step size.
     """
 
     grid: TimeGrid
-    noise_dim: int
     increments: np.ndarray
     seed: int
     path_index: int = 0
 
     def __post_init__(self):
-        if _integer("noise_dim", self.noise_dim) < 1:
-            raise ShapeError(f"noise_dim must be >= 1, got {self.noise_dim}")
         _integer("seed", self.seed), _integer("path_index", self.path_index)
         arr = np.asarray(self.increments, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1:] != (self.grid.n_steps, self.noise_dim):
-            raise ShapeError(
-                f"increments shape {arr.shape} != (P, {self.grid.n_steps}, {self.noise_dim})"
-            )
+        if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] != self.grid.n_steps or arr.shape[2] < 1:
+            raise ShapeError(f"increments shape {arr.shape} != (P, {self.grid.n_steps}, m), P and m >= 1")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "increments", arr)
@@ -137,6 +132,10 @@ class BrownianPath:
     @property
     def n_paths(self) -> int:
         return self.increments.shape[0]
+
+    @property
+    def noise_dim(self) -> int:
+        return self.increments.shape[2]
 
     @classmethod
     def from_increments(
@@ -149,7 +148,7 @@ class BrownianPath:
             increments = increments[:, None]
         if increments.ndim == 2:
             increments = increments[None]
-        return cls(grid, increments.shape[-1], increments, seed, path_index)
+        return cls(grid, increments, seed, path_index)
 
     def cumulative(self) -> np.ndarray:
         """w of every path at every knot (w(t_start) = 0), shape (P, n_steps + 1, m)."""
@@ -162,7 +161,7 @@ class BrownianPath:
         if not 0 <= i_start < i_stop <= self.grid.n_steps:
             raise ShapeError(f"bad knot range [{i_start}, {i_stop}]")
         sub = self.grid._sub(i_start, i_stop - i_start)
-        return BrownianPath(sub, self.noise_dim, self.increments[:, i_start:i_stop], self.seed, self.path_index)
+        return BrownianPath(sub, self.increments[:, i_start:i_stop], self.seed, self.path_index)
 
     def coarsen(self, factor: int) -> "BrownianPath":
         """Sum groups of `factor` increments: the same paths on a coarser grid."""
@@ -170,7 +169,7 @@ class BrownianPath:
             raise ShapeError(f"factor {factor} does not divide {self.grid.n_steps} steps")
         n = self.grid.n_steps // factor
         coarse = self.increments.reshape(self.n_paths, n, factor, self.noise_dim).sum(axis=2)
-        return BrownianPath(self.grid._sub(0, n, factor), self.noise_dim, coarse, self.seed, self.path_index)
+        return BrownianPath(self.grid._sub(0, n, factor), coarse, self.seed, self.path_index)
 
 
 def _one_path(coeffs: CoefficientFamily, path: BrownianPath) -> np.ndarray:
@@ -198,7 +197,7 @@ def _draw(grid: TimeGrid, m: int, seed: int, first: int, n_paths: int) -> Browni
         key = np.array([seed, p], dtype=np.uint64)
         np.random.Generator(np.random.Philox(key=key)).standard_normal(out=row)
     increments *= math.sqrt(grid.dt)
-    return BrownianPath(grid, m, increments, seed, first)
+    return BrownianPath(grid, increments, seed, first)
 
 
 def sample_path(grid: TimeGrid, m: int, seed: int, path_index: int = 0) -> BrownianPath:
@@ -341,22 +340,22 @@ GridCoefficients = namedtuple("GridCoefficients", "values index a b")
 
 @dataclass(frozen=True)
 class ChainSolution:
-    """Chain states S(t_i, s) at every knot of a grid, with reproducibility provenance.
+    """Chain states S(t_i, s) under coeffs at every knot of the one-row path
+    they were solved along; the path's grid, seed and path_index are its
+    provenance.
 
     entries[k-1] holds component k of every state, shape (n_steps + 1, d) +
     (d,)*k, row i at knot i (the initial state is row 0); the arrays are
     finite and read-only.  `state(i)` wraps a row as a FormalMapping.
     """
 
-    grid: TimeGrid
-    initial: FormalMapping
+    coeffs: CoefficientFamily
+    path: BrownianPath
     entries: tuple[np.ndarray, ...]
-    seed: int
-    path_index: int
 
     def state(self, i: int) -> FormalMapping:
         """The state at knot i (negative i counts from the end)."""
-        d = self.initial.dy
+        d = self.coeffs.dy
         comps = tuple(MultilinearMap(k, d, d, e[i]) for k, e in enumerate(self.entries, start=1))
         return FormalMapping(len(comps), d, d, comps)
 
@@ -460,13 +459,13 @@ def one_step_map(
 _EULER_FLOATS = 5 << 15
 
 
-def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np.ndarray):
-    """The Euler loop: yield the chain states after each block of steps of
-    grid, entries by degree with a leading step axis, (J, P, d) + (d,)*n.
+def _euler_states(coeffs: CoefficientFamily, path: BrownianPath, state: list):
+    """The Euler loop: yield the chain states along every row of path after
+    each block of steps of its grid, entries by degree with a leading step
+    axis, (J, P, d) + (d,)*n.
 
     The initial state lists its entries by degree, each with a leading path
-    axis; it may have a single row shared by all paths, which is broadcast
-    to the P rows of dw, the increments, shape (P, n_steps, m).  One
+    axis; it may have a single row shared by all P paths.  One
     `_Steps` schedule of zero patterns read off structure, Psi's from
     `_step_parts` and the state's from the initial state, serves every
     block: `_step_sums` writes the block's Psi into its buffers, and it
@@ -475,9 +474,9 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
     floats, unless one step's alone hold more; the last block may be
     shorter, and each yielded block is fresh.
     """
-    n_paths, n_steps = dw.shape[:2]
-    steps = coeffs.on_grid(grid)
-    parts = _step_parts(steps, grid.dt, coeffs.dy)
+    n_paths, n_steps = path.increments.shape[:2]
+    steps = coeffs.on_grid(path.grid)
+    parts = _step_parts(steps, path.grid.dt, coeffs.dy)
     run = _Steps(
         tuple(e is not None for e in parts[0]),
         tuple(bool(e.any()) for e in state),
@@ -489,7 +488,7 @@ def _euler_states(coeffs: CoefficientFamily, grid: TimeGrid, state: list, dw: np
     for s, e in zip(run.state, state):
         if s is not None:
             s[0] = e.reshape(len(e), coeffs.dy, -1)
-    dw = dw.swapaxes(0, 1)
+    dw = path.increments.swapaxes(0, 1)
     for i in range(0, n_steps, run.steps):
         j = min(i + run.steps, n_steps)
         _step_sums(parts, steps.index[i:j], dw[i:j], [None if e is None else e[: j - i] for e in run.psi])
@@ -506,10 +505,10 @@ def _path_blocks(coeffs: CoefficientFamily, initial: FormalMapping, path: Browni
     `_euler_states` yields them, (J, 1, d) + (d,)*n by degree; initial's
     first, a block of one."""
     coeffs._checked("initial condition", path.grid.t_start, initial, ())
-    dw = _one_path(coeffs, path)[None]
+    _one_path(coeffs, path)
     start = [c.entries[None] for c in initial.components]
     yield [e[None] for e in start]
-    yield from _euler_states(coeffs, path.grid, start, dw)
+    yield from _euler_states(coeffs, path, start)
 
 
 def _path_states(coeffs: CoefficientFamily, initial: FormalMapping, path: BrownianPath):
@@ -543,7 +542,7 @@ def solve_chain(
         raise BlowupError(step=knot - 1, component=int(np.flatnonzero(~finite[:, knot])[0]) + 1)
     for e in entries:
         e.setflags(write=False)
-    return ChainSolution(path.grid, initial, entries, path.seed, path.path_index)
+    return ChainSolution(coeffs, path, entries)
 
 
 # Memory of `solve_chain_batch`: one path's Psi over a block of steps holds at
@@ -683,8 +682,8 @@ def simulate_direct(coeffs: CoefficientFamily, y0: np.ndarray, path: BrownianPat
     return out
 
 
-def _forcing(first: int, state: list, a: list, b: list, shapes: list) -> tuple[list, list]:
-    """Entries of f_n and g_n for n = first.., one per shape, at each of J
+def _forcing(state: list, a: list, b: list, shapes: list) -> tuple[list, list]:
+    """Entries of f_n and g_n for n = 1.., one per shape, at each of J
     steps, along a leading step axis.
 
     f_n and g_n are component n of a after S and of b after S, each with its
@@ -694,14 +693,14 @@ def _forcing(first: int, state: list, a: list, b: list, shapes: list) -> tuple[l
     keeps b's noise axis last, and is None when b_2..b_n are None.  One
     runner for f and one for g serve every degree, sharing Horner classes.
     """
-    top = first + len(shapes) - 1
-    f = _Runner([None] + a[1:top], state, shapes, first=first).components()
+    top = len(shapes)
+    f = _Runner([None] + a[1:top], state, shapes).components()
     b = [None] + b[1:top]
-    noisy = [any(e is not None for e in b[:n]) for n in range(first, top + 1)]
+    noisy = [any(e is not None for e in b[:n]) for n in range(1, top + 1)]
     if not any(noisy):
-        return f, [None] * len(shapes)
+        return f, [None] * top
     m = next(e for e in b if e is not None).shape[-1]
-    g = _Runner(b, state, [s + (m,) for s in shapes], tail=1, first=first).components()
+    g = _Runner(b, state, [s + (m,) for s in shapes], tail=1).components()
     return f, [g_n if is_noisy else None for g_n, is_noisy in zip(g, noisy)]
 
 
@@ -720,7 +719,7 @@ def forcing_terms(
         raise ShapeError(f"need state components up to degree {n - 1}, coefficients up to {n}")
     dy, dz, m = states_at_t.dy, b_t.dz, b_t.noise_dim
     s, a, b = _nonzero_entries(states_at_t), _nonzero_entries(a_t, True), _nonzero_entries(b_t, True)
-    (f,), (g,) = _forcing(n, s, a, b, [(1, a_t.dz) + (dy,) * n])
+    f, g = (x[-1] for x in _forcing(s, a, b, [(1, a_t.dz) + (dy,) * k for k in range(1, n + 1)]))
     g = DiffusionMap.zero(n, dy, dz, m) if g is None else DiffusionMap(n, dy, dz, m, g[0])
     return MultilinearMap(n, dy, a_t.dz, f[0]), g
 
@@ -738,9 +737,15 @@ class EvolutionReport:
         return float(np.max(self.component_discrepancies))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The norm of each row along x's last axis, sqrt(v @ v) as
+    np.linalg.norm computes it, by one batched product: shape x.shape[:-1]."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
 def _relative_errors(got: np.ndarray, ref: np.ndarray) -> list[float]:
     """|got[i] - ref[i]| / |ref[i]| in the Frobenius norm, for each row i of
-    the leading axis; |got[i] - ref[i]| where ref[i] is zero.
+    the leading axis; |got[i] - ref[i]| where ref[i] is zero or NaN.
 
     Both rows are first scaled by 2^-e, e the exponent (np.frexp) of
     ref[i]'s largest magnitude, so that no norm overflows.  Scaling by a
@@ -750,26 +755,19 @@ def _relative_errors(got: np.ndarray, ref: np.ndarray) -> list[float]:
     rows = len(ref)
     got, ref = got.reshape(rows, -1), ref.reshape(rows, -1)
     scale = -np.frexp(np.abs(ref).max(axis=1))[1][:, None]
-    out = []
-    # the norms as np.linalg.norm computes them, sqrt(v @ v), without its overhead
-    for d, r in zip(np.ldexp(got - ref, scale), np.ldexp(ref, scale)):
-        diff, norm = math.sqrt(d @ d), math.sqrt(r @ r)
-        out.append(diff / norm if norm > 0 else diff)
-    return out
+    diff, norm = _row_norms(np.ldexp(got - ref, scale)), _row_norms(np.ldexp(ref, scale))
+    return np.divide(diff, norm, out=diff, where=norm > 0).tolist()
 
 
-def evolution_check(
-    coeffs: CoefficientFamily, grid: TimeGrid, path: BrownianPath, split_knot: float
-) -> EvolutionReport:
-    """Compare S(t, tau) o S(tau, s) against S(t, s) on one path.
+def evolution_check(coeffs: CoefficientFamily, path: BrownianPath, split_knot: float) -> EvolutionReport:
+    """Compare S(t, tau) o S(tau, s) against S(t, s) on one path, over its grid.
 
     Both sides compose the same per-step mappings, so the discrepancy is
     floating-point reordering noise only.  S(tau, s) is the full solve's
     state at tau: a solve along the path restricted to [s, tau] takes the
     same steps at the same knot times, so it has the same bits.
     """
-    if path.grid != grid:
-        raise ShapeError("path grid does not match the requested grid")
+    grid = path.grid
     i_tau = grid.knot_index(split_knot)
     if i_tau == 0 or i_tau == grid.n_steps:
         raise ShapeError("split knot must be strictly inside the interval")

@@ -331,13 +331,12 @@ def _cmd_compose_check(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _cmd_evolution_check(cfg: ExperimentConfig, out_dir: Path) -> int:
-    coeffs = cfg.coefficients()
-    grid = cfg.grid()
+    coeffs, path = cfg.coefficients(), cfg.path()
     split = cfg.options.get("split_knot")
     if split is None:
-        split = grid.knot(grid.n_steps // 2)
+        split = path.grid.knot(path.grid.n_steps // 2)
     tol = _number("tolerance", cfg.options.get("tolerance", 1e-10))
-    report = evolution_check(coeffs, grid, cfg.path(), _number("split_knot", split))
+    report = evolution_check(coeffs, path, _number("split_knot", split))
     passed = bool(report.max_discrepancy <= tol)
     results = {
         "split_knot": report.split_knot,
@@ -367,11 +366,10 @@ def _cmd_taylor_check(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _cmd_formula_check(cfg: ExperimentConfig, out_dir: Path) -> int:
-    coeffs, path = cfg.coefficients(), cfg.path()
-    sol = solve_chain(coeffs, identity(cfg.order, cfg.dy), path)
+    sol = solve_chain(cfg.coefficients(), identity(cfg.order, cfg.dy), cfg.path())
     degrees = _list("degrees", cfg.options.get("degrees", list(range(2, cfg.order + 1))), _integer, "integers")
     tol = _number("tolerance", cfg.options.get("tolerance", 1e-9))
-    voc = variation_of_constants(degrees, coeffs, sol, path)
+    voc = variation_of_constants(degrees, sol)
     # the worst knot of each degree; NaN if any error is NaN, so that the check fails
     worst = {str(n): float(np.max(_relative_errors(v, sol.entries[n - 1]))) for n, v in zip(degrees, voc)}
     passed = all(e <= tol for e in worst.values())

@@ -45,33 +45,33 @@ def fundamental(
     return FundamentalSolution(factors)
 
 
-def _loads(degrees: list, steps: GridCoefficients, solution: ChainSolution, dw: np.ndarray) -> list:
+def _loads(degrees: list, steps: GridCoefficients, solution: ChainSolution) -> list:
     """For each n of degrees, the load f_n(t_j)*dt + g_n(t_j)(..., dw_j) of every
     step j, shape (N, d) + (d,)*n: one batched composition over all steps and
-    degrees, on the solution's arrays and the coefficients on its grid (`steps`).
-    Row j is bitwise the load from forcing_terms at step j, noise g_n.entries @ dw_j.
+    degrees, on the solution's arrays, its path's increments and the
+    coefficients on its grid (`steps`).  Row j is bitwise the load from
+    forcing_terms at step j, noise g_n.entries @ dw_j.
     """
-    first, top = min(degrees), max(degrees)
-    n_steps, d = len(steps.index), solution.initial.dy
+    top, path = max(degrees), solution.path
+    n_steps, d = len(steps.index), solution.coeffs.dy
     # the states before each step, None where zero at every one of them
     state = [e[:-1] if e[:-1].any() else None for e in solution.entries[: top - 1]]
     a, b = ([None if e is None else e[steps.index] for e in x[:top]] for x in (steps.a, steps.b))
-    f, g = _forcing(first, state, a, b, [(n_steps, d) + (d,) * n for n in range(first, top + 1)])
-    loads = [(solution.grid.dt * f[n - first], g[n - first]) for n in degrees]
-    return [q if g_n is None else q + _noise(g_n, dw) for q, g_n in loads]
+    f, g = _forcing(state, a, b, [(n_steps, d) + (d,) * n for n in range(1, top + 1)])
+    loads = [(path.grid.dt * f[n - 1], g[n - 1]) for n in degrees]
+    return [q if g_n is None else q + _noise(g_n, path.increments[0]) for q, g_n in loads]
 
 
-def variation_of_constants(
-    degrees: list[int], coeffs: CoefficientFamily, solution: ChainSolution, path: BrownianPath
-) -> list[np.ndarray]:
+def variation_of_constants(degrees: list[int], solution: ChainSolution) -> list[np.ndarray]:
     """The degree-n trajectory from the explicit integral formula, of shape
     (N + 1, d) + (d,)*n, for each n of degrees, in their order.
 
     S_n(t_i) = sum over j < i of Phi(t_i, t_{j+1}) applied to f_n(t_j)*dt +
     g_n(t_j)(..., dw_j), with Phi the deterministic fundamental solution.
-    Requires zero degree-1 diffusion; otherwise the integral would be
-    anticipative.  solution must be the chain's along path, with S_n(t_0) =
-    0.  A non-finite entry raises NonFiniteError(n), n the first such listed.
+    The coefficients and the one-row path are the solution's.  Requires
+    zero degree-1 diffusion (otherwise the integral would be anticipative)
+    and S_n(t_0) = 0.  A non-finite entry raises NonFiniteError(n), n the
+    first such listed.
 
     One pass over the coefficients feeds the factors and the loads.  One sweep
     over knots serves every degree and allocates nothing: Phi(t_i, t_{j+1})
@@ -80,8 +80,7 @@ def variation_of_constants(
     whose every block starts as I; the i terms of all degrees side by side
     are one batched product, summed in ascending j.
     """
-    if (got := (solution.initial.order, solution.initial.dy)) != (want := (coeffs.order, coeffs.dy)):
-        raise ShapeError(f"solution (order, dy) {got} differs from the coefficients' {want}")
+    coeffs, path = solution.coeffs, solution.path
     degrees = list(degrees)
     for i, n in enumerate(degrees):
         if not 2 <= n <= coeffs.order:
@@ -92,18 +91,13 @@ def variation_of_constants(
             raise ShapeError(f"the solution's initial degree-{n} component is nonzero")
     if not degrees:
         raise ShapeError("need at least one degree in 'degrees'")
-    dw = _one_path(coeffs, path)
-    if solution.grid != path.grid:
-        raise ShapeError(f"solution grid {solution.grid} differs from the path's {path.grid}")
-    if (got := (solution.seed, solution.path_index)) != (want := (path.seed, path.path_index)):
-        raise ShapeError(f"solution (seed, path_index) {got} differs from the path's {want}")
     steps = coeffs.on_grid(path.grid)
     if steps.b[0] is not None:
         raise UnsupportedCaseError("degree-1 diffusion must vanish for the explicit formula")
     factors = fundamental(coeffs, path, steps).factors
     n_steps, d = path.grid.n_steps, coeffs.dy
     # every degree's loads side by side along the last axis
-    loads = np.concatenate([q.reshape(n_steps, d, -1) for q in _loads(degrees, steps, solution, dw)], axis=2)
+    loads = np.concatenate([q.reshape(n_steps, d, -1) for q in _loads(degrees, steps, solution)], axis=2)
     terms = np.empty_like(loads)
     # np.add.reduce adds a knot's terms row by row, in ascending j, where a term
     # holds several floats.  Where it holds one (d = 1, one degree) the terms

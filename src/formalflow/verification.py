@@ -16,6 +16,7 @@ from .chain import (
     BrownianPath,
     CoefficientFamily,
     TimeGrid,
+    _row_norms,
     sample_paths,
     simulate_direct,
     solve_chain,
@@ -155,12 +156,8 @@ def estimate_order(
     n_excluded = n_paths - n_used
     if n_excluded > 0.01 * n_paths:
         raise ExcessiveBlowupError(n_excluded, n_paths)
-    if not n_used:
-        raise ShapeError("no paths survived")
-    # per-path errors, shape (n_used, levels); each norm is sqrt of the row's
-    # dot product with itself, the same bits as np.linalg.norm of that row
-    diffs = np.stack([x[used] - ref[used] for x in levels], axis=1)
-    errors = np.sqrt((diffs[..., None, :] @ diffs[..., :, None])[..., 0, 0])
+    # per-path errors, shape (n_used, levels), each the bits of np.linalg.norm of its row
+    errors = _row_norms(np.stack([x[used] - ref[used] for x in levels], axis=1))
     # two passes keep the variance stable
     means = errors.mean(axis=0)
     if n_used > 1:

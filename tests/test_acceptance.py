@@ -99,7 +99,7 @@ def test_criterion_2_discrete_evolution_property(report):
         co = random_coefficients(rng, 4, 3, 2)
         path = sample_path(grid, 2, seed=7000 + trial)
         split = grid.t_start + int(rng.integers(1, 128)) * grid.dt
-        rep = evolution_check(co, grid, path, split)
+        rep = evolution_check(co, path, split)
         worst = max(worst, rep.max_discrepancy)
     report(
         "2 discrete evolution property",
@@ -221,7 +221,7 @@ def test_criterion_7_explicit_formula(report):
     def max_rel_err(co, path, degrees):
         sol = solve_chain(co, identity(co.order, co.dy), path)
         out = 0.0
-        for n, traj in zip(degrees, variation_of_constants(degrees, co, sol, path)):
+        for n, traj in zip(degrees, variation_of_constants(degrees, sol)):
             for v, s in zip(traj, sol.entries[n - 1]):
                 out = max(out, np.linalg.norm(v - s) / max(np.linalg.norm(s), 1.0))
         return out

@@ -230,3 +230,28 @@ class TestValidationAndSerialization:
         a = random_mapping(rng, 3, 2, 2)
         back = FormalMapping.from_dict(a.to_dict())
         assert mapping_equal(back, a)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MultilinearMap(0, 1, 1, np.ones(1)), r"need degree >= 1 and dimensions >= 1, got degree 0"),
+        (lambda: MultilinearMap(1, 0, 1, np.ones((1, 0))), r"got degree 1, shape \(1, 0\)"),
+        (lambda: FormalMapping(0, 1, 1, ()), "order must be >= 1, got 0"),
+        (lambda: FormalMapping(2, 1, 1, identity(1, 1).components), "expected 2 components, got 1"),
+        (lambda: FormalMapping._of(1, []), "a formal mapping needs at least one component"),
+        (lambda: identity(2, 1).component(3), r"degree 3 out of range 1\.\.2"),
+        (
+            lambda: apply_to_tuple(MultilinearMap.zero(2, 1, 1), identity(1, 1).components),
+            "b_k has 2 slots, got 1 argument maps",
+        ),
+        (lambda: identity(0, 2), "need order >= 1 and d >= 1, got 0, 2"),
+    ],
+    ids=[
+        "degree-0", "zero-dimension", "order-0", "component-count", "no-components",
+        "component-out-of-range", "slot-count", "identity-order-0",
+    ],
+)
+def test_invalid_arguments_raise_their_message(build, message):
+    with pytest.raises(ShapeError, match=message):
+        build()

@@ -9,6 +9,7 @@ ch. 3).
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,11 +101,11 @@ class TestSamplePaths:
     def test_rejects_bad_shapes(self):
         grid = TimeGrid(0.0, 1.0, 4)
         with pytest.raises(ValueError):
-            BrownianPath(grid, 1, np.zeros((4, 1)), seed=0)
+            BrownianPath(grid, np.zeros((4, 1)), seed=0)
         with pytest.raises(ValueError):
-            BrownianPath(grid, 1, np.zeros((0, 4, 1)), seed=0)
+            BrownianPath(grid, np.zeros((0, 4, 1)), seed=0)
         with pytest.raises(ValueError):
-            BrownianPath(grid, 1, np.zeros((2, 4, 2)), seed=0)
+            BrownianPath(grid, np.zeros((2, 4, 0)), seed=0)
         with pytest.raises(ValueError):
             sample_paths(grid, 1, seed=0, n_paths=0)
 
@@ -159,7 +160,7 @@ def assert_within_tree_bound(co, initial, path, got):
 
 def one_row(paths, p):
     """Row p of paths as a one-row path on the same grid."""
-    return BrownianPath(paths.grid, paths.noise_dim, paths.increments[p : p + 1], paths.seed, p)
+    return BrownianPath(paths.grid, paths.increments[p : p + 1], paths.seed, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,7 +278,7 @@ def test_overflowing_path_is_masked_and_neighbours_unchanged():
     grid = TimeGrid(0.0, 1.0, 8)
     increments = 0.1 * np.random.default_rng(3).standard_normal((3, 8, 1))
     increments[1, 3:5] = 1e200  # path 1 overflows at step 4
-    batch = BrownianPath(grid, 1, increments, seed=0)
+    batch = BrownianPath(grid, increments, seed=0)
     paths = [BrownianPath.from_increments(grid, increments[p]) for p in range(3)]
 
     terminal, finite = solve_chain_batch(co, identity(2, 1), batch)
@@ -355,8 +356,8 @@ def path0_solution(co, paths):
         lambda co, paths: solve_chain(co, identity(2, 1), paths),
         lambda co, paths: list(_path_states(co, identity(2, 1), paths)),
         lambda co, paths: fundamental(co, paths),
-        lambda co, paths: variation_of_constants([2], co, path0_solution(co, paths), paths),
-        lambda co, paths: evolution_check(co, paths.grid, paths, 0.5),
+        lambda co, paths: variation_of_constants([2], replace(path0_solution(co, paths), path=paths)),
+        lambda co, paths: evolution_check(co, paths, 0.5),
     ],
     ids=["solve_chain", "path_states", "fundamental", "variation_of_constants", "evolution_check"],
 )

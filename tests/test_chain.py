@@ -3,6 +3,7 @@ import math
 import runpy
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -449,10 +450,10 @@ class TestBufferDiscipline:
 
     def test_yielded_states_stay_unchanged(self, rng):
         co, grid = self.instance(rng)
-        dw = sample_paths(grid, 2, 5, 3).increments
+        rows = sample_paths(grid, 2, 5, 3)
         start = [c.entries[None] for c in identity(4, 2).components]
         path = sample_path(grid, 2, seed=5)
-        blocks = list(_euler_states(co, grid, start, dw))
+        blocks = list(_euler_states(co, rows, start))
         assert [len(block[0]) for block in blocks] == [5] * 4 + [4]
         for states in (
             (state for block in blocks for state in zip(*block)),
@@ -540,12 +541,12 @@ class TestRunnerReuse:
                 a._of(order, a.components[:1] + zero_a), b._of(order, b.components[:1] + zero_b)
             )
         grid = TimeGrid(0.0, 1.0, 24)
-        dw = sample_paths(grid, m, 1, 2).increments
+        rows = sample_paths(grid, m, 1, 2)
 
         def run(co):
             # the identity's one row is broadcast to both paths' rows
             start = [c.entries[None] for c in identity(co.order, d).components]
-            blocks = list(_euler_states(co, grid, start, dw))
+            blocks = list(_euler_states(co, rows, start))
             states = [start] + [state for block in blocks for state in zip(*block)]
             assert len(states) == grid.n_steps + 1
             # the zero patterns of the states that the steps read
@@ -660,7 +661,7 @@ class TestSimulateDirect:
         co = random_coefficients(rng, order, d, m, magnitude=0.2)
         grid = TimeGrid(0.0, 0.5, 6)
         dw = np.sqrt(grid.dt) * rng.standard_normal((paths, grid.n_steps, m))
-        traj = simulate_direct(co, 0.3 * rng.standard_normal((paths, d)), BrownianPath(grid, m, dw, seed))
+        traj = simulate_direct(co, 0.3 * rng.standard_normal((paths, d)), BrownianPath(grid, dw, seed))
         a, b = co.drift(0.0), co.diffusion(0.0)
         abs_a, abs_b = absolute(a), absolute(b)
         eps = np.finfo(float).eps
@@ -706,21 +707,21 @@ class TestEvolutionCheck:
         co = CoefficientFamily.constant_scalar([0.0, 0.0], [0.0, 0.0])
         grid = TimeGrid(0.0, 1.0, 8)
         path = sample_path(grid, 1, seed=0)
-        rep = evolution_check(co, grid, path, 0.5)
+        rep = evolution_check(co, path, 0.5)
         assert rep.max_discrepancy == 0.0
 
     def test_degree_one_scalar(self):
         co = CoefficientFamily.constant_scalar([1.0], [0.5])
         grid = TimeGrid(0.0, 1.0, 64)
         path = sample_path(grid, 1, seed=2)
-        rep = evolution_check(co, grid, path, 0.5)
+        rep = evolution_check(co, path, 0.5)
         assert rep.max_discrepancy <= 1e-12
 
     def test_random_instance(self, rng):
         co = random_coefficients(rng, 4, 3, 2)
         grid = TimeGrid(0.0, 1.0, 128)
         path = sample_path(grid, 2, seed=13)
-        rep = evolution_check(co, grid, path, 0.25)
+        rep = evolution_check(co, path, 0.25)
         assert rep.max_discrepancy <= 1e-10
 
     def test_coefficients_that_switch_at_a_knot(self):
@@ -730,7 +731,7 @@ class TestEvolutionCheck:
         b = DiffusionFamily.from_scalar_coeffs([0.3, 0.1])
         co = CoefficientFamily(2, 1, 1, lambda t: a1 if t < 6 * 0.1 else a2, lambda t: b)
         grid = TimeGrid(0.0, 1.0, 10)
-        rep = evolution_check(co, grid, sample_path(grid, 1, seed=0), 0.1)
+        rep = evolution_check(co, sample_path(grid, 1, seed=0), 0.1)
         assert rep.max_discrepancy <= 1e-14
 
     @given(
@@ -785,9 +786,9 @@ class TestEvolutionCheck:
         grid = TimeGrid(0.0, 1.0, 8)
         path = sample_path(grid, 2, seed=0)
         with pytest.raises(ShapeError):
-            evolution_check(co, grid, path, 0.3)
+            evolution_check(co, path, 0.3)
         with pytest.raises(ShapeError):
-            evolution_check(co, grid, path, 0.0)
+            evolution_check(co, path, 0.0)
 
 
 class TestForcingTerms:
@@ -826,3 +827,66 @@ class TestForcingTerms:
         s = random_mapping(rng, 2, 2, 2)
         with pytest.raises(ShapeError):
             forcing_terms(1, s, co.drift_at(0.0), co.diffusion_at(0.0))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: sample_path(TimeGrid(0.0, 1.0, 8), 1, seed=0).restrict(3, 3), r"bad knot range \[3, 3\]"),
+        (lambda: sample_path(TimeGrid(0.0, 1.0, 8), 1, seed=0).coarsen(3), "factor 3 does not divide 8 steps"),
+        (lambda: sample_path(TimeGrid(0.0, 1.0, 8), 0, seed=0), "noise_dim must be >= 1, got 0"),
+        (
+            lambda: one_step_map(identity(1, 1), DiffusionFamily.zero(1, 1, 1), 0.1, np.zeros(2)),
+            r"dw has shape \(2,\), expected \(1,\)",
+        ),
+        (
+            lambda: forcing_terms(3, identity(2, 1), identity(2, 1), DiffusionFamily.zero(2, 1, 1)),
+            "need state components up to degree 2, coefficients up to 3",
+        ),
+    ],
+    ids=["restrict", "coarsen", "sample-path-m-0", "one-step-dw", "forcing-order"],
+)
+def test_invalid_arguments_raise_their_message(build, message):
+    with pytest.raises(ShapeError, match=message):
+        build()
+
+
+def per_row_relative_errors(got, ref):
+    """`chain._relative_errors` row by row, each norm math.sqrt(v @ v)."""
+    out = []
+    for g, r in zip(got.reshape(len(ref), -1), ref.reshape(len(ref), -1)):
+        scale = -np.frexp(np.abs(r).max())[1]
+        d, s = np.ldexp(g - r, scale), np.ldexp(r, scale)
+        diff, norm = math.sqrt(d @ d), math.sqrt(s @ s)
+        out.append(diff / norm if norm > 0 else diff)
+    return out
+
+
+@given(
+    rows=st.sampled_from([1, 4, 33, 65]),
+    d=st.integers(1, 3),
+    n=st.integers(1, 4),
+    exponent=st.sampled_from([-600, 0, 530]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_relative_errors_are_the_per_row_form(rows, d, n, exponent, seed, data):
+    """Rows of a formula-check degree, (N + 1, d) + (d,)*n, or of an
+    evolution-check component, one row: the batched norms give each error
+    the bits of the per-row form.  A zero reference row gives the norm of
+    the difference and no warning; a NaN gives a NaN error."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, d) + (d,) * n
+    ref = np.ldexp(rng.standard_normal(shape), exponent)
+    ref[data.draw(st.lists(st.integers(0, rows - 1), max_size=2))] = 0.0
+    got = ref + np.ldexp(1e-12 * rng.standard_normal(shape), exponent)
+    nan = data.draw(st.lists(st.integers(0, rows - 1), max_size=1))
+    got[nan] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's default errstate warns on a division by zero
+        errors = chain._relative_errors(got, ref)
+    want = per_row_relative_errors(got, ref)
+    assert len(errors) == rows and all(type(e) is float for e in errors)
+    assert [math.isnan(e) for e in errors] == [i in nan for i in range(rows)]
+    assert np.array(errors).tobytes() == np.array(want).tobytes()

@@ -1100,3 +1100,19 @@ class TestSolveSmokeConfig:
         with open(tmp_path / "report.json") as fh:
             report = json.load(fh, parse_constant=child.reject_non_finite)
         assert child.check_solve(json.loads(self.CONFIG.read_text()), report) is None
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, message",
+    [
+        ("solve", "[1, 2]", "config must be a JSON object"),
+        ("solve", '{"t_end": 1' + "0" * 399 + "}", "t_end is too large"),
+        ("convergence", '{"dt_values": [0.5, 0.25, 0.125]}', "convergence needs a 'problem' object with a 'kind' field"),
+    ],
+    ids=["not-an-object", "400-digit-t_end", "no-problem"],
+)
+def test_invalid_configs_exit_2_with_their_message(tmp_path, capsys, subcommand, text, message):
+    config = tmp_path / "c.json"
+    config.write_text(text)
+    assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err

@@ -89,7 +89,7 @@ class TestVariationOfConstants:
         grid = TimeGrid(0.0, 1.0, 16)
         path = deterministic_path(grid)
         sol = solve_chain(co, identity(3, 1), path)
-        for traj in variation_of_constants([2, 3], co, sol, path):
+        for traj in variation_of_constants([2, 3], sol):
             assert not traj.any()
 
     def test_pure_noise_forcing_is_brownian_sum(self):
@@ -98,7 +98,7 @@ class TestVariationOfConstants:
         grid = TimeGrid(0.0, 1.0, 128)
         path = sample_path(grid, 1, seed=33)
         sol = solve_chain(co, identity(2, 1), path)
-        (traj,) = variation_of_constants([2], co, sol, path)
+        (traj,) = variation_of_constants([2], sol)
         # chain and quadrature accumulate the same loads in the same order
         assert np.array_equal(traj, sol.entries[1])
         got = traj[-1].ravel()[0]
@@ -109,7 +109,7 @@ class TestVariationOfConstants:
         grid = TimeGrid(0.0, 1.0, 256)
         path = deterministic_path(grid)
         sol = solve_chain(co, identity(2, 1), path)
-        (traj,) = variation_of_constants([2], co, sol, path)
+        (traj,) = variation_of_constants([2], sol)
         for v, s in zip(traj, sol.entries[1]):
             assert np.linalg.norm(v - s) <= 1e-9 * max(1.0, np.linalg.norm(s))
 
@@ -124,7 +124,7 @@ class TestVariationOfConstants:
             grid = TimeGrid(0.0, 1.0, n_steps)
             path = deterministic_path(grid)
             sol = solve_chain(co, identity(2, 1), path)
-            (traj,) = variation_of_constants([2], co, sol, path)
+            (traj,) = variation_of_constants([2], sol)
             errs.append(abs(traj[-1].ravel()[0] - target))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.15)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.15)
@@ -146,7 +146,7 @@ class TestVariationOfConstants:
         grid = TimeGrid(0.0, 1.0, 64)
         path = sample_path(grid, m, seed=12)
         sol = solve_chain(co, identity(order, dy), path)
-        for n, traj in zip((2, 3), variation_of_constants([2, 3], co, sol, path)):
+        for n, traj in zip((2, 3), variation_of_constants([2, 3], sol)):
             for v, s in zip(traj, sol.entries[n - 1]):
                 assert np.linalg.norm(v - s) <= 1e-9 * max(1.0, np.linalg.norm(s))
 
@@ -156,15 +156,7 @@ class TestVariationOfConstants:
         path = sample_path(grid, 1, seed=0)
         sol = solve_chain(co, identity(2, 1), path)
         with pytest.raises(UnsupportedCaseError):
-            variation_of_constants([2], co, sol, path)
-
-    def test_path_noise_dim_must_match(self):
-        # with b_2 nonzero this used to fail inside numpy's reshape
-        co = CoefficientFamily.constant_scalar([0.5, 0.3], [0.0, 0.2])
-        grid = TimeGrid(0.0, 1.0, 8)
-        sol = solve_chain(co, identity(2, 1), sample_path(grid, 1, seed=0))
-        with pytest.raises(ShapeError, match="path noise_dim 2 != coefficients 1"):
-            variation_of_constants([2], co, sol, sample_path(grid, 2, seed=0))
+            variation_of_constants([2], sol)
 
     def test_non_finite_trajectory_raises(self):
         co = CoefficientFamily.constant_scalar([0.0, 1.0])
@@ -174,7 +166,7 @@ class TestVariationOfConstants:
         # degree-1 states of 1e160 make the load a_2(S_1, S_1)*dt overflow
         huge = dataclasses.replace(sol, entries=(np.full_like(sol.entries[0], 1e160), sol.entries[1]))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as exc:
-            variation_of_constants([2], co, huge, path)
+            variation_of_constants([2], huge)
         assert exc.value.degree == 2
 
     def test_rejects_degree_below_two(self):
@@ -183,14 +175,14 @@ class TestVariationOfConstants:
         path = deterministic_path(grid)
         sol = solve_chain(co, identity(2, 1), path)
         with pytest.raises(ShapeError):
-            variation_of_constants([1], co, sol, path)
+            variation_of_constants([1], sol)
 
     def test_rejects_a_duplicate_degree(self):
         co = CoefficientFamily.constant_scalar([1.0, 0.5, 0.2])
         path = deterministic_path(TimeGrid(0.0, 1.0, 8))
         sol = solve_chain(co, identity(3, 1), path)
         with pytest.raises(ShapeError, match="duplicate degree 2 in 'degrees'"):
-            variation_of_constants([2, 3, 2], co, sol, path)
+            variation_of_constants([2, 3, 2], sol)
 
     @pytest.mark.parametrize(
         "scale, degrees, raised",
@@ -203,44 +195,17 @@ class TestVariationOfConstants:
         # degree-1 states of 1e160 overflow degrees 2 and 3; of 1e120, degree 3 only
         huge = dataclasses.replace(sol, entries=(np.full_like(sol.entries[0], scale),) + sol.entries[1:])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as exc:
-            variation_of_constants(degrees, co, huge, path)
+            variation_of_constants(degrees, huge)
         assert exc.value.degree == raised
-
-    # each of these solutions made the formula miss the chain by a relative 0.58-1.18
-    def test_rejects_a_solution_of_another_grid(self):
-        co = CoefficientFamily.constant_scalar([1.0, 0.5], [0.0, 0.25])
-        sol = solve_chain(co, identity(2, 1), sample_path(TimeGrid(0.0, 2.0, 16), 1, seed=4))
-        path = sample_path(TimeGrid(0.0, 1.0, 16), 1, seed=4)
-        with pytest.raises(ShapeError, match="solution grid .* differs from the path's"):
-            variation_of_constants([2], co, sol, path)
-
-    @pytest.mark.parametrize("seed, path_index", [(5, 0), (4, 1)])
-    def test_rejects_a_solution_of_another_path(self, seed, path_index):
-        co = CoefficientFamily.constant_scalar([1.0, 0.5], [0.0, 0.25])
-        grid = TimeGrid(0.0, 1.0, 16)
-        sol = solve_chain(co, identity(2, 1), sample_path(grid, 1, seed, path_index))
-        with pytest.raises(ShapeError, match=rf"\(seed, path_index\) \({seed}, {path_index}\) differs from the path's \(4, 0\)"):
-            variation_of_constants([2], co, sol, sample_path(grid, 1, seed=4))
-
-    @pytest.mark.parametrize("order, d", [(2, 1), (3, 2)])
-    def test_rejects_a_solution_of_another_order_or_dimension(self, rng, order, d):
-        # a lower order raised IndexError, another dimension numpy's reshape ValueError
-        co = CoefficientFamily.constant_scalar([1.0, 0.5, 0.2], [0.0, 0.25, 0.1])
-        path = sample_path(TimeGrid(0.0, 1.0, 16), 1, seed=4)
-        other = CoefficientFamily.constant(random_mapping(rng, order, d, d), DiffusionFamily.zero(order, d, 1))
-        sol = solve_chain(other, identity(order, d), path)
-        want = rf"solution \(order, dy\) \({order}, {d}\) differs from the coefficients' \(3, 1\)"
-        with pytest.raises(ShapeError, match=want):
-            variation_of_constants([2, 3], co, sol, path)
 
     def test_rejects_a_nonzero_initial_component(self):
         co = CoefficientFamily.constant_scalar([1.0, 0.5, 0.2], [0.0, 0.25, 0.0])
         path = sample_path(TimeGrid(0.0, 1.0, 16), 1, seed=4)
         sol = solve_chain(co, FormalMapping.from_scalar_coeffs([1.0, 0.0, 0.1]), path)
         # degree 2 starts at zero and passes; the formula drops Phi(t_i, t_0) S_3(0)
-        variation_of_constants([2], co, sol, path)
+        variation_of_constants([2], sol)
         with pytest.raises(ShapeError, match="initial degree-3 component is nonzero"):
-            variation_of_constants([2, 3], co, sol, path)
+            variation_of_constants([2, 3], sol)
 
 
 def time_dependent_coefficients(rng, order, d, m, drift_on, diffusion_on, flat, noisy_b1=False):
@@ -366,7 +331,7 @@ def test_batched_factors_and_loads_are_the_per_step_forms(
     assert factors.shape == (n_steps, d, d) and not factors.flags.writeable
     sol = solve_chain(co, identity(order, d), path)
     degrees = list(range(2, order + 1))
-    loads = _loads(degrees, co.on_grid(grid), sol, dw)
+    loads = _loads(degrees, co.on_grid(grid), sol)
     for j, t_j in enumerate(grid.knots()[:-1].tolist()):
         a_t, b_t = co.drift_at(t_j), co.diffusion_at(t_j)
         f = np.eye(d) + grid.dt * a_t.component(1).entries
@@ -410,8 +375,8 @@ def test_sweep_is_the_concatenate_loop_bit_for_bit(
     steps = co.on_grid(path.grid)
     subset = [n for n in pick if n <= order][:count]
     for degrees in (list(range(2, order + 1)), subset):
-        for n, got in zip(degrees, variation_of_constants(degrees, co, sol, path), strict=True):
-            (loads,) = _loads([n], steps, sol, path.increments[0])
+        for n, got in zip(degrees, variation_of_constants(degrees, sol), strict=True):
+            (loads,) = _loads([n], steps, sol)
             want = concatenate_sweep(loads, factors)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -427,7 +392,7 @@ def test_quadrature_matches_the_step_by_step_loop(
     path = sample_path(grid, m, seed)
     sol = solve_chain(co, identity(order, d), path)
     degrees = list(range(2, order + 1))
-    for n, traj in zip(degrees, variation_of_constants(degrees, co, sol, path)):
+    for n, traj in zip(degrees, variation_of_constants(degrees, sol)):
         ref, loads, scales = loop_quadrature(n, co, sol, path)
         # Phi is F_{i-1} @ (F_{i-2} @ ...) here but (... @ F_{i-2}) @ F_{i-1} in
         # the loop: the products associate in a different order, so the

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formalflow import (
+    BrownianPath,
     CoefficientFamily,
     DiffusionFamily,
     DiffusionMap,
@@ -65,15 +66,15 @@ def ref_compose_component(n, b, a, shape, memo, batch=0, tail=0):
     return acc
 
 
-def ref_horner(b, a, shapes, batch=0, tail=0, first=1):
-    """Components first.. of b after a, one per shape, by Horner's rule.
+def ref_horner(b, a, shapes, batch=0, tail=0):
+    """Components 1.. of b after a, one per shape, by Horner's rule.
 
     Class (r, s) is the sum of every b_k whose first k - r slots hold a_j's
     of total degree s.  It is made as the sum, over j descending, of class
     (r + 1, s - j) with a_j plugged into its leading slot; class (0, n) is
     component n, added to zeros.
     """
-    order = first + len(shapes) - 1
+    order = len(shapes)
     classes = {(k, 0): e for k, e in enumerate(b[:order], start=1) if e is not None}
     for r in range(order - 1, -1, -1):
         for t in range(1, order - r + 1):
@@ -85,7 +86,7 @@ def ref_horner(b, a, shapes, batch=0, tail=0, first=1):
                 classes[r, t] = classes[r, t] + term if (r, t) in classes else term
     return [
         np.zeros(shape) + (ref_tail_last(classes[0, n], batch, tail) if (0, n) in classes else 0.0)
-        for n, shape in enumerate(shapes, start=first)
+        for n, shape in enumerate(shapes, start=1)
     ]
 
 
@@ -176,24 +177,25 @@ def test_compose_matches_the_reference_bitwise(order, d, m, seed, noise, data):
 @given(**_dims, steps=st.integers(1, 4), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_batched_forcing_matches_the_reference_bitwise(order, d, m, seed, steps, data):
-    # one runner for degrees first..top gives each degree the bits of a
-    # runner of its own: the degrees share their Horner classes
+    # one runner for degrees 1..top gives each degree the bits of a runner
+    # up to that degree: the degrees share their Horner classes
     rng = np.random.default_rng(seed)
     top = data.draw(st.integers(2, max(order, 2)))
-    first = data.draw(st.integers(2, top))
     state = [draw_entries(data, rng, (steps, d) + (d,) * k) for k in range(1, top)]
     a = [draw_entries(data, rng, (steps, d) + (d,) * k) for k in range(1, top + 1)]
     b = [draw_entries(data, rng, (steps, d) + (d,) * k + (m,)) for k in range(1, top + 1)]
-    shapes = [(steps, d) + (d,) * n for n in range(first, top + 1)]
+    shapes = [(steps, d) + (d,) * n for n in range(1, top + 1)]
     a_sf, b_sf = ([slots_first(x, k) for k, x in enumerate(c, start=1)] for c in (a, b))
-    f, g = _forcing(first, state, a_sf, b_sf, shapes)
-    for n, f_n, g_n, shape in zip(range(first, top + 1), f, g, shapes, strict=True):
-        assert same_bits(f_n, ref_horner([None] + a[1:n], state[: n - 1], [shape], batch=1, first=n)[0])
+    f, g = _forcing(state, a_sf, b_sf, shapes)
+    # f_1 and g_1 are the zeroed degree-1 coefficients' terms
+    assert same_bits(f[0], np.zeros(shapes[0])) and g[0] is None
+    for n, f_n, g_n in zip(range(2, top + 1), f[1:], g[1:], strict=True):
+        assert same_bits(f_n, ref_horner([None] + a[1:n], state[: n - 1], shapes[:n], batch=1)[-1])
         if all(x is None for x in b[1:n]):
             assert g_n is None
         else:
-            (want,) = ref_horner([None] + b[1:n], state[: n - 1], [shape + (m,)], batch=1, tail=1, first=n)
-            assert same_bits(g_n, want)
+            want = ref_horner([None] + b[1:n], state[: n - 1], [s + (m,) for s in shapes[:n]], batch=1, tail=1)
+            assert same_bits(g_n, want[-1])
 
 
 @given(**_dims, n_paths=st.integers(1, 4), shared_start=st.booleans(), data=st.data())
@@ -226,7 +228,8 @@ def test_euler_states_match_the_reference_bitwise(order, d, m, seed, n_paths, sh
 
 
 def assert_states_match_the_reference(coeffs, grid, start, dw):
-    got = [state for block in _euler_states(coeffs, grid, start, dw) for state in zip(*block)]
+    path = BrownianPath(grid, dw, seed=0)
+    got = [state for block in _euler_states(coeffs, path, start) for state in zip(*block)]
     want = list(ref_euler_states(coeffs, grid, start, dw))
     assert len(got) == len(want) == grid.n_steps
     for state_got, state_want in zip(got, want):
@@ -310,7 +313,7 @@ def test_blocks_of_steps_match_the_reference_bitwise(order, d, m, seed, n_paths,
         else:
             start.append(np.zeros(shape))
     with patch.object(chain, "_EULER_FLOATS", budget):
-        lengths = [len(block[0]) for block in _euler_states(coeffs, grid, start, dw)]
+        lengths = [len(block[0]) for block in _euler_states(coeffs, BrownianPath(grid, dw, seed=0), start)]
         assert sum(lengths) == steps and set(lengths[:-1]) <= {lengths[0]} and lengths[-1] <= lengths[0]
         assert_states_match_the_reference(coeffs, grid, start, dw)
 
@@ -512,11 +515,3 @@ def test_a_zero_component_removes_exactly_the_terms_that_use_it():
             else:
                 assert all(source != (zero, 0) for source, _ in got)
 
-
-def test_first_compiles_only_the_later_components():
-    full = (True,) * 5
-    b_nonzero = (False,) + full[1:]
-    classes = _classes(5, b_nonzero, full, first=5)
-    assert [t for (r, t), _ in classes if r == 0] == [5]
-    assert products(classes) == set(through(kept(5, b_nonzero, full)))
-    assert products(classes) < products(_classes(5, b_nonzero, full))

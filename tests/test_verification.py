@@ -287,3 +287,39 @@ class TestTruncationScaling:
         co = CoefficientFamily.constant_scalar([1.0], [0.5])
         with pytest.raises(ShapeError):
             truncation_scaling(co, TimeGrid(0.0, 1.0, 16), np.array([0.1]), 3)
+
+
+def ones(paths):
+    return np.ones((paths.n_paths, 1))
+
+
+def order_of(simulate, exact, dt_values):
+    return estimate_order(simulate, exact, t_end=1.0, noise_dim=1, dt_values=dt_values, n_paths=3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: order_of(ones, ones, [0.4, 0.3, 0.15]), r"dt=0\.15 does not divide the horizon 1\.0"),
+        (lambda: order_of(ones, ones, [0.3, 0.2, 0.1]), r"dt=0\.3 does not divide the horizon 1\.0"),
+        (lambda: order_of(ones, ones, [0.25, 0.125, 0.1]), r"step sizes are not nested: 0\.25 / 0\.1"),
+        (
+            lambda: order_of(lambda paths: np.ones((paths.n_paths, 2)), ones, [0.5, 0.25, 0.125]),
+            r"simulate returned shape \(3, 2\), exact \(3, 1\)",
+        ),
+        (
+            lambda: order_of(ones, lambda paths: np.ones(paths.n_paths), [0.5, 0.25, 0.125]),
+            r"exact returned shape \(3,\), expected \(3, d\)",
+        ),
+        (
+            lambda: truncation_scaling(
+                CoefficientFamily.constant_scalar([0.5, 0.3]), TimeGrid(0.0, 1.0, 4), [0.1], 2, evaluation_order=0
+            ),
+            r"evaluation_order must be in 1\.\.2",
+        ),
+    ],
+    ids=["fine-dt", "coarse-dt", "not-nested", "widths", "callback-shape", "evaluation-order"],
+)
+def test_invalid_arguments_raise_their_message(call, message):
+    with pytest.raises(ShapeError, match=message):
+        call()
