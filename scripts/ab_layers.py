@@ -22,6 +22,9 @@ shared machine out of the ratio, which back-to-back runs of
     formula-check solves it;
   - compose_o6d3: `compose` of two dense order-6, d = 3 mappings;
   - euler_step_o1d1_p64: GBM (order 1, d 1, P 64, 512 steps), per step;
+  - variation_of_constants_o3d2: `explicit.variation_of_constants` for
+    degrees 2 and 3 in one call, on the formula-o3d2 benchmark config's
+    chain solution (config seed 1), solved once outside the timing;
   - formula_check_o3d2: `cli._cmd_formula_check` on the formula-o3d2
     benchmark config (order 3, d 2, m 2, 512 steps, config seed 1), report
     write included;
@@ -67,7 +70,9 @@ def load(root: Path, name: str):
 def layers(name: str, out_dir: Path) -> dict:
     """Each layer's (callable, calls per repeat, divisor) on the package
     `name`; the formula check writes its report to out_dir."""
-    algebra, chain, cli = (importlib.import_module(f"{name}.{m}") for m in ("algebra", "chain", "cli"))
+    algebra, chain, cli, explicit = (
+        importlib.import_module(f"{name}.{m}") for m in ("algebra", "chain", "cli", "explicit")
+    )
     rng = np.random.default_rng(SEED)
 
     def dense(order, d):
@@ -96,6 +101,8 @@ def layers(name: str, out_dir: Path) -> dict:
     formula = cli.ExperimentConfig.from_dict(json.loads(config_bytes("formula-o3d2", CONFIG_SEED)))
     formula_coeffs, formula_path = formula.coefficients(), formula.path()
     formula_start = [c.entries[None] for c in algebra.identity(formula.order, formula.dy).components]
+    formula_solution = chain.solve_chain(formula_coeffs, algebra.identity(formula.order, formula.dy), formula_path)
+    formula_degrees = list(range(2, formula.order + 1))
     levels = [paths.coarsen(2**j) for j in range(6)]
 
     def batch_terminal():
@@ -107,6 +114,9 @@ def layers(name: str, out_dir: Path) -> dict:
         "euler_loop_o3d2": (lambda: loop(formula_coeffs, formula_path, formula_start), 5, 1),
         "compose_o6d3": (lambda: algebra.compose(outer, inner), 20, 1),
         "euler_step_o1d1_p64": (lambda: loop(gbm, paths, one), 1, 512),
+        "variation_of_constants_o3d2": (
+            lambda: explicit.variation_of_constants(formula_degrees, formula_solution), 5, 1
+        ),
         "formula_check_o3d2": (lambda: cli._cmd_formula_check(formula, out_dir), 1, 1),
         "batch_terminal_o1d1_p64": (batch_terminal, 5, 1),
     }

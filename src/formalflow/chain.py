@@ -748,14 +748,19 @@ def _relative_errors(got: np.ndarray, ref: np.ndarray) -> list[float]:
     the leading axis; |got[i] - ref[i]| where ref[i] is zero or NaN.
 
     Both rows are first scaled by 2^-e, e the exponent (np.frexp) of
-    ref[i]'s largest magnitude, so that no norm overflows.  Scaling by a
-    power of two is exact: where no square overflows or underflows, each
-    ratio has the bits of np.linalg.norm(got[i] - ref[i]) / np.linalg.norm(ref[i]).
+    ref[i]'s largest magnitude, or of the difference's where ref[i] is zero
+    (whose norm is then scaled back), so that no norm overflows.  Scaling
+    by a power of two is exact: where no square overflows or underflows,
+    each ratio has the bits of np.linalg.norm(got[i] - ref[i]) / np.linalg.norm(ref[i]).
     """
     rows = len(ref)
     got, ref = got.reshape(rows, -1), ref.reshape(rows, -1)
-    scale = -np.frexp(np.abs(ref).max(axis=1))[1][:, None]
-    diff, norm = _row_norms(np.ldexp(got - ref, scale)), _row_norms(np.ldexp(ref, scale))
+    delta, top = got - ref, np.abs(ref).max(axis=1)
+    zero = top == 0
+    top[zero] = np.abs(delta[zero]).max(axis=1)
+    e = np.frexp(top)[1]
+    diff, norm = (_row_norms(np.ldexp(x, -e[:, None])) for x in (delta, ref))
+    diff[zero] = np.ldexp(diff[zero], e[zero])
     return np.divide(diff, norm, out=diff, where=norm > 0).tolist()
 
 

@@ -77,8 +77,10 @@ def variation_of_constants(degrees: list[int], solution: ChainSolution) -> list[
     over knots serves every degree and allocates nothing: Phi(t_i, t_{j+1})
     for every j < i is column block j of a (d, N*d) buffer, advanced from knot
     i-1 by one product F_{i-1} @ (blocks 0..i-2) into the other of two buffers
-    whose every block starts as I; the i terms of all degrees side by side
-    are one batched product, summed in ascending j.
+    whose every block starts as I.  With every degree's loads side by side and
+    step j's in rows j*d..(j+1)*d-1 of one (N*d, L) matrix, knot i is one
+    product of the buffer's first i blocks with the first i*d rows: BLAS sums
+    the i*d products of each entry in an order of its own.
     """
     coeffs, path = solution.coeffs, solution.path
     degrees = list(degrees)
@@ -98,26 +100,14 @@ def variation_of_constants(degrees: list[int], solution: ChainSolution) -> list[
     n_steps, d = path.grid.n_steps, coeffs.dy
     # every degree's loads side by side along the last axis
     loads = np.concatenate([q.reshape(n_steps, d, -1) for q in _loads(degrees, steps, solution)], axis=2)
-    terms = np.empty_like(loads)
-    # np.add.reduce adds a knot's terms row by row, in ascending j, where a term
-    # holds several floats.  Where it holds one (d = 1, one degree) the terms
-    # are contiguous and reduce would add them pairwise, with other bits, so
-    # there cumsum adds them in ascending j and its last row is kept.
-    one_float = loads[0].size == 1
+    q = loads.reshape(n_steps * d, -1)
     phi = [np.tile(np.eye(d), n_steps) for _ in range(2)]
     out = np.empty((n_steps + 1,) + loads.shape[1:])
     out[0] = 0.0
     for i in range(1, n_steps + 1):
         prev, cur = phi[i % 2], phi[1 - i % 2]
         np.matmul(factors[i - 1], prev[:, : (i - 1) * d], out=cur[:, : (i - 1) * d])
-        # Phi(t_i, t_{j+1}) for j < i as an (i, d, d) stack: a view of the buffer
-        stack = cur[:, : i * d].reshape(d, i, d).swapaxes(0, 1)
-        np.matmul(stack, loads[:i], out=terms[:i])
-        if one_float:
-            np.cumsum(terms[:i], axis=0, out=terms[:i])
-            out[i] = terms[i - 1]
-        else:
-            np.add.reduce(terms[:i], axis=0, out=out[i])
+        np.matmul(cur[:, : i * d], q[: i * d], out=out[i])
     parts = np.split(out, np.cumsum([d**n for n in degrees])[:-1], axis=2)
     for n, part in zip(degrees, parts):
         if not np.isfinite(part).all():

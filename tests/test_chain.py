@@ -855,10 +855,10 @@ def per_row_relative_errors(got, ref):
     """`chain._relative_errors` row by row, each norm math.sqrt(v @ v)."""
     out = []
     for g, r in zip(got.reshape(len(ref), -1), ref.reshape(len(ref), -1)):
-        scale = -np.frexp(np.abs(r).max())[1]
-        d, s = np.ldexp(g - r, scale), np.ldexp(r, scale)
+        e = int(np.frexp(np.abs(r).max() or np.abs(g - r).max())[1])
+        d, s = np.ldexp(g - r, -e), np.ldexp(r, -e)
         diff, norm = math.sqrt(d @ d), math.sqrt(s @ s)
-        out.append(diff / norm if norm > 0 else diff)
+        out.append(diff / norm if norm > 0 else math.ldexp(diff, e))
     return out
 
 
@@ -868,19 +868,24 @@ def per_row_relative_errors(got, ref):
     n=st.integers(1, 4),
     exponent=st.sampled_from([-600, 0, 530]),
     seed=st.integers(0, 2**32 - 1),
+    huge=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=80, deadline=None)
-def test_relative_errors_are_the_per_row_form(rows, d, n, exponent, seed, data):
+def test_relative_errors_are_the_per_row_form(rows, d, n, exponent, seed, huge, data):
     """Rows of a formula-check degree, (N + 1, d) + (d,)*n, or of an
     evolution-check component, one row: the batched norms give each error
     the bits of the per-row form.  A zero reference row gives the norm of
-    the difference and no warning; a NaN gives a NaN error."""
+    the difference and no warning, also where that difference is near
+    1e200 (huge) and its squares would overflow; a NaN gives a NaN error."""
     rng = np.random.default_rng(seed)
     shape = (rows, d) + (d,) * n
     ref = np.ldexp(rng.standard_normal(shape), exponent)
-    ref[data.draw(st.lists(st.integers(0, rows - 1), max_size=2))] = 0.0
+    zero = data.draw(st.lists(st.integers(0, rows - 1), max_size=2))
+    ref[zero] = 0.0
     got = ref + np.ldexp(1e-12 * rng.standard_normal(shape), exponent)
+    if huge:
+        got[zero] = np.ldexp(rng.standard_normal((len(zero),) + shape[1:]), 665)
     nan = data.draw(st.lists(st.integers(0, rows - 1), max_size=1))
     got[nan] = np.nan
     with warnings.catch_warnings():
@@ -890,3 +895,5 @@ def test_relative_errors_are_the_per_row_form(rows, d, n, exponent, seed, data):
     assert len(errors) == rows and all(type(e) is float for e in errors)
     assert [math.isnan(e) for e in errors] == [i in nan for i in range(rows)]
     assert np.array(errors).tobytes() == np.array(want).tobytes()
+    for i in set(zero) - set(nan):
+        assert errors[i] == pytest.approx(math.hypot(*got[i].ravel()), rel=1e-14)
