@@ -30,7 +30,10 @@ shared machine out of the ratio, which back-to-back runs of
     write included;
   - batch_terminal_o1d1_p64: `chain.solve_chain_batch` on the convergence-gbm
     shape (GBM, order 1, d 1, P 64) over its six nested grids of 16..512
-    steps, all six solves per call.
+    steps, all six solves per call;
+  - batch_terminal_o4d3_p64: `chain.solve_chain_batch` at order 4, d 3, m 2,
+    P 64, 256 steps, from the identity, on dense constant coefficients
+    (`random_coefficients`, entries 0.3 times standard normals of SEED).
 """
 
 from __future__ import annotations
@@ -65,6 +68,19 @@ def load(root: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def random_coefficients(chain, order: int, d: int, m: int):
+    """Dense constant coefficients of the module chain: drift, then
+    diffusion, entries 0.3 times standard normals of SEED, degree by degree."""
+    rng = np.random.default_rng(SEED)
+    drift = [chain.MultilinearMap(k, d, d, 0.3 * rng.standard_normal((d,) * (k + 1))) for k in range(1, order + 1)]
+    noise = [
+        chain.DiffusionMap(k, d, d, m, 0.3 * rng.standard_normal((d,) * (k + 1) + (m,))) for k in range(1, order + 1)
+    ]
+    return chain.CoefficientFamily.constant(
+        chain.FormalMapping(order, d, d, tuple(drift)), chain.DiffusionFamily(order, d, m, noise)
+    )
 
 
 def layers(name: str, out_dir: Path) -> dict:
@@ -104,6 +120,8 @@ def layers(name: str, out_dir: Path) -> dict:
     formula_solution = chain.solve_chain(formula_coeffs, algebra.identity(formula.order, formula.dy), formula_path)
     formula_degrees = list(range(2, formula.order + 1))
     levels = [paths.coarsen(2**j) for j in range(6)]
+    o4d3 = random_coefficients(chain, 4, 3, 2)
+    o4d3_paths = chain.sample_paths(chain.TimeGrid(0.0, 1.0, 256), 2, SEED, 64)
 
     def batch_terminal():
         for level in levels:
@@ -119,6 +137,9 @@ def layers(name: str, out_dir: Path) -> dict:
         ),
         "formula_check_o3d2": (lambda: cli._cmd_formula_check(formula, out_dir), 1, 1),
         "batch_terminal_o1d1_p64": (batch_terminal, 5, 1),
+        "batch_terminal_o4d3_p64": (
+            lambda: chain.solve_chain_batch(o4d3, algebra.identity(4, 3), o4d3_paths), 1, 1
+        ),
     }
 
 

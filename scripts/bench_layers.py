@@ -22,6 +22,9 @@ Times, on fixed seeds and sizes:
   - batch_terminal_o1d1_p64: `solve_chain_batch` on the convergence-gbm
     shape (GBM, order 1, d 1, P 64) over its six nested grids of 16..512
     steps, all six solves per call;
+  - batch_terminal_o4d3_p64: `solve_chain_batch` at order 4, d 3, m 2, P 64,
+    256 steps, from the identity, on dense constant coefficients (as in
+    `scripts/ab_layers.py`);
   - variation_of_constants_o3d2: the one call for degrees 2 and 3 of the
     formula-o3d2 benchmark config (config seed 1);
   - fundamental_o3d2: `explicit.fundamental` on that config, its coefficient
@@ -81,6 +84,7 @@ from formalflow.chain import (  # noqa: E402
 )
 from formalflow.explicit import fundamental, variation_of_constants  # noqa: E402
 from workloads import config_bytes  # noqa: E402
+from ab_layers import random_coefficients  # noqa: E402  (this script's directory)
 
 SEED = 20261018
 CONFIG_SEED = 1
@@ -218,6 +222,12 @@ def measure(repeats: int) -> dict:
 
     out["batch_terminal_o1d1_p64"] = dict(
         timed(batch_terminal, repeats, 5), sizes="order 1, d 1, m 1, P 64, grids of 16..512 steps, six solves"
+    )
+    o4d3 = random_coefficients(chain, 4, 3, 2)
+    o4d3_paths = sample_paths(TimeGrid(0.0, 1.0, 256), 2, SEED, 64)
+    out["batch_terminal_o4d3_p64"] = dict(
+        timed(lambda: solve_chain_batch(o4d3, identity(4, 3), o4d3_paths), repeats),
+        sizes="order 4, d 3, m 2, P 64, 256 steps, from the identity",
     )
 
     cfg = workload_config("formula-o3d2")

@@ -293,8 +293,7 @@ class _Runner:
     they stay last in the results.  Axis 0 of every entry and shape is the
     row axis (see `_contract`), of one length in a runner.  A runner holds a
     buffer per class and the flat list of `_class_ops` on views.  `components`
-    returns fresh arrays; `nonzero` tells, for each, whether a class makes
-    it (zeros if not).
+    returns fresh arrays, zeros where no class makes a component.
     """
 
     def __init__(self, b: list, a: list, shapes: list, tail: int = 0):
@@ -314,7 +313,6 @@ class _Runner:
             raw = shape[:2] + shape[cut:] + shape[2:cut]
             v = values.get((0, n))
             self.outs.append((raw, None if v is None else v.reshape(raw)))
-        self.nonzero = tuple(v is not None for _, v in self.outs)
         for f, x, y, z in self.ops:
             f(x, y, z)
 
@@ -348,7 +346,7 @@ class _Steps:
     and the classes, one scratch and the products.  A step's buffers hold
     `floats` floats, and J of them fill the budget, J within 1..n_steps.
     `run` runs a block by the ops compiled once per length (`ops`), and
-    returns fresh states.
+    returns views of the states, valid until the next block.
     """
 
     def __init__(
@@ -413,8 +411,9 @@ class _Steps:
 
     def run(self, steps: int) -> list[np.ndarray]:
         """Run a block of steps on psi and state row 0; return the states
-        after each step by degree, fresh, (steps, P, d) + (d,)*n, and move
-        the last into row 0."""
+        after each step by degree, (steps, P, d) + (d,)*n, and move the last
+        into row 0.  The states are views of the buffers (fresh zeros where
+        a degree is zero), valid until the next block is run."""
         if (ops := self.compiled.get(steps)) is None:
             ops = self.compiled[steps] = self.ops(steps)
         for f, x, y, z in ops:
@@ -425,7 +424,7 @@ class _Steps:
             if s_n is None:
                 out.append(np.zeros(shape))
             else:
-                out.append(s_n[1 : steps + 1].reshape(shape).copy())
+                out.append(s_n[1 : steps + 1].reshape(shape))
                 s_n[0] = s_n[steps]
         return out
 

@@ -388,39 +388,30 @@ def _step_parts(steps: GridCoefficients, dt: float, d: int) -> tuple[list, list]
     return drift, noise
 
 
-def _step_sums(parts: tuple[list, list], index: np.ndarray, dw: np.ndarray, out: list | None = None) -> list:
+def _step_sums(parts: tuple[list, list], index: np.ndarray, dw: np.ndarray, out: list) -> list:
     """Psi of J steps of P paths by degree from `_step_parts`' parts, one
-    batched sum each, slots-first: (J, P) + (d,)*(k+1), None where zero.
-    index gives each step's pair and dw, (J, P, m), the increments.  The
-    sums go into out, slots-first arrays by degree, if given; else into
-    fresh arrays, or a read-only view for a degree without noise."""
-    n_steps, n_paths, _ = dw.shape
-    sums = []
-    for k, (drift_k, b_k) in enumerate(zip(*parts)):
+    batched sum each, into out: slots-first arrays (J, P) + (d,)*(k+1) by
+    degree, None where zero.  index gives each step's pair and dw, (J, P,
+    m), the increments."""
+    for drift_k, b_k, e in zip(*parts, out):
         if drift_k is None:
-            sums.append(None)
             continue
-        shape = (n_steps, n_paths) + drift_k.shape[1:]
         if len(drift_k) == 1:  # one pair on the whole grid: broadcast, not gathered
             drift_k, b_k = drift_k[:, None], None if b_k is None else b_k[:, None]
         else:
             drift_k, b_k = drift_k[index, None], None if b_k is None else b_k[index, None]
-        if b_k is None and out is None:
-            e = np.broadcast_to(drift_k, shape)
+        if b_k is None:
+            np.copyto(e, drift_k)
         else:
-            e = np.empty(shape) if out is None else out[k]
-            if b_k is None:
-                np.copyto(e, drift_k)
-            else:
-                np.matmul(b_k, dw[..., None], out=e.reshape(shape[:2] + (-1, 1)))
-                e += drift_k
-        sums.append(e)
-    return sums
+            np.matmul(b_k, dw[..., None], out=e.reshape(e.shape[:2] + (-1, 1)))
+            e += drift_k
+    return out
 
 
 def _step_maps(parts: tuple[list, list], index: np.ndarray, dw: np.ndarray) -> list:
-    """`_step_sums` in the usual layout, (J, P, d) + (d,)*k: views."""
-    return [None if e is None else np.moveaxis(e, -1, 2) for e in _step_sums(parts, index, dw)]
+    """`_step_sums` into fresh arrays, in the usual layout, (J, P, d) + (d,)*k."""
+    out = [None if e is None else np.empty(dw.shape[:2] + e.shape[1:]) for e in parts[0]]
+    return [None if e is None else np.moveaxis(e, -1, 2) for e in _step_sums(parts, index, dw, out)]
 
 
 def one_step_map(
@@ -456,6 +447,9 @@ def one_step_map(
 # encodes each state between blocks, 0.80-0.92x from 3 steps on.  Each step
 # of a block adds 0.28 MB to the peak RSS there, so the budget stops at 4.
 # formula-o3d2's chain (order 3, d 2, 144 floats a step) is one block of 512.
+# `solve_chain_batch` runs chunks of paths of which one step fits it: a
+# convergence level (order 1, d 1, 2 floats a path and step, 64 paths) is one
+# block; at order 4, d 3 (2 610 floats) a chunk is 62 paths, in 1-step blocks.
 _EULER_FLOATS = 5 << 15
 
 
@@ -472,7 +466,9 @@ def _euler_states(coeffs: CoefficientFamily, path: BrownianPath, state: list):
     composes Psi_i o S_i degree by degree, each step with the bits of a
     one-step `_Runner`.  A block's buffers hold at most _EULER_FLOATS
     floats, unless one step's alone hold more; the last block may be
-    shorter, and each yielded block is fresh.
+    shorter.  A yielded block is a view of those buffers, valid until the
+    next block is asked for; the last stays valid after the loop.  A
+    consumer that keeps states copies them.
     """
     n_paths, n_steps = path.increments.shape[:2]
     steps = coeffs.on_grid(path.grid)
@@ -533,8 +529,12 @@ def solve_chain(
     that state's lowest non-finite degree.  A state's component n depends
     only on coefficients and initial components of degree <= n.
     """
-    blocks = list(_path_blocks(coeffs, initial, path))
-    entries = tuple(np.concatenate(col)[:, 0] for col in zip(*blocks))
+    d, knot = coeffs.dy, 0
+    entries = tuple(np.empty((path.grid.n_steps + 1, d) + (d,) * k) for k in range(1, coeffs.order + 1))
+    for block in _path_blocks(coeffs, initial, path):
+        for e, b in zip(entries, block):
+            e[knot : knot + len(b)] = b[:, 0]
+        knot += len(block[0])
     # finite[k, i]: degree k + 1 is finite at knot i (step i - 1)
     finite = np.array([np.isfinite(e).reshape(len(e), -1).all(axis=1) for e in entries])
     if not finite.all():
@@ -545,114 +545,35 @@ def solve_chain(
     return ChainSolution(coeffs, path, entries)
 
 
-# Memory of `solve_chain_batch`: one path's Psi over a block of steps holds at
-# most _BLOCK_FLOATS floats (32 KiB), and a chunk of paths' at most
-# _CHUNK_FLOATS (2 MiB).  Measured on 2 cores (best of 3; blocks of 8..512 KiB,
-# chunks of 0.5..8 MiB), these were fastest or within 10% of it at order 1, d 1
-# (1000 paths, 512 steps), order 3, d 2 (64, 512), order 4, d 3 (64, 256) and
-# order 6, d 3 (16, 256); larger blocks lost up to 1.7x to allocation and cache
-# misses.  The tracemalloc peaks at orders 1 to 6 were 2.8 to 6.4 times a
-# chunk's stack, under eight (16 MiB), except where a block is one step: at
-# order 6, d 3 the Horner classes of one 64-row composition make 23 MiB, as
-# they made the loop's 32 MiB.  A convergence level (order 1, d 1, 512 steps,
-# up to 512 paths) is one block and one chunk.
-_BLOCK_FLOATS = 1 << 12
-_CHUNK_FLOATS = 1 << 18
-
-
-def _then(outer: list, inner: list) -> list:
-    """outer o inner of each row by one `_Runner`: outer slots-first, inner
-    in the usual layout, by degree with a leading row axis of R, None where
-    zero; the composites (R, d) + (d,)*n likewise."""
-    rows, d = outer[0].shape[0], outer[0].shape[-1]
-    run = _Runner(outer, inner, [(rows, d) + (d,) * n for n in range(1, len(outer) + 1)])
-    return [e if nonzero else None for e, nonzero in zip(run.components(), run.nonzero)]
-
-
-def _slots_first(e: np.ndarray, lead: int) -> np.ndarray:
-    """Entries behind `lead` row axes, slots-first and contiguous."""
-    return np.ascontiguousarray(e.transpose(*range(lead), *range(lead + 1, e.ndim), lead))
-
-
-def _rows(e: np.ndarray) -> np.ndarray:
-    """The first two axes of e as one."""
-    return e.reshape((-1,) + e.shape[2:])
-
-
-def _tree(maps: list) -> list:
-    """Psi_{J-1} o ... o Psi_0 of each of C rows, (C, d) + (d,)*k by degree,
-    from stacks (J, C, d) + (d,)*k in step order; None where zero.
-
-    Each level composes Psi_{2u+1} o Psi_{2u} of every pair u and row by one
-    `_Runner`, the maps of even and of odd index taken by stride; an odd map
-    at the end carries up to the next level.  A composite is nonzero where
-    either map is (both degree-1 parts are), so the carried map takes zeros
-    where the composites gained a degree.
-    """
-    count, rows = maps[0].shape[:2]
-    while count > 1:
-        half = count // 2
-        pairs = _then(
-            [None if e is None else _rows(_slots_first(e[1 : 2 * half : 2], 2)) for e in maps],
-            [None if e is None else _rows(e[: 2 * half : 2]) for e in maps],
-        )
-        level = [None if e is None else e.reshape((half, rows) + e.shape[1:]) for e in pairs]
-        if count % 2:
-            level = [
-                e if e is None else np.concatenate((e, np.zeros_like(e[:1]) if m is None else m[-1:]))
-                for e, m in zip(level, maps)
-            ]
-        maps, count = level, half + count % 2
-    return [None if e is None else e[0] for e in maps]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def solve_chain_batch(
     coeffs: CoefficientFamily, initial: FormalMapping, paths: BrownianPath
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The terminal chain state along every row of paths, by a balanced tree.
-
-    Composition is associative (the evolution property), so the terminal
-    state Psi_{N-1} o ... o Psi_0 o initial is reduced pairwise: the Psi of
-    every path and step come from one batched sum per degree, J of them
-    reduce in ceil(log2 J) levels (`_tree`), and one more composition applies
-    the result to initial.  Steps are cut into blocks of at most
-    _BLOCK_FLOATS floats of Psi per path, each reduced by its own tree and
-    composed onto the state in step order, and paths into chunks of at most
-    _CHUNK_FLOATS floats per block.  Blocks depend on the shapes alone and
-    rows never mix, so row p has the bits of a one-row batch of path p.
-    Against solve_chain's final state, which the loop associates step by
-    step, component n of a finite row lies within 2*n*N*c*(|Psi_{N-1}| o ...
-    o |Psi_0| o |initial|)_n to first order, c the largest
-    2*(j*d + 2^(j-1))*eps / j over degrees j (derived in tests/test_batch.py).
+    """The terminal chain state along every row of paths: the last state of
+    the Euler loop (`_euler_states`), so row p has the bits of solve_chain's
+    final state along path p.  The rows run in chunks of which one step fits
+    _EULER_FLOATS floats with every degree nonzero (no zero pattern needs
+    more); rows never mix in the loop, and only the last state is copied.
 
     Returns the terminal entries by degree k, each of shape (P, d) + (d,)*k,
     and a mask of shape (P,), False where that terminal state is not finite.
     """
     coeffs._checked("initial condition", paths.grid.t_start, initial, ())
     _check_noise_dim(coeffs, paths)
-    steps = coeffs.on_grid(paths.grid)
-    parts = _step_parts(steps, paths.grid.dt, coeffs.dy)
-    n_paths, n_steps, _ = paths.increments.shape
-    d = coeffs.dy
-    per_step = sum(e[0].size for e in parts[0] if e is not None)
-    block = max(1, _BLOCK_FLOATS // per_step)
-    chunk = max(1, _CHUNK_FLOATS // (min(block, n_steps) * per_step))
-    start = _nonzero_entries(initial)
-    terminal = [np.zeros((n_paths, d) + (d,) * k) for k in range(1, coeffs.order + 1)]
+    n_paths, order, d = paths.n_paths, coeffs.order, coeffs.dy
+    chunk = max(1, _EULER_FLOATS // _Steps((True,) * order, (True,) * order, d, 1, 1, 0).floats)
+    start = [c.entries[None] for c in initial.components]
+    terminal = tuple(np.empty((n_paths, d) + (d,) * k) for k in range(1, order + 1))
     for p in range(0, n_paths, chunk):
-        dw = paths.increments[p : p + chunk].swapaxes(0, 1)
-        state = [None if e is None else np.broadcast_to(e, (dw.shape[1],) + e.shape[1:]) for e in start]
-        for i in range(0, n_steps, block):
-            maps = _tree(_step_maps(parts, steps.index[i : i + block], dw[i : i + block]))
-            state = _then([None if e is None else _slots_first(e, 1) for e in maps], state)
-        for out, e in zip(terminal, state):
-            if e is not None:
-                out[p : p + chunk] = e
-    finite = np.ones(n_paths, dtype=bool)
-    for e in terminal:
-        finite &= np.isfinite(e).reshape(n_paths, -1).all(axis=1)
-    return tuple(terminal), finite
+        rows = paths
+        if chunk < n_paths:
+            rows = BrownianPath(paths.grid, paths.increments[p : p + chunk], paths.seed, paths.path_index + p)
+        for block in _euler_states(coeffs, rows, start):
+            pass
+        for out, e in zip(terminal, block):
+            out[p : p + chunk] = e[-1]
+    finite = np.all([np.isfinite(e).reshape(n_paths, -1).all(axis=1) for e in terminal], axis=0)
+    return terminal, finite
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -1,5 +1,17 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
+
+# The hypothesis plugin imports this module when a test fails, to print the
+# falsifying example; with libcst installed, that import warns through
+# mypy_extensions.TypedDict, and under -W error the warning would end the run
+# in INTERNALERROR instead of the report.  Importing it here, with only that
+# warning ignored, leaves the later import nothing to warn about.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from formalflow import (
     CoefficientFamily,

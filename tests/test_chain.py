@@ -354,7 +354,8 @@ class TestSolveChain:
         co = random_coefficients(rng, 3, 2, 2)
         path = sample_path(TimeGrid(0.0, 1.0, 16), 2, seed=3)
         sol = solve_chain(co, identity(3, 2), path)
-        streamed = list(_path_states(co, identity(3, 2), path))
+        # each state is valid until the next block: copy it to keep it
+        streamed = [[e.copy() for e in state] for state in _path_states(co, identity(3, 2), path)]
         assert len(streamed) == 17
         for k, e in enumerate(sol.entries, start=1):
             assert e.shape == (17, 2) + (2,) * k and not e.flags.writeable
@@ -434,8 +435,9 @@ class TestSolveChain:
 
 
 class TestBufferDiscipline:
-    """The Euler loop reuses buffers within one generator; nothing it hands
-    out, nor another generator or thread, may see them change."""
+    """The Euler loop reuses buffers within one generator: a block it hands
+    out is valid until the next is asked for, and the last after the loop.
+    Another generator or thread never sees them change."""
 
     def instance(self, rng):
         # from the identity, the first step has a zero pattern of its own;
@@ -449,31 +451,38 @@ class TestBufferDiscipline:
         monkeypatch.setattr(chain, "_EULER_FLOATS", 5 * 1152)
 
     def test_yielded_states_stay_unchanged(self, rng):
+        """A block stays as it was yielded until its generator is asked for
+        the next, however far another one runs meanwhile; the last stays
+        after the loop.  Copied as they come, the blocks are the per-path
+        solutions."""
         co, grid = self.instance(rng)
         rows = sample_paths(grid, 2, 5, 3)
+        # read-only entries: the loop never writes its start
         start = [c.entries[None] for c in identity(4, 2).components]
-        path = sample_path(grid, 2, seed=5)
-        blocks = list(_euler_states(co, rows, start))
-        assert [len(block[0]) for block in blocks] == [5] * 4 + [4]
-        for states in (
-            (state for block in blocks for state in zip(*block)),
-            _path_states(co, identity(4, 2), path),
-        ):
-            kept, copies = [], []
-            for state in states:
-                kept += state
-                copies += [e.copy() for e in state]
-            assert len(kept) >= 4 * grid.n_steps
-            assert all(map(np.array_equal, kept, copies))
+        other = _euler_states(co, rows, start)
+        copies = []
+        for block in _euler_states(co, rows, start):
+            copies.append([e.copy() for e in block])
+            next(other, None)
+            assert all(map(np.array_equal, block, copies[-1]))
+        assert [len(c[0]) for c in copies] == [5] * 4 + [4]
+        # the last block is still the loop's last state after the loop
+        assert all(map(np.array_equal, block, copies[-1]))
+        states = [np.concatenate(col) for col in zip(*copies)]
+        for p in range(3):
+            sol = solve_chain(co, identity(4, 2), sample_path(grid, 2, seed=5, path_index=p))
+            assert all(np.array_equal(e[1:], s[:, p]) for e, s in zip(sol.entries, states))
 
     def test_interleaved_generators_equal_serial_runs(self, rng):
         co, grid = self.instance(rng)
         paths = [sample_path(grid, 2, seed=s) for s in (1, 2)]
-        serial = [list(_path_states(co, identity(4, 2), p)) for p in paths]
-        interleaved = list(zip(*(_path_states(co, identity(4, 2), p) for p in paths)))
-        assert len(interleaved) == grid.n_steps + 1
-        for (x, y), (sx, sy) in zip(interleaved, zip(*serial)):
+        serial = [[[e.copy() for e in s] for s in _path_states(co, identity(4, 2), p)] for p in paths]
+        # each pair of states is compared before either generator moves on
+        compared = 0
+        for (x, y), sx, sy in zip(zip(*(_path_states(co, identity(4, 2), p) for p in paths)), *serial):
             assert all(map(np.array_equal, x + y, sx + sy))
+            compared += 1
+        assert compared == grid.n_steps + 1
 
     def test_concurrent_threads_equal_serial_runs(self, rng):
         co, grid = self.instance(rng)
@@ -546,7 +555,7 @@ class TestRunnerReuse:
         def run(co):
             # the identity's one row is broadcast to both paths' rows
             start = [c.entries[None] for c in identity(co.order, d).components]
-            blocks = list(_euler_states(co, rows, start))
+            blocks = [[e.copy() for e in block] for block in _euler_states(co, rows, start)]
             states = [start] + [state for block in blocks for state in zip(*block)]
             assert len(states) == grid.n_steps + 1
             # the zero patterns of the states that the steps read

@@ -229,7 +229,8 @@ def test_euler_states_match_the_reference_bitwise(order, d, m, seed, n_paths, sh
 
 def assert_states_match_the_reference(coeffs, grid, start, dw):
     path = BrownianPath(grid, dw, seed=0)
-    got = [state for block in _euler_states(coeffs, path, start) for state in zip(*block)]
+    # a block is valid until the next one: each is copied as it comes
+    got = [state for block in _euler_states(coeffs, path, start) for state in zip(*(e.copy() for e in block))]
     want = list(ref_euler_states(coeffs, grid, start, dw))
     assert len(got) == len(want) == grid.n_steps
     for state_got, state_want in zip(got, want):
