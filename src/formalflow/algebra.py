@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, repeat
 from numbers import Real
+from types import MappingProxyType
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -324,6 +325,25 @@ class _Runner:
         return out
 
 
+@lru_cache
+def _step_sizes(psi_nonzero: tuple, start_nonzero: tuple, d: int) -> tuple:
+    """The sizing of a `_Steps` schedule: its plan and the state's zero
+    pattern, both at the fixed point a step keeps, the floats per row of
+    each pooled buffer (both maps read only, as every caller shares them),
+    and the floats of one step of one path."""
+    order, pattern, nonzero = len(psi_nonzero), None, start_nonzero
+    while nonzero != pattern:
+        pattern = nonzero
+        plan = dict(_classes(order, psi_nonzero, pattern))
+        nonzero = tuple((0, n) in plan for n in range(1, order + 1))
+    sizes = {(r, t): d ** (r + t + 1) for r, t in plan}
+    pool = {key: size for key, size in sizes.items() if key[0]}
+    pool["scratch"] = max([sizes[c] for c, src in plan.items() if c[0] and len(src) > 1], default=0)
+    pool["products"] = max([(len(src) - 1) * sizes[c] for c, src in plan.items() if not c[0]], default=0)
+    operands = sum(d ** (k + 1) * (psi_nonzero[k - 1] + nonzero[k - 1]) for k in range(1, order + 1))
+    return MappingProxyType(plan), nonzero, MappingProxyType(pool), sum(pool.values()) + operands
+
+
 class _Steps:
     """The chain S_{i+1} = Psi_i o S_i of P paths, every dimension d, in
     blocks of up to J steps, degree by degree, by one `_classes` plan.
@@ -352,18 +372,9 @@ class _Steps:
     def __init__(
         self, psi_nonzero: tuple, start_nonzero: tuple, d: int, paths: int, n_steps: int, budget: int
     ):
-        order, pattern, self.nonzero = len(psi_nonzero), None, start_nonzero
-        while self.nonzero != pattern:
-            pattern = self.nonzero
-            self.plan = dict(_classes(order, psi_nonzero, pattern))
-            self.nonzero = tuple((0, n) in self.plan for n in range(1, order + 1))
+        self.plan, self.nonzero, pool, floats = _step_sizes(psi_nonzero, start_nonzero, d)
         self.d, self.paths = d, paths
-        sizes = {(r, t): d ** (r + t + 1) for r, t in self.plan}
-        pool = {key: size for key, size in sizes.items() if key[0]}
-        pool["scratch"] = max([sizes[c] for c, src in self.plan.items() if c[0] and len(src) > 1], default=0)
-        pool["products"] = max([(len(src) - 1) * sizes[c] for c, src in self.plan.items() if not c[0]], default=0)
-        operands = sum(d ** (k + 1) * (psi_nonzero[k - 1] + self.nonzero[k - 1]) for k in range(1, order + 1))
-        self.floats = paths * (sum(pool.values()) + operands)
+        self.floats = paths * floats
         self.steps = max(1, min(n_steps, budget // self.floats))
         rows = self.steps * paths
         self.pool = {key: np.empty(rows * size) for key, size in pool.items()}

@@ -23,6 +23,7 @@ from .algebra import (
     _Runner,
     _Steps,
     _nonzero_entries,
+    _step_sizes,
     apply_to_tuple,
     compose,
     evaluate,
@@ -561,7 +562,7 @@ def solve_chain_batch(
     coeffs._checked("initial condition", paths.grid.t_start, initial, ())
     _check_noise_dim(coeffs, paths)
     n_paths, order, d = paths.n_paths, coeffs.order, coeffs.dy
-    chunk = max(1, _EULER_FLOATS // _Steps((True,) * order, (True,) * order, d, 1, 1, 0).floats)
+    chunk = max(1, _EULER_FLOATS // _step_sizes((True,) * order, (True,) * order, d)[-1])
     start = [c.entries[None] for c in initial.components]
     terminal = tuple(np.empty((n_paths, d) + (d,) * k) for k in range(1, order + 1))
     for p in range(0, n_paths, chunk):

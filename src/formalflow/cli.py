@@ -359,6 +359,8 @@ def _cmd_taylor_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     # with no reliable ratio, nothing was checked
     passed = bool(checked) and all(0.5 * expected <= r <= 2.0 * expected for r in checked)
     results = asdict(report)
+    # a ratio whose smaller gap is 0 has no value: JSON null, not Infinity
+    results["ratios"] = [r if g > 0 else None for r, g in zip(report.ratios, report.gaps[1:])]
     results["passed"] = passed
     _write_report(out_dir, "taylor-check", cfg, results)
     _write_csv(out_dir / "scaling.csv", ["y0_norm", "gap"], zip(report.y0_norms, report.gaps))
@@ -448,6 +450,8 @@ def _cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         seed=cfg.seed,
     )
     results = asdict(report)
+    if 0.0 in report.errors:  # exact agreement at some level: no log-log fit, JSON null, not NaN
+        results["slope"] = results["intercept"] = None
     passed = True
     if check:
         passed = abs(report.slope - expected) <= tol

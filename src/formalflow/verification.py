@@ -132,6 +132,8 @@ def estimate_order(
         raise ShapeError(f"step sizes must be positive and distinct, got {list(dt_values)}")
     dts = sorted(dt_values, reverse=True)
     fine_dt = dts[-1]
+    if not math.isfinite(t_end / fine_dt):
+        raise ShapeError(f"dt={fine_dt} is too small for the horizon {t_end}: the step count overflows")
     fine_steps = round(t_end / fine_dt)
     if not math.isclose(fine_steps * fine_dt, t_end, rel_tol=1e-12):
         raise ShapeError(f"dt={fine_dt} does not divide the horizon {t_end}")
@@ -226,7 +228,8 @@ def truncation_scaling(
     y0_base = np.atleast_1d(np.asarray(y0_base, dtype=np.float64))
     if y0_base.shape != (coeffs.dy,):
         raise ShapeError(f"y0 has shape {y0_base.shape}, expected ({coeffs.dy},)")
-    y0 = np.stack([y0_base / 2.0**i for i in range(halvings + 1)])
+    # bitwise y0_base / 2.0**i, without 2.0**i overflowing beyond i = 1023
+    y0 = np.stack([np.ldexp(y0_base, -i) for i in range(halvings + 1)])
     # one run for every halving, on zero increments: each row is bitwise its one-row run
     direct = simulate_direct(coeffs, y0, BrownianPath.from_increments(grid, zeros))
     # finite[i, h]: halving h is finite at knot i; the first halving that

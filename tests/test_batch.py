@@ -151,7 +151,18 @@ def assert_rows_are_the_per_path_solves(co, initial, paths, terminal, finite, ro
 def floats_per_path(order, d):
     """The floats of one step of one path's buffers, every degree nonzero:
     `solve_chain_batch` fits a chunk's step into _EULER_FLOATS by these."""
-    return chain._Steps((True,) * order, (True,) * order, d, 1, 1, 0).floats
+    return chain._step_sizes((True,) * order, (True,) * order, d)[-1]
+
+
+@pytest.mark.parametrize("n_paths", [1, 62, 63, 130])
+def test_a_batch_builds_one_schedule_per_chunk(n_paths):
+    """The chunk size is read off the cached sizing, so the batch builds a
+    `_Steps` schedule for each chunk of paths and no other."""
+    co = random_coefficients(np.random.default_rng(4), 4, 3, 2)
+    paths = sample_paths(TimeGrid(0.0, 1.0, 2), 2, 5, n_paths)
+    with patch.object(chain, "_Steps", wraps=chain._Steps) as steps:
+        solve_chain_batch(co, identity(4, 3), paths)
+    assert steps.call_count == math.ceil(n_paths / 62)
 
 
 @settings(max_examples=80, deadline=None)

@@ -32,6 +32,16 @@ def read_report(out_dir):
         return json.load(fh)
 
 
+def read_strict_report(out_dir):
+    """report.json parsed as RFC 8259 JSON: a NaN or Infinity token raises."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    with open(out_dir / "report.json") as fh:
+        return json.load(fh, parse_constant=reject)
+
+
 def scalar_tensor(degree, value):
     return {"degree": degree, "dy": 1, "dz": 1, "entries": [value]}
 
@@ -309,6 +319,25 @@ class TestTaylorCheck:
         results = read_report(out)["results"]
         assert not any(results["reliable"])
         assert rc == 4 and results["passed"] is False
+
+    @pytest.mark.parametrize("halvings", [300, 1100])
+    def test_a_gap_that_underflows_to_zero_writes_a_null_ratio(self, tmp_path, halvings):
+        # some smaller gap underflows to 0: its ratio was written as Infinity,
+        # and beyond 1023 halvings 2.0**i overflowed and exited 3
+        cfg = {
+            "dy": 1,
+            "order": 3,
+            "n_steps": 128,
+            "drift": [scalar_tensor(1, 1.0), scalar_tensor(2, 0.5)],
+            "y0": [0.1],
+            "halvings": halvings,
+        }
+        out = tmp_path / "o"
+        rc = main(["taylor-check", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+        results = read_strict_report(out)["results"]
+        assert rc == 0 and results["passed"] is True
+        nulls = [r is None for r in results["ratios"]]
+        assert any(nulls) and nulls == [g == 0.0 for g in results["gaps"][1:]]
 
     def test_direct_overflow_is_blowup(self, tmp_path, capsys):
         # the chain stays finite; the direct simulation y' = 1e200*y^2 from 1.0 overflows
@@ -601,6 +630,24 @@ class TestConvergence:
         )
         assert rc == 3
         assert "numerical blowup" in capsys.readouterr().err
+
+    def test_exact_agreement_writes_a_null_slope(self, tmp_path):
+        # with no drift and no noise every error is 0: there is no log-log
+        # fit, and the slope and intercept were written as NaN
+        cfg = {"n_paths": 8, "problem": {"kind": "gbm", "alpha": 0.0, "beta": 0.0}, "dt_values": [0.5, 0.25, 0.125]}
+        out = tmp_path / "o"
+        rc = main(["convergence", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+        results = read_strict_report(out)["results"]
+        assert rc == 0 and results["errors"] == [0.0, 0.0, 0.0]
+        assert results["slope"] is None and results["intercept"] is None
+
+    def test_a_step_too_small_for_the_horizon_is_a_validation_error(self, tmp_path, capsys):
+        # the step count t_end / dt overflows; round() of it exited 3 as a blowup
+        cfg = {"n_paths": 8, "problem": {"kind": "gbm"}, "dt_values": [5e-324, 1e-323, 2e-323]}
+        rc = main(["convergence", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "dt=5e-324" in err and "horizon 1.0" in err
 
     def test_quadratic_problem_without_linear_drift(self, tmp_path):
         # alpha = 0 used to divide by zero in the closed form
