@@ -18,8 +18,9 @@ The record (JSON, to stdout or --out) holds the environment once (Python,
 numpy and orjson versions, core count, machine, timer), the seeds and the
 rounds; each side's root, commit, whether its sources differ from that
 commit and their digest (as perfbench/run.py computes it); and for each
-layer its sizes, each side's median over rounds, their ratio (change /
-parent), the paired ratio (the median over rounds of each round's change /
+layer its sizes, each side's median over rounds and quartiles ([q1, q3] by
+`statistics.quantiles(n=4)`, null under 2 rounds), the ratio of the
+medians (change / parent), the paired ratio (the median over rounds of each round's change /
 parent), the rounds the change won and, where the layer composes, each
 side's counts: the products, additions and flops of the ops of each
 `_Runner` and of one full block of each `_Steps` schedule that one untimed
@@ -284,6 +285,14 @@ def checkout(root: str) -> dict:
     }
 
 
+def quartiles(times: list[float]) -> list[float] | None:
+    """[q1, q3] of times by statistics.quantiles(n=4); None under 2 rounds, which have none."""
+    if len(times) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return [q1, q3]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -312,6 +321,8 @@ def main() -> int:
             "divisor": sides["parent"][layer].divisor,
             "parent_median_s": parent,
             "change_median_s": change,
+            "parent_quartiles_s": quartiles(record["parent"]),
+            "change_quartiles_s": quartiles(record["change"]),
             "ratio": change / parent,
             "paired_ratio": statistics.median(c / p for p, c in zip(record["parent"], record["change"])),
             "change_wins": sum(c < p for p, c in zip(record["parent"], record["change"])),

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations, repeat
 from numbers import Real
 from types import MappingProxyType
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,10 +40,10 @@ class NonFiniteError(ShapeError):
 class MultilinearMap:
     """A k-linear map R^dy x ... x R^dy -> R^dz as a dense tensor.
 
-    entries has shape (dz, dy, ..., dy) with k trailing dy-axes; flattening is
+    entries has shape (dz, dy, ..., dy) + tail with k dy-axes; flattening is
     row-major, so the output index varies slowest and the last argument index
-    fastest.  A subclass may add trailing axes behind the k argument axes
-    (`_tail`), such as the noise axis of a diffusion coefficient; they are
+    fastest.  tail lists the lengths of trailing axes behind the k argument
+    axes, such as (m,) for the noise axis of a diffusion coefficient; they are
     not argument slots, and every operation keeps them open and last.
     """
 
@@ -51,16 +51,10 @@ class MultilinearMap:
     dy: int
     dz: int
     entries: np.ndarray
-
-    # dict keys of the trailing axes' lengths, in the order of _tail()
-    _TAIL_KEYS: ClassVar[tuple[str, ...]] = ()
-
-    def _tail(self) -> tuple[int, ...]:
-        """Lengths of the trailing axes behind the argument axes."""
-        return ()
+    tail: tuple[int, ...] = ()
 
     def __post_init__(self):
-        shape = (self.dz,) + (self.dy,) * self.degree + self._tail()
+        shape = (self.dz,) + (self.dy,) * self.degree + self.tail
         if self.degree < 1 or min(shape) < 1:
             raise ShapeError(
                 f"need degree >= 1 and dimensions >= 1, got degree {self.degree}, shape {shape}"
@@ -87,20 +81,23 @@ class MultilinearMap:
         return arr
 
     @classmethod
-    def zero(cls, degree: int, dy: int, dz: int, *tail: int) -> "MultilinearMap":
-        """The zero map; tail gives the trailing axes' lengths, if the type has any."""
-        return cls(degree, dy, dz, *tail, np.zeros((dz,) + (dy,) * degree + tail))
+    def zero(cls, degree: int, dy: int, dz: int, tail: tuple[int, ...] = ()) -> "MultilinearMap":
+        """The zero map with the trailing axes tail."""
+        return cls(degree, dy, dz, np.zeros((dz,) + (dy,) * degree + tail), tail)
 
     def to_dict(self) -> dict:
+        """The dict form; it names one trailing axis, the noise axis, by the key "m"."""
         out = {"degree": self.degree, "dy": self.dy, "dz": self.dz}
-        out.update(zip(self._TAIL_KEYS, self._tail()))
+        if self.tail:
+            (out["m"],) = self.tail
         out["entries"] = self.entries.ravel().tolist()
         return out
 
     @classmethod
-    def from_dict(cls, d: dict, where: str = "component") -> "MultilinearMap":
-        """The map that d describes; where names d in errors, such as "drift component 1"."""
-        _require(d, where, ("degree", "dy", "dz", *cls._TAIL_KEYS), "entries")
+    def from_dict(cls, d: dict, where: str = "component", noise: bool = False) -> "MultilinearMap":
+        """The map that d describes, with the tail (d["m"],) if noise is set; where
+        names d in errors, such as "drift component 1"."""
+        _require(d, where, ("degree", "dy", "dz") + ("m",) * noise, "entries")
         entries = np.asarray(d["entries"], dtype=object)
         for kind in set(map(type, entries.flat)):
             if kind in (bool, np.bool_) or not issubclass(kind, Real):
@@ -108,52 +105,49 @@ class MultilinearMap:
                     f"entries of a degree-{d['degree']} map must be numbers, got {kind.__name__}"
                 )
         entries = entries.astype(np.float64)
-        return cls(d["degree"], d["dy"], d["dz"], *(d[key] for key in cls._TAIL_KEYS), entries)
+        return cls(d["degree"], d["dy"], d["dz"], entries, (d["m"],) if noise else ())
+
+
+def _check_components(order: int, dy: int, dz: int, comps: tuple, tail: tuple[int, ...]) -> None:
+    """comps must be components 1..order from R^dy to R^dz with the trailing axes tail."""
+    if order < 1:
+        raise ShapeError(f"order must be >= 1, got {order}")
+    if len(comps) != order:
+        raise ShapeError(f"expected {order} components, got {len(comps)}")
+    for k, c in enumerate(comps, start=1):
+        expected = (dz,) + (dy,) * k + tail
+        if c.degree != k or c.entries.shape != expected:
+            raise ShapeError(
+                f"component {k} has degree {c.degree} and shape {c.entries.shape}, "
+                f"expected degree {k} and shape {expected}"
+            )
 
 
 @dataclass(frozen=True)
 class FormalMapping:
-    """A truncated formal mapping: components of degrees 1..order, each a
-    `_COMPONENT`, with the trailing axes `_tail` (none here)."""
+    """A truncated formal mapping: components of degrees 1..order, of one `tail`."""
 
     order: int
     dy: int
     dz: int
     components: tuple[MultilinearMap, ...]
 
-    _COMPONENT: ClassVar[type] = MultilinearMap
-
-    def _tail(self) -> tuple[int, ...]:
-        """Lengths of the trailing axes every component carries."""
-        return ()
-
     def __post_init__(self):
-        if self.order < 1:
-            raise ShapeError(f"order must be >= 1, got {self.order}")
         comps = tuple(self.components)
-        if len(comps) != self.order:
-            raise ShapeError(f"expected {self.order} components, got {len(comps)}")
-        tail = self._tail()
-        for k, c in enumerate(comps, start=1):
-            expected = (self.dz,) + (self.dy,) * k + tail
-            if c.degree != k or c.entries.shape != expected:
-                raise ShapeError(
-                    f"component {k} has degree {c.degree} and shape {c.entries.shape}, "
-                    f"expected degree {k} and shape {expected}"
-                )
+        _check_components(self.order, self.dy, self.dz, comps, comps[0].tail if comps else ())
         object.__setattr__(self, "components", comps)
 
-    @staticmethod
-    def _dims(c: MultilinearMap) -> tuple[int, int]:
-        """The constructor's dimension arguments for a mapping with components like c."""
-        return c.dy, c.dz
+    @property
+    def tail(self) -> tuple[int, ...]:
+        """Lengths of the trailing axes every component carries, (m,) for a diffusion family."""
+        return self.components[0].tail
 
     @classmethod
     def _of(cls, order: int, comps: Sequence[MultilinearMap]) -> "FormalMapping":
-        """The mapping of this type holding comps, its dimensions read off comps[0]."""
+        """The mapping holding comps, its dimensions read off comps[0]."""
         if not comps:
             raise ShapeError("a formal mapping needs at least one component")
-        return cls(order, *cls._dims(comps[0]), tuple(comps))
+        return cls(order, comps[0].dy, comps[0].dz, tuple(comps))
 
     def component(self, k: int) -> MultilinearMap:
         """1-based access to the degree-k component."""
@@ -162,14 +156,13 @@ class FormalMapping:
         return self.components[k - 1]
 
     @classmethod
-    def from_scalar_coeffs(cls, coeffs: Sequence[float]) -> "FormalMapping":
-        """Mapping with every dimension 1 and the given degree-1.. coefficients."""
-        ones = (1,) * len(cls._COMPONENT._TAIL_KEYS)
-        comps = [cls._COMPONENT(k, 1, 1, *ones, float(c)) for k, c in enumerate(coeffs, start=1)]
+    def from_scalar_coeffs(cls, coeffs: Sequence[float], tail: tuple[int, ...] = ()) -> "FormalMapping":
+        """Mapping with every dimension 1, tail (1,) for a diffusion family, and the given coefficients."""
+        comps = [MultilinearMap(k, 1, 1, float(c), tail) for k, c in enumerate(coeffs, start=1)]
         return cls._of(len(comps), comps)
 
     def scalar_coeffs(self) -> np.ndarray:
-        if max((self.dy, self.dz) + self._tail()) != 1:
+        if max((self.dy, self.dz) + self.tail) != 1:
             raise ShapeError("scalar_coeffs requires every dimension to be 1")
         return np.array([c.entries.ravel()[0] for c in self.components])
 
@@ -183,9 +176,8 @@ class FormalMapping:
         comps = d["components"]
         if not isinstance(comps, list):
             raise ShapeError(f"{where} components must be a list, got {type(comps).__name__}")
-        return cls._of(
-            d["order"], [cls._COMPONENT.from_dict(c, f"{where} component {i}") for i, c in enumerate(comps, 1)]
-        )
+        comps = [MultilinearMap.from_dict(c, f"{where} component {i}") for i, c in enumerate(comps, 1)]
+        return cls._of(d["order"], comps)
 
 
 def _require(d: dict, where: str, integers: Sequence[str], other: str) -> None:
@@ -461,14 +453,14 @@ def _nonzero_entries(mapping, slots_first: bool = False) -> list[np.ndarray | No
 def apply_to_tuple(b_k: MultilinearMap, args: Sequence[MultilinearMap]) -> MultilinearMap:
     """Plug the maps a_{j_1}..a_{j_k} into the k slots of b_k.
 
-    The result is an n-linear map of b_k's type (n = sum of argument degrees)
-    whose inputs are distributed to the argument maps in order; trailing axes
-    of b_k, such as a noise axis, stay open and last.
+    The result is an n-linear map (n = sum of argument degrees) whose inputs
+    are distributed to the argument maps in order; trailing axes of b_k, such
+    as a noise axis, stay open and last.
     """
     if len(args) != b_k.degree:
         raise ShapeError(f"b_k has {b_k.degree} slots, got {len(args)} argument maps")
     for a in args:
-        if (a.dy, a.dz) != (args[0].dy, b_k.dy) or a._tail():
+        if (a.dy, a.dz) != (args[0].dy, b_k.dy) or a.tail:
             raise ShapeError(
                 f"argument maps must map R^{args[0].dy} to R^{b_k.dy} with no trailing axes, "
                 f"got shape {a.entries.shape}"
@@ -476,10 +468,10 @@ def apply_to_tuple(b_k: MultilinearMap, args: Sequence[MultilinearMap]) -> Multi
     t = b_k.slots_first[None]
     for a in args:
         t = _contract(t, a.entries.reshape(1, a.dz, -1))
-    tail = b_k._tail()
+    tail = b_k.tail
     n = sum(a.degree for a in args)
     t = t.reshape((1, b_k.dz) + tail + (args[0].dy,) * n)
-    return type(b_k)(n, args[0].dy, b_k.dz, *tail, _tail_last(t, len(tail))[0])
+    return MultilinearMap(n, args[0].dy, b_k.dz, _tail_last(t, len(tail))[0], tail)
 
 
 def compose(b: FormalMapping, a: FormalMapping) -> FormalMapping:
@@ -488,22 +480,22 @@ def compose(b: FormalMapping, a: FormalMapping) -> FormalMapping:
     Component n is the double sum over k = 1..n and over ordered compositions
     (j_1..j_k) of n, of b_k plugged with a_{j_1}..a_{j_k}.  Terms with an
     all-zero operand are skipped, so component n depends only on nonzero
-    components of degree <= n of both operands.  The result has b's type:
-    trailing axes of b's components, such as a noise axis, stay open and last.
+    components of degree <= n of both operands.  Trailing axes of b's
+    components, such as a noise axis, stay open and last.
     """
-    if a.dz != b.dy or a._tail():
+    if a.dz != b.dy or a.tail:
         raise ShapeError(
             f"a must map into b's domain R^{b.dy} with no trailing axes, "
-            f"got codomain R^{a.dz} and trailing axes {a._tail()}"
+            f"got codomain R^{a.dz} and trailing axes {a.tail}"
         )
     order = min(a.order, b.order)
-    tail = b._tail()
+    tail = b.tail
     shapes = [(1, b.dz) + (a.dy,) * n + tail for n in range(1, order + 1)]
     entries = _Runner(
         _nonzero_entries(b, slots_first=True), _nonzero_entries(a), shapes, tail=len(tail)
     ).components()
-    comps = [b._COMPONENT(n, a.dy, b.dz, *tail, e[0]) for n, e in enumerate(entries, start=1)]
-    return b._of(order, comps)
+    comps = tuple(MultilinearMap(n, a.dy, b.dz, e[0], tail) for n, e in enumerate(entries, start=1))
+    return FormalMapping(order, a.dy, b.dz, comps)
 
 
 def identity(order: int, d: int) -> FormalMapping:
@@ -526,7 +518,7 @@ def evaluate(a: FormalMapping, y: np.ndarray) -> np.ndarray:
     if y.ndim not in (1, 2) or y.shape[-1] != a.dy:
         raise ShapeError(f"y has shape {y.shape}, expected ({a.dy},) or (P, {a.dy})")
     rows = y.reshape(-1, a.dy, 1)
-    out = np.zeros((len(rows), a.dz) + a._tail())
+    out = np.zeros((len(rows), a.dz) + a.tail)
     for comp in a.components:
         if comp.is_zero:
             continue

@@ -21,6 +21,7 @@ from .algebra import (
     MultilinearMap,
     ShapeError,
     _Runner,
+    _check_components,
     _Steps,
     _nonzero_entries,
     _step_sizes,
@@ -215,59 +216,28 @@ def sample_paths(grid: TimeGrid, m: int, seed: int, n_paths: int) -> BrownianPat
     return _draw(grid, m, seed, 0, n_paths)
 
 
-@dataclass(frozen=True, init=False)
-class DiffusionMap(MultilinearMap):
-    """A (k+1)-linear map with k state slots and one noise slot.
-
-    A MultilinearMap whose entries carry a trailing noise axis of length
-    noise_dim: shape (dz, dy, ..., dy, m), output index slowest, k argument
-    indices in order, noise index last.  Its dict form adds the key "m".
-    """
-
-    noise_dim: int
-
-    _TAIL_KEYS = ("m",)
-
-    def __init__(self, degree: int, dy: int, dz: int, noise_dim: int, entries: np.ndarray):
-        object.__setattr__(self, "noise_dim", noise_dim)
-        super().__init__(degree, dy, dz, entries)
-
-    def _tail(self) -> tuple[int, ...]:
-        return (self.noise_dim,)
-
-    def apply_to_tuple(self, args: Sequence[MultilinearMap]) -> "DiffusionMap":
-        """Plug maps into the k state slots, keeping the noise slot open."""
-        return apply_to_tuple(self, args)
+def DiffusionMap(degree: int, dy: int, dz: int, noise_dim: int, entries: np.ndarray) -> MultilinearMap:
+    """The map with k state slots and a noise slot: a MultilinearMap with the tail (noise_dim,)."""
+    return MultilinearMap(degree, dy, dz, entries, (noise_dim,))
 
 
-@dataclass(frozen=True, init=False)
-class DiffusionFamily(FormalMapping):
-    """Degree-indexed diffusion coefficients b_k, k = 1..order.
+# the span chain.diffusion_apply_to_tuple of perfbench/tracer.py wraps this name
+DiffusionMap.apply_to_tuple = apply_to_tuple
 
-    A FormalMapping whose components are DiffusionMaps with noise_dim noise
-    columns.  It maps R^dy to R^dz, where dz is its components' (dy for
-    the coefficients of a chain).
-    """
 
-    noise_dim: int
+def DiffusionFamily(order: int, dy: int, noise_dim: int, components: Sequence[MultilinearMap]) -> FormalMapping:
+    """The FormalMapping of diffusion coefficients b_1..b_order, each with the tail (noise_dim,)."""
+    comps = tuple(components)
+    dz = comps[0].dz if comps else dy
+    _check_components(order, dy, dz, comps, (noise_dim,))
+    return FormalMapping(order, dy, dz, comps)
 
-    _COMPONENT = DiffusionMap
 
-    def __init__(self, order: int, dy: int, noise_dim: int, components: Sequence[DiffusionMap]):
-        comps = tuple(components)
-        object.__setattr__(self, "noise_dim", noise_dim)
-        super().__init__(order, dy, comps[0].dz if comps else dy, comps)
-
-    def _tail(self) -> tuple[int, ...]:
-        return (self.noise_dim,)
-
-    @staticmethod
-    def _dims(c: DiffusionMap) -> tuple[int, int]:
-        return c.dy, c.noise_dim
-
-    @classmethod
-    def zero(cls, order: int, dy: int, m: int) -> "DiffusionFamily":
-        return cls(order, dy, m, [DiffusionMap.zero(k, dy, dy, m) for k in range(1, order + 1)])
+def _noise_dim(b: FormalMapping) -> int:
+    """The length of b's one trailing axis, the noise axis of a diffusion family."""
+    if len(b.tail) != 1:
+        raise ShapeError(f"diffusion needs one trailing noise axis, got trailing axes {b.tail}")
+    return b.tail[0]
 
 
 @dataclass(frozen=True)
@@ -278,13 +248,13 @@ class CoefficientFamily:
     dy: int
     noise_dim: int
     drift: Callable[[float], FormalMapping]
-    diffusion: Callable[[float], DiffusionFamily]
+    diffusion: Callable[[float], FormalMapping]
     # the one (drift, diffusion) pair of a family made by `constant`, checked
     _pair: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def constant(cls, a: FormalMapping, b: DiffusionFamily) -> "CoefficientFamily":
-        coeffs = cls(a.order, a.dy, b.noise_dim, lambda t: a, lambda t: b)
+    def constant(cls, a: FormalMapping, b: FormalMapping) -> "CoefficientFamily":
+        coeffs = cls(a.order, a.dy, _noise_dim(b), lambda t: a, lambda t: b)
         # constant coefficients need their shapes checked only once, here
         object.__setattr__(coeffs, "_pair", (coeffs.drift_at(0.0), coeffs.diffusion_at(0.0)))
         return coeffs
@@ -295,19 +265,18 @@ class CoefficientFamily:
     ) -> "CoefficientFamily":
         """Scalar (dy = m = 1) constant-in-time coefficients."""
         a = FormalMapping.from_scalar_coeffs(drift_coeffs)
-        if diffusion_coeffs is None:
-            return cls.constant(a, DiffusionFamily.zero(a.order, 1, 1))
-        return cls.constant(a, DiffusionFamily.from_scalar_coeffs(diffusion_coeffs))
+        b = [0.0] * a.order if diffusion_coeffs is None else diffusion_coeffs
+        return cls.constant(a, FormalMapping.from_scalar_coeffs(b, (1,)))
 
     def drift_at(self, t: float) -> FormalMapping:
         return self._checked("drift", t, self.drift(t), ())
 
-    def diffusion_at(self, t: float) -> DiffusionFamily:
+    def diffusion_at(self, t: float) -> FormalMapping:
         return self._checked("diffusion", t, self.diffusion(t), (self.noise_dim,))
 
     def _checked(self, what: str, t: float, mapping: FormalMapping, tail: tuple) -> FormalMapping:
         """mapping, if it has this family's order, maps R^dy to R^dy and has trailing axes tail."""
-        got = (mapping.order, mapping.dy, mapping.dz) + mapping._tail()
+        got = (mapping.order, mapping.dy, mapping.dz) + mapping.tail
         want = (self.order, self.dy, self.dy) + tail
         if got != want:
             raise ShapeError(f"{what} at t={t} has (order, dy, dz, tail) {got}, expected {want}")
@@ -415,9 +384,7 @@ def _step_maps(parts: tuple[list, list], index: np.ndarray, dw: np.ndarray) -> l
     return [None if e is None else np.moveaxis(e, -1, 2) for e in _step_sums(parts, index, dw, out)]
 
 
-def one_step_map(
-    a_t: FormalMapping, b_t: DiffusionFamily, dt: float, dw: np.ndarray
-) -> FormalMapping:
+def one_step_map(a_t: FormalMapping, b_t: FormalMapping, dt: float, dw: np.ndarray) -> FormalMapping:
     """The formal mapping Psi of one Euler-Maruyama step.
 
     Psi_1 = id + a_1*dt + b_1(., dw); Psi_k = a_k*dt + b_k(..., dw) for k >= 2.
@@ -427,8 +394,8 @@ def one_step_map(
     # checks the shapes of a_t and b_t; the grid's one step has the pair, dt is given
     steps = CoefficientFamily.constant(a_t, b_t).on_grid(TimeGrid(0.0, 1.0, 1))
     dw = np.asarray(dw, dtype=np.float64)
-    if dw.shape != (b_t.noise_dim,):
-        raise ShapeError(f"dw has shape {dw.shape}, expected ({b_t.noise_dim},)")
+    if dw.shape != b_t.tail:
+        raise ShapeError(f"dw has shape {dw.shape}, expected {b_t.tail}")
     d = a_t.dy
     psi = _step_maps(_step_parts(steps, dt, d), steps.index, dw[None, None])
     comps = tuple(
@@ -627,8 +594,8 @@ def _forcing(state: list, a: list, b: list, shapes: list) -> tuple[list, list]:
 
 
 def forcing_terms(
-    n: int, states_at_t: FormalMapping, a_t: FormalMapping, b_t: DiffusionFamily
-) -> tuple[MultilinearMap, DiffusionMap]:
+    n: int, states_at_t: FormalMapping, a_t: FormalMapping, b_t: FormalMapping
+) -> tuple[MultilinearMap, MultilinearMap]:
     """Inhomogeneous terms of the degree-n equation.
 
     f_n and g_n are component n of a after S and of b after S, each with its
@@ -639,10 +606,10 @@ def forcing_terms(
         raise ShapeError(f"forcing terms are defined for n >= 2, got {n}")
     if states_at_t.order < n - 1 or min(a_t.order, b_t.order) < n:
         raise ShapeError(f"need state components up to degree {n - 1}, coefficients up to {n}")
-    dy, dz, m = states_at_t.dy, b_t.dz, b_t.noise_dim
+    dy, dz, tail = states_at_t.dy, b_t.dz, (_noise_dim(b_t),)
     s, a, b = _nonzero_entries(states_at_t), _nonzero_entries(a_t, True), _nonzero_entries(b_t, True)
     f, g = (x[-1] for x in _forcing(s, a, b, [(1, a_t.dz) + (dy,) * k for k in range(1, n + 1)]))
-    g = DiffusionMap.zero(n, dy, dz, m) if g is None else DiffusionMap(n, dy, dz, m, g[0])
+    g = MultilinearMap.zero(n, dy, dz, tail) if g is None else MultilinearMap(n, dy, dz, g[0], tail)
     return MultilinearMap(n, dy, a_t.dz, f[0]), g
 
 

@@ -39,7 +39,6 @@ from .chain import (
     BrownianPath,
     CoefficientFamily,
     DiffusionFamily,
-    DiffusionMap,
     TimeGrid,
     _integer,
     _path_states,
@@ -123,21 +122,22 @@ class ExperimentConfig:
         return sample_path(self.grid(), self.noise_dim, self.seed, index)
 
     def drift_mapping(self) -> FormalMapping:
-        comps = self._components("drift", MultilinearMap)
+        comps = self._components("drift", ())
         return FormalMapping(self.order, self.dy, self.dy, comps)
 
-    def diffusion_family(self) -> DiffusionFamily:
-        comps = self._components("diffusion", DiffusionMap, self.noise_dim)
+    def diffusion_family(self) -> FormalMapping:
+        # DiffusionFamily checks each component's "m" against noise_dim
+        comps = self._components("diffusion", (self.noise_dim,))
         return DiffusionFamily(self.order, self.dy, self.noise_dim, comps)
 
-    def _components(self, key: str, kind: type, *tail: int) -> tuple:
+    def _components(self, key: str, tail: tuple[int, ...]) -> tuple:
         """The components listed under key, zero where missing; each degree once at most, <= order."""
-        comps = [kind.zero(k, self.dy, self.dy, *tail) for k in range(1, self.order + 1)]
+        comps = [MultilinearMap.zero(k, self.dy, self.dy, tail) for k in range(1, self.order + 1)]
         listed, given = set(), getattr(self, key)
         if not isinstance(given, list):
             raise ShapeError(f"{key} must be a list of components, got {type(given).__name__}")
         for i, d in enumerate(given, 1):
-            c = kind.from_dict(d, f"{key} component {i}")
+            c = MultilinearMap.from_dict(d, f"{key} component {i}", noise=bool(tail))
             if c.degree > self.order:
                 raise ShapeError(f"{key} component of degree {c.degree} exceeds order {self.order}")
             if c.degree in listed:

@@ -38,6 +38,11 @@ def random_diffusion(rng, order, dy, m, magnitude=0.5):
     return DiffusionFamily(order, dy, m, comps)
 
 
+def zero_diffusion(order, dy, m):
+    """The zero diffusion family of order from R^dy with m noise columns."""
+    return DiffusionFamily(order, dy, m, [MultilinearMap.zero(k, dy, dy, (m,)) for k in range(1, order + 1)])
+
+
 def random_coefficients(rng, order, dy, m, magnitude=0.3):
     return CoefficientFamily.constant(
         random_mapping(rng, order, dy, dy, magnitude),

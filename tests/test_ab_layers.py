@@ -29,11 +29,15 @@ LAYERS = {
 NOT_COMPOSING = {"contract_hot", "horner_products_o6d3", "fundamental_o3d2", "json_floats_o6d3", "report_write_o6d3"}
 
 
-def test_the_table_holds_every_layer_with_its_sizes_and_counts(tmp_path):
+def load_script():
     spec = importlib.util.spec_from_file_location("ab_layers", SCRIPT)
     ab_layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab_layers)
-    table = ab_layers.layers("formalflow", tmp_path)
+    return ab_layers
+
+
+def test_the_table_holds_every_layer_with_its_sizes_and_counts(tmp_path):
+    table = load_script().layers("formalflow", tmp_path)
     assert set(table) == LAYERS
     for name, layer in table.items():
         assert isinstance(layer.sizes, str) and layer.sizes
@@ -49,3 +53,10 @@ def test_the_table_holds_every_layer_with_its_sizes_and_counts(tmp_path):
     # 64 paths at order 4, d 3: chunks of 62 and 2 paths, one schedule each
     assert counts["batch_terminal_o4d3_p64"]["block_steps"] == [1, 31]
     assert counts["formula_check_o3d2"]["products"] > counts["euler_loop_o3d2"]["products"]
+
+
+def test_quartiles_are_null_under_two_rounds():
+    quartiles = load_script().quartiles
+    assert quartiles([]) is None and quartiles([0.5]) is None
+    assert quartiles([1.0, 3.0]) == [0.5, 3.5]
+    assert quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == [1.5, 4.5]

@@ -237,7 +237,7 @@ def test_criterion_7_explicit_formula(report):
     rng = np.random.default_rng(707)
     dy, m, order = 2, 2, 3
     a = random_mapping(rng, order, dy, dy, magnitude=0.4)
-    b_comps = [DiffusionMap.zero(1, dy, dy, m)] + [
+    b_comps = [MultilinearMap.zero(1, dy, dy, (m,))] + [
         DiffusionMap(k, dy, dy, m, 0.4 * rng.standard_normal((dy,) + (dy,) * k + (m,)))
         for k in (2, 3)
     ]

@@ -40,8 +40,6 @@ from formalflow import (
     BlowupError,
     BrownianPath,
     CoefficientFamily,
-    DiffusionFamily,
-    DiffusionMap,
     FormalMapping,
     MultilinearMap,
     ShapeError,
@@ -76,11 +74,11 @@ def with_zero_components(co, zero_drift, zero_diffusion):
         for c, z in zip(a.components, zero_drift)
     )
     diffusion = tuple(
-        DiffusionMap.zero(c.degree, c.dy, c.dz, c.noise_dim) if z else c
+        MultilinearMap.zero(c.degree, c.dy, c.dz, c.tail) if z else c
         for c, z in zip(b.components, zero_diffusion)
     )
     return CoefficientFamily.constant(
-        FormalMapping(a.order, a.dy, a.dz, drift), DiffusionFamily(b.order, b.dy, b.noise_dim, diffusion)
+        FormalMapping(a.order, a.dy, a.dz, drift), FormalMapping(b.order, b.dy, b.dz, diffusion)
     )
 
 

@@ -36,7 +36,7 @@ from formalflow.algebra import _contract
 from formalflow import chain
 from formalflow.chain import _euler_states, _noise, _path_states
 from formalflow.cli import main
-from conftest import mapping_equal, random_coefficients, random_mapping
+from conftest import mapping_equal, random_coefficients, random_mapping, zero_diffusion
 
 
 class TestTimeGrid:
@@ -322,7 +322,7 @@ class TestSolveChain:
 
     def test_zero_noise_ignores_increments_bitwise(self, rng):
         a = random_mapping(rng, 3, 2, 2)
-        co = CoefficientFamily.constant(a, DiffusionFamily.zero(3, 2, 2))
+        co = CoefficientFamily.constant(a, zero_diffusion(3, 2, 2))
         grid = TimeGrid(0.0, 1.0, 16)
         s1 = solve_chain(co, identity(3, 2), sample_path(grid, 2, seed=1))
         s2 = solve_chain(co, identity(3, 2), sample_path(grid, 2, seed=999))
@@ -541,11 +541,11 @@ class TestRunnerReuse:
             # from t = 0.5 on, a_2 and b_3 are zero, but not before: Psi keeps
             # its pattern over the grid, and the schedule stays that of "constant"
             a2 = a._of(order, (a.components[0], MultilinearMap.zero(2, d, d), a.components[2]))
-            b2 = b._of(order, b.components[:2] + (DiffusionMap.zero(3, d, d, m),))
+            b2 = b._of(order, b.components[:2] + (MultilinearMap.zero(3, d, d, (m,)),))
             co = CoefficientFamily(order, d, m, lambda t: a if t < 0.5 else a2, lambda t: b if t < 0.5 else b2)
         elif provider == "linear":
             zero_a = tuple(MultilinearMap.zero(k, d, d) for k in range(2, order + 1))
-            zero_b = DiffusionFamily.zero(order, d, m).components[1:]
+            zero_b = zero_diffusion(order, d, m).components[1:]
             co = CoefficientFamily.constant(
                 a._of(order, a.components[:1] + zero_a), b._of(order, b.components[:1] + zero_b)
             )
@@ -682,10 +682,8 @@ class TestSimulateDirect:
 
 def absolute(mapping):
     """mapping with each entry replaced by its absolute value."""
-    comps = [
-        type(c)(c.degree, c.dy, c.dz, *c._tail(), np.abs(c.entries)) for c in mapping.components
-    ]
-    return type(mapping)._of(mapping.order, comps)
+    comps = [MultilinearMap(c.degree, c.dy, c.dz, np.abs(c.entries), c.tail) for c in mapping.components]
+    return FormalMapping._of(mapping.order, comps)
 
 
 def ref_direct_step(a, b, dt, y, dw):
@@ -737,7 +735,7 @@ class TestEvolutionCheck:
         # the sub-path from knot 1 used to take step 5 at 0.1 + 5*0.1 = 0.6, an
         # ulp below the full path's step 6 at 6*0.1, and switch a step late
         a1, a2 = FormalMapping.from_scalar_coeffs([0.5, 0.3]), FormalMapping.from_scalar_coeffs([-0.4, 0.2])
-        b = DiffusionFamily.from_scalar_coeffs([0.3, 0.1])
+        b = FormalMapping.from_scalar_coeffs([0.3, 0.1], (1,))
         co = CoefficientFamily(2, 1, 1, lambda t: a1 if t < 6 * 0.1 else a2, lambda t: b)
         grid = TimeGrid(0.0, 1.0, 10)
         rep = evolution_check(co, sample_path(grid, 1, seed=0), 0.1)
@@ -772,7 +770,7 @@ class TestEvolutionCheck:
                 for c, z in zip(a.components, data.draw(zero))
             ]
             diffusion = [
-                DiffusionMap.zero(c.degree, d, d, m) if z else c for c, z in zip(b.components, data.draw(zero))
+                MultilinearMap.zero(c.degree, d, d, (m,)) if z else c for c, z in zip(b.components, data.draw(zero))
             ]
             return a._of(order, drift), b._of(order, diffusion)
 
@@ -811,7 +809,7 @@ class TestForcingTerms:
         expected_f = apply_to_tuple(a2, [s.component(1), s.component(1)]).entries
         assert np.allclose(f2.entries, expected_f)
         b2 = co.diffusion_at(0.0).component(2)
-        expected_g = b2.apply_to_tuple([s.component(1), s.component(1)]).entries
+        expected_g = apply_to_tuple(b2, [s.component(1), s.component(1)]).entries
         assert np.allclose(g2.entries, expected_g)
 
     def test_zero_higher_coefficients_give_zero_forcing(self, rng):
@@ -845,11 +843,11 @@ class TestForcingTerms:
         (lambda: sample_path(TimeGrid(0.0, 1.0, 8), 1, seed=0).coarsen(3), "factor 3 does not divide 8 steps"),
         (lambda: sample_path(TimeGrid(0.0, 1.0, 8), 0, seed=0), "noise_dim must be >= 1, got 0"),
         (
-            lambda: one_step_map(identity(1, 1), DiffusionFamily.zero(1, 1, 1), 0.1, np.zeros(2)),
+            lambda: one_step_map(identity(1, 1), zero_diffusion(1, 1, 1), 0.1, np.zeros(2)),
             r"dw has shape \(2,\), expected \(1,\)",
         ),
         (
-            lambda: forcing_terms(3, identity(2, 1), identity(2, 1), DiffusionFamily.zero(2, 1, 1)),
+            lambda: forcing_terms(3, identity(2, 1), identity(2, 1), zero_diffusion(2, 1, 1)),
             "need state components up to degree 2, coefficients up to 3",
         ),
     ],
@@ -858,6 +856,15 @@ class TestForcingTerms:
 def test_invalid_arguments_raise_their_message(build, message):
     with pytest.raises(ShapeError, match=message):
         build()
+
+
+def test_a_diffusion_without_a_noise_axis_is_a_shape_error():
+    # both raised AttributeError: 'FormalMapping' object has no attribute 'noise_dim'
+    message = r"^diffusion needs one trailing noise axis, got trailing axes \(\)$"
+    with pytest.raises(ShapeError, match=message):
+        CoefficientFamily.constant(identity(2, 2), identity(2, 2))
+    with pytest.raises(ShapeError, match=message):
+        forcing_terms(2, identity(1, 2), identity(2, 2), identity(2, 2))
 
 
 def per_row_relative_errors(got, ref):

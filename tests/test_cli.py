@@ -801,6 +801,17 @@ class TestStrictConfig:
         assert self.run(tmp_path, "solve", cfg) == 2
         assert "duplicate diffusion component of degree 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["solve", "evolution-check", "taylor-check"])
+    def test_a_component_noise_axis_other_than_noise_dim_is_rejected(self, tmp_path, capsys, subcommand):
+        # a component's "m" is checked against noise_dim, not taken as the noise
+        # dimension: with zero entries, taylor-check would run an m = 3 experiment
+        component = {"degree": 1, "dy": 1, "dz": 1, "m": 3, "entries": [0.0, 0.0, 0.0]}
+        cfg = {"dy": 1, "noise_dim": 2, "order": 1, "n_steps": 8, "diffusion": [component]}
+        assert self.run(tmp_path, subcommand, cfg) == 2
+        message = "component 1 has degree 1 and shape (1, 1, 3), expected degree 1 and shape (1, 1, 2)"
+        assert f"error: invalid config or shapes: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "subcommand, fields, message",
         [

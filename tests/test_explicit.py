@@ -142,7 +142,7 @@ class TestVariationOfConstants:
         from conftest import random_mapping
 
         a = random_mapping(rng, order, dy, dy, magnitude=0.4)
-        b_comps = [DiffusionMap.zero(1, dy, dy, m)]
+        b_comps = [MultilinearMap.zero(1, dy, dy, (m,))]
         for k in (2, 3):
             b_comps.append(
                 DiffusionMap(k, dy, dy, m, 0.4 * rng.standard_normal((dy,) + (dy,) * k + (m,)))

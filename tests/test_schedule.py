@@ -21,8 +21,6 @@ from hypothesis import strategies as st
 from formalflow import (
     BrownianPath,
     CoefficientFamily,
-    DiffusionFamily,
-    DiffusionMap,
     FormalMapping,
     MultilinearMap,
 )
@@ -158,12 +156,10 @@ def test_compose_matches_the_reference_bitwise(order, d, m, seed, noise, data):
     tail = (m,) if noise else ()
     b = [draw_entries(data, rng, (d,) + (d,) * k + tail) for k in range(1, order + 1)]
     a = [draw_entries(data, rng, (d,) + (e,) * k) for k in range(1, order + 1)]
-    kind = DiffusionMap if noise else MultilinearMap
-    outer = [kind(k, d, d, *tail, filled(x, (d,) + (d,) * k + tail)) for k, x in enumerate(b, start=1)]
-    if noise:
-        outer = DiffusionFamily(order, d, m, outer)
-    else:
-        outer = FormalMapping(order, d, d, tuple(outer))
+    outer = tuple(
+        MultilinearMap(k, d, d, filled(x, (d,) + (d,) * k + tail), tail) for k, x in enumerate(b, start=1)
+    )
+    outer = FormalMapping(order, d, d, outer)
     inner = tuple(
         MultilinearMap(k, e, d, filled(x, (d,) + (e,) * k)) for k, x in enumerate(a, start=1)
     )
@@ -204,15 +200,15 @@ def test_euler_states_match_the_reference_bitwise(order, d, m, seed, n_paths, sh
     rng = np.random.default_rng(seed)
     steps = data.draw(st.integers(1, 4))
 
-    def family(kind, tail):
+    def family(tail):
         shapes = [(d,) + (d,) * k + tail for k in range(1, order + 1)]
-        return [
-            kind(k, d, d, *tail, filled(draw_entries(data, rng, shape, 0.3), shape))
+        comps = [
+            MultilinearMap(k, d, d, filled(draw_entries(data, rng, shape, 0.3), shape), tail)
             for k, shape in enumerate(shapes, start=1)
         ]
+        return FormalMapping(order, d, d, tuple(comps))
 
-    a = FormalMapping(order, d, d, tuple(family(MultilinearMap, ())))
-    b = DiffusionFamily(order, d, m, family(DiffusionMap, (m,)))
+    a, b = family(()), family((m,))
     coeffs = CoefficientFamily.constant(a, b)
     grid = TimeGrid(0.0, 0.5, steps)
     dw = np.sqrt(grid.dt) * rng.standard_normal((n_paths, steps, m))
@@ -248,22 +244,23 @@ def test_time_dependent_coefficients_match_the_reference_bitwise(order, d, m, se
     steps = data.draw(st.integers(2, 6))
     grid = TimeGrid(0.0, 0.5, steps)
 
-    def family(kind, tail):
+    def family(tail):
         shapes = [(d,) + (d,) * k + tail for k in range(1, order + 1)]
-        return [
-            kind(k, d, d, *tail, filled(draw_entries(data, rng, shape, 0.3), shape))
+        comps = [
+            MultilinearMap(k, d, d, filled(draw_entries(data, rng, shape, 0.3), shape), tail)
             for k, shape in enumerate(shapes, start=1)
         ]
+        return FormalMapping(order, d, d, tuple(comps))
 
-    a = [FormalMapping(order, d, d, tuple(family(MultilinearMap, ()))) for _ in range(2)]
-    b = [DiffusionFamily(order, d, m, family(DiffusionMap, (m,))) for _ in range(2)]
+    a = [family(()) for _ in range(2)]
+    b = [family((m,)) for _ in range(2)]
     if switch:
         knot = grid.knot(data.draw(st.integers(1, steps - 1)))
         coeffs = CoefficientFamily(order, d, m, lambda t: a[t >= knot], lambda t: b[t >= knot])
     else:
 
         def scaled(mapping, scale):
-            """A new mapping of mapping's type: scale times mapping."""
+            """A new mapping: scale times mapping."""
             return mapping._of(order, [replace(c, entries=scale * c.entries) for c in mapping.components])
 
         coeffs = CoefficientFamily(
@@ -289,15 +286,16 @@ def test_blocks_of_steps_match_the_reference_bitwise(order, d, m, seed, n_paths,
     steps = data.draw(st.integers(2, 24))
     grid = TimeGrid(0.0, 0.5, steps)
 
-    def family(kind, tail):
+    def family(tail):
         shapes = [(d,) + (d,) * k + tail for k in range(1, order + 1)]
-        return [
-            kind(k, d, d, *tail, filled(draw_entries(data, rng, shape, 0.3), shape))
+        comps = [
+            MultilinearMap(k, d, d, filled(draw_entries(data, rng, shape, 0.3), shape), tail)
             for k, shape in enumerate(shapes, start=1)
         ]
+        return FormalMapping(order, d, d, tuple(comps))
 
-    a = [FormalMapping(order, d, d, tuple(family(MultilinearMap, ()))) for _ in range(2)]
-    b = [DiffusionFamily(order, d, m, family(DiffusionMap, (m,))) for _ in range(2)]
+    a = [family(()) for _ in range(2)]
+    b = [family((m,)) for _ in range(2)]
     knot = grid.knot(data.draw(st.integers(1, steps))) if data.draw(st.booleans()) else grid.t_end
     coeffs = CoefficientFamily(order, d, m, lambda t: a[t >= knot], lambda t: b[t >= knot])
     dw = np.sqrt(grid.dt) * rng.standard_normal((n_paths, steps, m))
@@ -333,15 +331,16 @@ def test_step_maps_and_one_step_map_match_the_reference_psi(order, d, m, seed, n
     steps = data.draw(st.integers(1, 5))
     grid = TimeGrid(0.0, 0.5, steps)
 
-    def family(kind, tail):
+    def family(tail):
         shapes = [(d,) + (d,) * k + tail for k in range(1, order + 1)]
-        return [
-            kind(k, d, d, *tail, filled(draw_entries(data, rng, shape, 0.3), shape))
+        comps = [
+            MultilinearMap(k, d, d, filled(draw_entries(data, rng, shape, 0.3), shape), tail)
             for k, shape in enumerate(shapes, start=1)
         ]
+        return FormalMapping(order, d, d, tuple(comps))
 
-    a = [FormalMapping(order, d, d, tuple(family(MultilinearMap, ()))) for _ in range(2)]
-    b = [DiffusionFamily(order, d, m, family(DiffusionMap, (m,))) for _ in range(2)]
+    a = [family(()) for _ in range(2)]
+    b = [family((m,)) for _ in range(2)]
     # the pair switches at a knot, or at t_end: one pair on the whole grid
     knot = grid.knot(data.draw(st.integers(1, steps))) if switch else grid.t_end
     coeffs = CoefficientFamily(order, d, m, lambda t: a[t >= knot], lambda t: b[t >= knot])

@@ -8,7 +8,11 @@ from formalflow import (
     BlowupError,
     BrownianPath,
     CoefficientFamily,
+    DiffusionFamily,
+    DiffusionMap,
     ExcessiveBlowupError,
+    FormalMapping,
+    MultilinearMap,
     ShapeError,
     TimeGrid,
     bernoulli_closed_form,
@@ -21,6 +25,7 @@ from formalflow import (
     solve_chain_batch,
     truncation_scaling,
 )
+from formalflow import chain
 
 
 class TestPolynomialOracle:
@@ -78,6 +83,43 @@ class TestClosedForms:
         assert bernoulli_closed_form(1.0, -2.0, 1.0, -1.0) == -math.inf
 
 
+def noisy_chain_report(ito):
+    """estimate_order of the order-1 chain at d = m = 2 against its closed form.
+
+    dY = A Y dt + sum_j B_j Y dW_j with A = Q diag(alpha) Q^-1 and B_j = Q
+    diag(beta_j) Q^-1, which commute: the chain from the identity is the
+    fundamental matrix Phi(T) = Q diag(exp((alpha - sum_j beta_j^2 / 2) T +
+    sum_j beta_j W_j(T))) Q^-1, at T = 1; without ito, the reference drops
+    the correction -beta_j^2 / 2.  Noise column j of b_1 is B_j.
+    """
+    q = np.array([[1.0, 0.5], [0.2, 1.0]])
+    q_inv = np.linalg.inv(q)
+    alpha = np.array([0.3, -0.4])
+    beta = np.array([[0.5, 0.2], [-0.3, 0.6]])  # row j: beta_j
+
+    def similar(diagonal):
+        return q @ np.diag(diagonal) @ q_inv
+
+    a = FormalMapping(1, 2, 2, (MultilinearMap(1, 2, 2, similar(alpha)),))
+    b_1 = np.stack([similar(beta_j) for beta_j in beta], axis=-1)  # (d, d, m)
+    co = CoefficientFamily.constant(a, DiffusionFamily(1, 2, 2, (DiffusionMap(1, 2, 2, 2, b_1),)))
+
+    def simulate(paths):
+        entries, finite = solve_chain_batch(co, identity(1, 2), paths)
+        return np.where(finite[:, None], entries[0].reshape(paths.n_paths, -1), np.nan)
+
+    def exact(paths):
+        w_t = paths.cumulative()[:, -1, :]  # (P, m)
+        correction = 0.5 * (beta**2).sum(axis=0) if ito else 0.0
+        exponents = alpha - correction + w_t @ beta
+        phi = np.einsum("ik,pk,kj->pij", q, np.exp(exponents), q_inv)
+        return phi.reshape(paths.n_paths, -1)
+
+    return estimate_order(
+        simulate, exact, t_end=1.0, noise_dim=2, dt_values=[2.0**-k for k in range(4, 10)], n_paths=256, seed=1
+    )
+
+
 class TestEstimateOrder:
     def _quadratic_problem(self):
         alpha, gamma, y0 = 1.0, 0.5, 0.1
@@ -103,6 +145,24 @@ class TestEstimateOrder:
             seed=0,
         )
         assert abs(report.slope - 1.0) <= 0.1
+
+    def test_noisy_two_dimensional_chain_against_its_closed_form(self):
+        report = noisy_chain_report(ito=True)
+        # criterion 5's rule for the strong order of Euler-Maruyama, fixed in advance
+        assert abs(report.slope - 0.5) <= 0.15, report
+
+    @pytest.mark.parametrize("mutation", ["swapped noise columns", "no Ito correction"])
+    def test_the_closed_form_tells_the_noise_conventions_apart(self, monkeypatch, mutation):
+        if mutation == "swapped noise columns":
+            step_parts = chain._step_parts
+
+            def swapped(*args):
+                drift, noise = step_parts(*args)
+                return drift, [None if b_k is None else b_k[..., ::-1] for b_k in noise]
+
+            monkeypatch.setattr(chain, "_step_parts", swapped)
+        report = noisy_chain_report(ito=mutation != "no Ito correction")
+        assert abs(report.slope - 0.5) > 0.15, report
 
     def test_zero_coefficients_give_zero_error(self):
         co = CoefficientFamily.constant_scalar([0.0])
